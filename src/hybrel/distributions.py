@@ -13,7 +13,6 @@ after construction and every function is pure, so concurrent use is safe.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import betainc, gammainc, gammaincinv, gammaln, ndtr, ndtri
@@ -164,19 +163,15 @@ def chi_cdf(x, dof):
     return _maybe_scalar(gammainc(dof / 2, xp * xp / 2), x)
 
 
-def shifted_chi_pdf(v, dof, shift, include_jacobian=True):
+def shifted_chi_pdf(v, dof, shift):
     """Density of sqrt(Q + shift) with Q chi-square(dof); support v > sqrt(shift).
 
-    With include_jacobian=True (default) this is the change-of-variables
-    density
+    This is the change-of-variables density
 
         p(v) = 2^(1-dof/2) v (v^2-shift)^(dof/2-1) exp(-(v^2-shift)/2) / Gamma(dof/2)
 
     which reduces to chi(dof) at shift = 0 and integrates to one; the
     2% sampling cross-check in the test suite pins this form down.
-    include_jacobian=False evaluates a variant with exponent (dof-1)/2 and no
-    leading v factor.  That variant does not integrate to one and exists only
-    so the two shapes can be compared side by side.
     """
     dof = _check_dof(dof)
     if not (np.isfinite(shift) and shift >= 0):
@@ -188,10 +183,7 @@ def shifted_chi_pdf(v, dof, shift, include_jacobian=True):
         vp = arr[pos]
         q = vp * vp - shift
         base = (1 - dof / 2) * math.log(2) - q / 2 - gammaln(dof / 2)
-        if include_jacobian:
-            log_pdf = base + np.log(vp) + (dof / 2 - 1) * np.log(q)
-        else:
-            log_pdf = base + ((dof - 1) / 2) * np.log(q)
+        log_pdf = base + np.log(vp) + (dof / 2 - 1) * np.log(q)
         out[pos] = np.exp(log_pdf)
     return _maybe_scalar(out, v)
 
@@ -210,15 +202,6 @@ def shifted_chi_cdf(v, dof, shift):
 # cosine-angle family
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _angle_shape_integral(total_dim):
-    # integral over (-1,1) of sin^(N-2)(arccos v)/sqrt(1-v^2) dv, computed in
-    # the angle variable where the integrand sin^(N-2)(t) is analytic.
-    t, w = np.polynomial.legendre.leggauss(200)
-    theta = (t + 1) * (math.pi / 2)
-    return float(np.sum(w * np.sin(theta) ** (total_dim - 2)) * math.pi / 2)
-
-
 def _check_total_dim(total_dim):
     if not float(total_dim).is_integer() or total_dim < 2:
         raise InvalidParameterError(
@@ -232,7 +215,8 @@ def cos_angle_pdf(v, total_dim):
     in `total_dim` dimensions and any fixed unit vector.
 
     Evaluates c * sin^(total_dim-2)(arccos v) / sqrt(1 - v^2) on (-1, 1),
-    with c computed numerically so the density integrates to one.  Outside
+    with 1/c = B(1/2, (total_dim-1)/2) = sqrt(pi) Gamma((total_dim-1)/2) /
+    Gamma(total_dim/2), the integral of the shape over (-1, 1).  Outside
     the open interval the density is zero by convention (for total_dim = 2
     the shape diverges at the endpoints but remains integrable).
     """
@@ -244,7 +228,9 @@ def cos_angle_pdf(v, total_dim):
         vi = arr[inside]
         theta = np.arccos(vi)
         shape = np.sin(theta) ** (total_dim - 2) / np.sqrt(1.0 - vi * vi)
-        out[inside] = shape / _angle_shape_integral(total_dim)
+        log_norm = (0.5 * math.log(math.pi) + gammaln((total_dim - 1) / 2)
+                    - gammaln(total_dim / 2))
+        out[inside] = shape * math.exp(-log_norm)
     return _maybe_scalar(out, v)
 
 

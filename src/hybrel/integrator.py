@@ -7,10 +7,13 @@ the safe event is offset + radius*cosine > 0 on radius > sqrt(shift).
 Sweeping the shift over its uncertainty distribution yields the reliability
 envelope.
 
-The double integral is evaluated as a tensor Gauss-Legendre rule with the
-radius re-parameterized through the underlying chi variable and the angle
-mass accumulated in the angle variable, which makes every integrand panel
-analytic; results are stable to ~1e-12 under node doubling.
+The radius integral runs over the chi law of the m random coordinates,
+truncated at its 1 - 1e-10 quantile, as a Gauss-Legendre rule in s with
+r = lo + span*s^2 starting at the kink radius sqrt(offset^2 - shift); the
+quadratic stretch absorbs the square-root behaviour of the angle threshold
+there.  The angle mass at each radius is closed form: (1 + cosine)/2 follows
+a symmetric beta law, so the safe share is a regularized incomplete beta
+(cos_angle_cdf).  A whole sweep is evaluated as one (shifts x nodes) array.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -25,14 +28,16 @@ from .distributions import (
     chi_pdf,
     chi_square_cdf,
     chi_square_ppf,
+    cos_angle_cdf,
     normal_cdf,
 )
 from .errors import AccuracyError, InvalidParameterError
 
 __all__ = ["ShiftSchedule", "ReliabilityInterval", "reliability_at_shift",
-           "reliability_interval"]
+           "reliability_at_shifts", "reliability_interval"]
 
 _TAIL = 1e-10  # truncation mass of the radius variable
+_BLOCK = 4096  # shifts per broadcast, bounding the (shifts x nodes) arrays
 
 
 @dataclass(frozen=True)
@@ -69,7 +74,7 @@ class ShiftSchedule:
         if dist is None:
             dist = LinearUncertain(0.0, float(n_uncertain))
         alphas = np.linspace(0.0, 1.0, levels)
-        return cls(levels=tuple(alphas), shifts=tuple(dist.inv(a) for a in alphas))
+        return cls(levels=tuple(alphas), shifts=tuple(dist.inv(alphas)))
 
 
 @dataclass(frozen=True)
@@ -98,30 +103,13 @@ class ReliabilityInterval:
 
 
 @lru_cache(maxsize=None)
-def _angle_total_mass(total_dim, nodes):
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    theta = (t + 1) * (math.pi / 2)
-    return float(np.sum(w * np.sin(theta) ** (total_dim - 2)) * math.pi / 2)
-
-
-@lru_cache(maxsize=None)
 def _gl_rule(nodes):
     t, w = np.polynomial.legendre.leggauss(nodes)
     return t, w
 
 
-def _angle_tail_mass(thresholds, total_dim, nodes):
-    """Mass of {cosine > s} for each s, as the angle integral of
-    sin^(total_dim-2) from 0 to arccos(s); analytic in the angle variable."""
-    theta_max = np.arccos(np.clip(thresholds, -1.0, 1.0))
-    t, w = _gl_rule(nodes)
-    half = theta_max / 2.0
-    theta = half[:, None] * (t[None, :] + 1.0)
-    mass = half * np.sum(w[None, :] * np.sin(theta) ** (total_dim - 2), axis=1)
-    return mass / _angle_total_mass(total_dim, max(nodes, 200))
-
-
-def _reliability_at_shift(reduced, shift, quad_nodes):
+def _broadcast_reliability(reduced, shifts, quad_nodes):
+    """Reliabilities at a 1-D array of shifts, one (shifts x nodes) broadcast."""
     offset = reduced.offset
     m, n = reduced.m, reduced.n
     total_dim = m + n
@@ -129,86 +117,103 @@ def _reliability_at_shift(reduced, shift, quad_nodes):
         # one-dimensional standardized space: the angle degenerates to a
         # coin flip over the two directions and the integral collapses to
         # the exact Gaussian tail
-        return float(normal_cdf(offset))
+        return np.full(shifts.shape, float(normal_cdf(offset)))
 
     r_max = math.sqrt(chi_square_ppf(1.0 - _TAIL, m))
-    kink_sq = offset * offset - shift
-    base = 0.0
-    if kink_sq > 0.0:
-        # below radius |offset| the safe event holds for every angle when
-        # offset > 0 and for none when offset < 0; the mass is analytic
-        r_kink = math.sqrt(kink_sq)
-        if offset > 0.0:
-            base = float(chi_square_cdf(kink_sq, m))
-        lo = min(r_kink, r_max)
-    else:
-        lo = 0.0
-    if lo >= r_max:
-        return base
+    # below the kink radius sqrt(offset^2 - shift) the safe event holds for
+    # every angle when offset > 0 and for none when offset < 0; that mass is
+    # analytic (chi_square_cdf is zero where there is no kink)
+    kink_sq = offset * offset - shifts
+    base = chi_square_cdf(kink_sq, m) if offset > 0.0 else 0.0
+    lo = np.minimum(np.sqrt(np.maximum(kink_sq, 0.0)), r_max)[:, None]
+    span = r_max - lo
 
     # quadratic stretch r = lo + span*s^2 absorbs the square-root behaviour
     # of the angle threshold at the kink radius, keeping the integrand smooth
     t, w = _gl_rule(quad_nodes)
     s = (t + 1.0) / 2.0
     ws = w / 2.0
-    span = r_max - lo
     r = lo + span * s * s
     jacobian = 2.0 * span * s
-    v1 = np.sqrt(r * r + shift)
-    safe_mass = _angle_tail_mass(-offset / v1, total_dim, quad_nodes)
-    integral = float(np.sum(ws * chi_pdf(r, m) * safe_mass * jacobian))
-    return min(max(base + integral, 0.0), 1.0)
+    v = np.sqrt(r * r + shifts[:, None])
+    # P(cosine > -offset/v) = P(cosine < offset/v) by the law's symmetry
+    safe_mass = cos_angle_cdf(offset / v, total_dim)
+    integral = np.sum(ws * chi_pdf(r, m) * safe_mass * jacobian, axis=1)
+    return np.clip(base + integral, 0.0, 1.0)
+
+
+def reliability_at_shifts(reduced, shifts, quad_nodes=64, verify=False):
+    """Reliabilities of the reduced limit state at every shift of an array.
+
+    Probability mass of {offset + radius*cosine > 0} with the radius
+    following the shifted chi law (dof = m, each shift as given) truncated
+    at the 1 - 1e-10 quantile, and the cosine following the cosine-angle law
+    of dimension m + n.  The shifts are evaluated together as one
+    (shifts x quad_nodes) array, at most 4096 shifts at a time, and every
+    entry equals the one-element call with that shift.  verify=True
+    re-evaluates at doubled quad_nodes and raises AccuracyError if any value
+    moves by more than 1e-6.
+    """
+    if reduced.m < 1:
+        raise InvalidParameterError("the integrator requires m >= 1")
+    shifts = np.asarray(shifts, dtype=float).reshape(-1)
+    if not np.all(shifts >= 0):
+        raise InvalidParameterError("shift must be >= 0")
+    if quad_nodes < 32:
+        raise InvalidParameterError("quad_nodes must be at least 32")
+    blocks = np.array_split(shifts, max(1, -(-len(shifts) // _BLOCK)))
+    values = np.concatenate(
+        [_broadcast_reliability(reduced, block, quad_nodes) for block in blocks]
+    )
+    if verify:
+        check = np.concatenate([
+            _broadcast_reliability(reduced, block, 2 * quad_nodes)
+            for block in blocks
+        ])
+        moved = np.abs(check - values)
+        if np.any(moved > 1e-6):
+            worst = int(np.argmax(moved))
+            raise AccuracyError(
+                f"reliability integral moved by {moved[worst]:.3e} under "
+                f"node doubling at {quad_nodes} nodes (shift {shifts[worst]!r})"
+            )
+    return values
 
 
 def reliability_at_shift(reduced, shift, quad_nodes=64, verify=False):
     """Reliability of the reduced limit state at one frozen shift value.
 
-    Probability mass of {offset + radius*cosine > 0} with the radius
-    following the shifted chi law (dof = m, shift as given) truncated at the
-    1 - 1e-10 quantile, and the cosine following the cosine-angle law of
-    dimension m + n.  verify=True re-evaluates at doubled quad_nodes and
-    raises AccuracyError if the value moves by more than 1e-6.
+    The one-element call of :func:`reliability_at_shifts`, so it equals the
+    matching curve entry of :func:`reliability_interval` bit for bit.
     """
-    if reduced.m < 1:
-        raise InvalidParameterError("the integrator requires m >= 1")
-    if shift < 0:
-        raise InvalidParameterError("shift must be >= 0")
-    if quad_nodes < 32:
-        raise InvalidParameterError("quad_nodes must be at least 32")
-    value = _reliability_at_shift(reduced, shift, quad_nodes)
-    if verify:
-        check = _reliability_at_shift(reduced, shift, 2 * quad_nodes)
-        if abs(check - value) > 1e-6:
-            raise AccuracyError(
-                f"reliability integral moved by {abs(check - value):.3e} "
-                f"under node doubling at {quad_nodes} nodes"
-            )
-    return value
+    return float(reliability_at_shifts(reduced, [shift], quad_nodes, verify)[0])
 
 
 def reliability_interval(reduced, schedule=None, quad_nodes=64, verify=False,
                          thread_cap=1):
     """Reliability envelope over a shift schedule.
 
-    Evaluates :func:`reliability_at_shift` at every scheduled shift and
-    returns the min/max envelope with the full curve.  Shift levels are
-    independent; thread_cap > 1 fans them out over a thread pool without
-    changing the result order.
+    Evaluates :func:`reliability_at_shifts` over the scheduled shifts and
+    returns the min/max envelope with the full curve.  thread_cap > 1 splits
+    the shifts into that many contiguous blocks, one broadcast each, on a
+    thread pool; the result is the same as with thread_cap = 1.
     """
     if schedule is None:
         schedule = ShiftSchedule.uniform(reduced.n)
-    shifts = schedule.shifts
-    if thread_cap > 1 and len(shifts) > 1:
-        with ThreadPoolExecutor(max_workers=thread_cap) as pool:
-            values = list(pool.map(
-                lambda s: reliability_at_shift(reduced, s, quad_nodes, verify),
-                shifts,
-            ))
+    shifts = np.array(schedule.shifts)
+    parts = min(thread_cap, len(shifts))
+    if parts > 1:
+        with ThreadPoolExecutor(max_workers=parts) as pool:
+            values = np.concatenate(list(pool.map(
+                lambda block: reliability_at_shifts(reduced, block, quad_nodes,
+                                                    verify),
+                np.array_split(shifts, parts),
+            )))
     else:
-        values = [reliability_at_shift(reduced, s, quad_nodes, verify)
-                  for s in shifts]
+        values = reliability_at_shifts(reduced, shifts, quad_nodes, verify)
+    values = values.tolist()
     return ReliabilityInterval(
         r_lo=min(values),
         r_hi=max(values),
-        curve=tuple(zip(shifts, values)),
+        curve=tuple(zip(schedule.shifts, values)),
     )

@@ -148,14 +148,6 @@ class TestShiftedChi:
                             limit=300)
             assert total == pytest.approx(1.0, abs=1e-8)
 
-    def test_plain_variant_is_not_normalized(self):
-        # the no-jacobian variant is a different shape kept for comparison
-        total, _ = quad(
-            lambda v: shifted_chi_pdf(v, 3, 1.0, include_jacobian=False),
-            1.0, 40.0, limit=300,
-        )
-        assert abs(total - 1.0) > 1e-3
-
     def test_cdf_matches_sample_fraction(self):
         rng = np.random.default_rng(6)
         sample = np.sqrt(rng.chisquare(5, 200_000) + 2.0)

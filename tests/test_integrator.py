@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.stats import chi, chi2
 
+from hybrel import integrator
 from hybrel.distributions import LinearUncertain, normal_cdf
-from hybrel.errors import InvalidParameterError
+from hybrel.errors import AccuracyError, InvalidParameterError
 from hybrel.integrator import (
     ReliabilityInterval,
     ShiftSchedule,
@@ -147,10 +150,63 @@ class TestReliabilityInterval:
         assert interval.r_lo == interval.curve[-1][1]
 
     def test_thread_cap_matches_sequential(self):
+        # caps 2, 3 and 7 split the 201 shifts into uneven blocks; every
+        # block partition and the one-shift call must agree bit for bit
         reduced = _reduced(2.0, 5, 4)
-        seq = reliability_interval(reduced, thread_cap=1)
-        par = reliability_interval(reduced, thread_cap=4)
-        assert seq.curve == par.curve
+        schedule = ShiftSchedule.uniform(4, levels=201)
+        seq = reliability_interval(reduced, schedule, thread_cap=1)
+        for cap in (2, 3, 7):
+            par = reliability_interval(reduced, schedule, thread_cap=cap)
+            assert par.curve == seq.curve
+        for shift, value in seq.curve:
+            assert value == reliability_at_shift(reduced, shift)
+
+    def test_verify_raises_when_node_doubling_moves(self):
+        # 32 nodes cannot resolve the chi(400) radius peak
+        with pytest.raises(AccuracyError):
+            reliability_interval(_reduced(1.0, 400, 1), quad_nodes=32,
+                                 verify=True)
+        reliability_interval(_reduced(1.0, 400, 1), quad_nodes=32)
+
+    def test_block_cap_matches_one_broadcast(self, monkeypatch):
+        reduced = _reduced(-1.0, 3, 5)
+        schedule = ShiftSchedule.uniform(5, levels=50)
+        whole = reliability_interval(reduced, schedule)
+        monkeypatch.setattr(integrator, "_BLOCK", 7)
+        assert reliability_interval(reduced, schedule).curve == whole.curve
+
+    @pytest.mark.parametrize("m, n", [(1, 4), (3, 7), (6, 6), (12, 10)])
+    def test_failure_matches_nested_quadrature(self, m, n):
+        # independent oracle: the failure mass as a radius integral of the
+        # chi density times the failure share of the angle, each by adaptive
+        # quadrature and with the angle share normalized by its own quadrature
+        # (not the incomplete beta the integrator uses); same radius cut-off
+        total_dim = m + n
+        r_max = math.sqrt(chi2.ppf(1.0 - 1e-10, m))
+
+        def sin_power(theta):
+            return math.sin(theta) ** (total_dim - 2)
+
+        full, _ = quad(sin_power, 0.0, math.pi, epsabs=0.0, epsrel=1e-12)
+
+        def failure_share(r, beta, shift):
+            theta_min = math.acos(-beta / math.sqrt(r * r + shift))
+            share, _ = quad(sin_power, theta_min, math.pi, epsabs=0.0,
+                            epsrel=1e-12)
+            return share / full
+
+        shifts = (0.0, n / 2, float(n))
+        schedule = ShiftSchedule(levels=(0.0, 0.5, 1.0), shifts=shifts)
+        for beta in (1.0, 2.0, 3.0):
+            interval = reliability_interval(_reduced(beta, m, n), schedule)
+            for shift, value in interval.curve:
+                kink = math.sqrt(max(beta * beta - shift, 0.0))
+                oracle, _ = quad(
+                    lambda r: chi.pdf(r, m) * failure_share(r, beta, shift),
+                    kink, r_max, epsabs=0.0, epsrel=1e-10, limit=200,
+                )
+                assert 1.0 - value == pytest.approx(oracle, rel=2e-5), (
+                    m, n, beta, shift)
 
     def test_interval_validation(self):
         with pytest.raises(InvalidParameterError):
