@@ -30,11 +30,8 @@ from .chance import (
 )
 from .config import RunSettings, load_config, thread_cap
 from .distributions import (
-    ChiSquare,
-    CosineAngle,
     LinearUncertain,
     Normal,
-    ShiftedChi,
     chi_cdf,
     chi_pdf,
     chi_square_cdf,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunSettings, thread_cap
+from .config import RunSettings, read_key_values, thread_cap
 from .errors import InvalidGeometryError, InvalidParameterError
 from .integrator import ShiftSchedule, reliability_interval
 from .model import HybridProblem, RandomVariable, UncertainVariable, standardize
@@ -35,10 +35,10 @@ __all__ = [
     "case_cantilever_tube",
     "get_case",
     "load_problem",
+    "design_point",
     "run_case",
     "CRANK_STRESS_SCALE",
     "TUBE_STRESS_SCALE",
-    "LSF_REGISTRY",
 ]
 
 # Calibrated so the uniform-sampling Monte Carlo failure estimate of the
@@ -79,16 +79,9 @@ class BenchmarkCase:
 # linear case
 # ---------------------------------------------------------------------------
 
-def case_linear(m=5, n=5):
-    """Linear limit state g = 1 - (sum of randoms + sum of uncertains)/(m+n).
-
-    Randoms are standard normal, uncertains bounded by [-1, 1].  The design
-    point is the all-ones vector, so the reduced offset is sqrt(m+n)
-    regardless of the split, which makes the case a sharp regression anchor.
-    """
-    if m < 1 or n < 0 or m + n < 2:
-        raise InvalidParameterError("case_linear requires m >= 1, n >= 0, m+n >= 2")
-
+def _linear_lsf(m, n):
+    if m < 1:
+        raise InvalidParameterError("the linear limit state needs >= 1 random input")
     total = m + n
 
     def lsf(x, y):
@@ -96,8 +89,19 @@ def case_linear(m=5, n=5):
         y = np.asarray(y, dtype=float)
         return 1.0 - (x.sum(axis=-1) + y.sum(axis=-1)) / total
 
-    reference = {}
-    table = {
+    return lsf
+
+
+def _linear_variables(m, n):
+    if m < 1 or n < 0 or m + n < 2:
+        raise InvalidParameterError("case_linear requires m >= 1, n >= 0, m+n >= 2")
+    return (tuple(RandomVariable(f"u{i+1}", 0.0, 1.0) for i in range(m)),
+            tuple(UncertainVariable(f"d{j+1}", -1.0, 1.0) for j in range(n)))
+
+
+_LINEAR_REFERENCE = {
+    (m, n): {"failure_interval": method, "mcs_interval": mcs}
+    for (m, n), (method, mcs) in {
         (1, 9): ((5.736e-7, 8.993e-6), (5.750e-8, 1.425e-7)),
         (3, 7): ((2.132e-5, 1.039e-4), (1.050e-6, 1.045e-5)),
         (5, 5): ((1.441e-4, 3.174e-4), (3.256e-5, 6.294e-5)),
@@ -106,24 +110,18 @@ def case_linear(m=5, n=5):
         # P(g <= 0 | y) for every y in [-1, 1], so it cannot be this case's
         # failure measure; the exact chance is 5.286e-4, inside the MCS row
         (9, 1): ((4.015e-3, 4.109e-3), (5.135e-4, 5.653e-4)),
-    }
-    if (m, n) in table:
-        reference["failure_interval"] = table[(m, n)][0]
-        reference["mcs_interval"] = table[(m, n)][1]
+    }.items()
+}
 
-    problem = HybridProblem(
-        lsf=lsf,
-        randoms=tuple(RandomVariable(f"u{i+1}", 0.0, 1.0) for i in range(m)),
-        uncertains=tuple(UncertainVariable(f"d{j+1}", -1.0, 1.0) for j in range(n)),
-        lsf_batch=lsf,
-        name=f"linear(m={m},n={n})",
-    )
-    return BenchmarkCase(
-        key="linear",
-        problem=problem,
-        description=f"linear limit state with {m} random and {n} uncertain inputs",
-        reference=reference,
-    )
+
+def case_linear(m=5, n=5):
+    """Linear limit state g = 1 - (sum of randoms + sum of uncertains)/(m+n).
+
+    Randoms are standard normal, uncertains bounded by [-1, 1].  The design
+    point is the all-ones vector, so the reduced offset is sqrt(m+n)
+    regardless of the split, which makes the case a sharp regression anchor.
+    """
+    return get_case("linear", m=m, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +144,26 @@ def _crank_stress(d1, d2, a, b, big_p, e, t):
     return 4.0 * big_p * ba / (np.pi * lever * section)
 
 
+def _crank_lsf(m, n, t):
+    if (m, n) != (3, 4):
+        raise InvalidParameterError(
+            "the crank-slider limit state needs 3 random and 4 uncertain inputs "
+            "(diameters + strength; lengths, force, offset)"
+        )
+    if not 0.0 <= t <= 40.0:
+        raise InvalidParameterError("t must lie in [0, 40]")
+
+    def lsf(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        d1, d2, strength = x[..., 0], x[..., 1], x[..., 2]
+        a, b, big_p, e = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
+        stress = _crank_stress(d1, d2, a, b, big_p * 1e3, e, t)
+        return strength * 1e3 - CRANK_STRESS_SCALE * stress
+
+    return lsf
+
+
 def case_crank_slider(t=0.0):
     """Crank-slider mechanism: yield strength minus maximum coupler stress.
 
@@ -159,45 +177,7 @@ def case_crank_slider(t=0.0):
     level 0.06873; no per-time tuning is applied, so the time trend is a
     genuine model output.
     """
-    if not 0.0 <= t <= 40.0:
-        raise InvalidParameterError("t must lie in [0, 40]")
-
-    def lsf(x, y, _t=t):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        d1, d2, strength = x[..., 0], x[..., 1], x[..., 2]
-        a, b, big_p, e = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
-        stress = _crank_stress(d1, d2, a, b, big_p * 1e3, e, _t)
-        return strength * 1e3 - CRANK_STRESS_SCALE * stress
-
-    problem = HybridProblem(
-        lsf=lsf,
-        randoms=(
-            RandomVariable("d1", 10.0, 0.5),
-            RandomVariable("d2", 20.0, 0.8),
-            RandomVariable("Sm", 1.98, 0.1),
-        ),
-        uncertains=(
-            UncertainVariable("a", 94.0, 106.0),
-            UncertainVariable("b", 295.0, 305.0),
-            UncertainVariable("P", 240.0, 260.0),
-            UncertainVariable("e", 122.0, 128.0),
-        ),
-        lsf_batch=lsf,
-        name=f"crank_slider(t={t:g})",
-    )
-    reference = {
-        "failure_interval_t0": (0.05152, 0.07276),
-        "failure_interval_t40": (0.21260, 0.25600),
-        "mcs_t0": (0.06873, 0.06873),
-        "mcs_t40": (0.18423, 0.18423),
-    }
-    return BenchmarkCase(
-        key="crank_slider",
-        problem=problem,
-        description=f"crank-slider mechanism at t={t:g}",
-        reference=reference,
-    )
+    return get_case("crank_slider", t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +200,28 @@ def _tube_max_stress(wall, d, length1, length2, th1, th2, f1, f2, p, torque):
     return np.sqrt(sigma_x * sigma_x + 3.0 * tau * tau)
 
 
+def _tube_lsf(m, n):
+    if (m, n) != (6, 6):
+        raise InvalidParameterError(
+            "the cantilever-tube limit state needs 6 random and 6 uncertain inputs"
+        )
+
+    def lsf(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        wall, d, l1, l2, strength, noise = (x[..., i] for i in range(6))
+        th1 = np.deg2rad(y[..., 0])
+        th2 = np.deg2rad(y[..., 1])
+        f1 = y[..., 2] * 1e3
+        f2 = y[..., 3] * 1e3
+        p = y[..., 4] * 1e3
+        torque = y[..., 5] * 1e3
+        stress = _tube_max_stress(wall, d, l1, l2, th1, th2, f1, f2, p, torque)
+        return strength - TUBE_STRESS_SCALE * stress + noise
+
+    return lsf
+
+
 def case_cantilever_tube():
     """Cantilever tube: yield strength minus maximum von Mises stress plus
     a small Gaussian noise term.
@@ -236,71 +238,149 @@ def case_cantilever_tube():
     reported failure-interval magnitude; at nominal inputs the calibrated
     design is safe.
     """
-    def lsf(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        wall, d, l1, l2, strength, noise = (x[..., i] for i in range(6))
-        th1 = np.deg2rad(y[..., 0])
-        th2 = np.deg2rad(y[..., 1])
-        f1 = y[..., 2] * 1e3
-        f2 = y[..., 3] * 1e3
-        p = y[..., 4] * 1e3
-        torque = y[..., 5] * 1e3
-        stress = _tube_max_stress(wall, d, l1, l2, th1, th2, f1, f2, p, torque)
-        return strength - TUBE_STRESS_SCALE * stress + noise
+    return get_case("cantilever_tube")
 
-    problem = HybridProblem(
-        lsf=lsf,
-        randoms=(
-            RandomVariable("t", 5.0, 0.1),
-            RandomVariable("d", 42.0, 0.5),
-            RandomVariable("L1", 120.0, 1.2),
-            RandomVariable("L2", 60.0, 0.6),
-            RandomVariable("Sy", 185.0, 22.0),
-            RandomVariable("noise", 0.0, 0.03),
+
+# ---------------------------------------------------------------------------
+# case registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Entry:
+    """One built-in case, declared once for get_case and load_problem.
+
+    lsf(m, n, **params) returns the limit state for m randoms and n
+    uncertains and refuses an arity or a parameter value it cannot take;
+    `params` maps its parameters (the `param.*` keys of a problem file) to
+    their defaults.  variables(**sizes) returns the default (randoms,
+    uncertains), `sizes` mapping the get_case parameters that size them to
+    their defaults.  name and description are format strings over all
+    parameters; reference maps the sizes' values, in order, to the
+    reported result rows.
+    """
+
+    lsf: object
+    params: dict
+    variables: object
+    sizes: dict
+    name: str
+    description: str
+    reference: dict
+
+
+_CASES = {
+    "linear": _Entry(
+        lsf=_linear_lsf,
+        params={},
+        variables=_linear_variables,
+        sizes={"m": 5, "n": 5},
+        name="linear(m={m},n={n})",
+        description="linear limit state with {m} random and {n} uncertain inputs",
+        reference=_LINEAR_REFERENCE,
+    ),
+    "crank_slider": _Entry(
+        lsf=_crank_lsf,
+        params={"t": 0.0},
+        variables=lambda: (
+            (
+                RandomVariable("d1", 10.0, 0.5),
+                RandomVariable("d2", 20.0, 0.8),
+                RandomVariable("Sm", 1.98, 0.1),
+            ),
+            (
+                UncertainVariable("a", 94.0, 106.0),
+                UncertainVariable("b", 295.0, 305.0),
+                UncertainVariable("P", 240.0, 260.0),
+                UncertainVariable("e", 122.0, 128.0),
+            ),
         ),
-        uncertains=(
-            UncertainVariable("theta1", 0.0, 10.0),
-            UncertainVariable("theta2", 5.0, 15.0),
-            UncertainVariable("F1", 12.7, 13.3),
-            UncertainVariable("F2", 12.7, 13.3),
-            UncertainVariable("P", 21.0, 23.0),
-            UncertainVariable("T", 85.0, 95.0),
+        sizes={},
+        name="crank_slider(t={t:g})",
+        description="crank-slider mechanism at t={t:g}",
+        reference={(): {
+            "failure_interval_t0": (0.05152, 0.07276),
+            "failure_interval_t40": (0.21260, 0.25600),
+            "mcs_t0": (0.06873, 0.06873),
+            "mcs_t40": (0.18423, 0.18423),
+        }},
+    ),
+    "cantilever_tube": _Entry(
+        lsf=_tube_lsf,
+        params={},
+        variables=lambda: (
+            (
+                RandomVariable("t", 5.0, 0.1),
+                RandomVariable("d", 42.0, 0.5),
+                RandomVariable("L1", 120.0, 1.2),
+                RandomVariable("L2", 60.0, 0.6),
+                RandomVariable("Sy", 185.0, 22.0),
+                RandomVariable("noise", 0.0, 0.03),
+            ),
+            (
+                UncertainVariable("theta1", 0.0, 10.0),
+                UncertainVariable("theta2", 5.0, 15.0),
+                UncertainVariable("F1", 12.7, 13.3),
+                UncertainVariable("F2", 12.7, 13.3),
+                UncertainVariable("P", 21.0, 23.0),
+                UncertainVariable("T", 85.0, 95.0),
+            ),
         ),
-        lsf_batch=lsf,
+        sizes={},
         name="cantilever_tube",
-    )
-    reference = {
-        "failure_interval": (2.859e-3, 5.790e-3),
-        "mcs_interval": (3.8253e-4, 6.8707e-4),
-    }
-    return BenchmarkCase(
-        key="cantilever_tube",
-        problem=problem,
         description="cantilever tube under transverse, axial and torsion loads",
-        reference=reference,
-    )
+        reference={(): {
+            "failure_interval": (2.859e-3, 5.790e-3),
+            "mcs_interval": (3.8253e-4, 6.8707e-4),
+        }},
+    ),
+}
+
+CASE_KEYS = tuple(_CASES)
 
 
-CASE_KEYS = ("linear", "crank_slider", "cantilever_tube")
+def _entry(key, unknown):
+    if key not in _CASES:
+        raise InvalidParameterError(
+            f"{unknown} {key!r}; available: {', '.join(CASE_KEYS)}"
+        )
+    return _CASES[key]
+
+
+def _resolve(owner, params, defaults):
+    """params over defaults, refusing any parameter without a default."""
+    extra = sorted(set(params) - set(defaults))
+    if extra:
+        raise InvalidParameterError(
+            f"{owner} does not take {', '.join(extra)}; it takes "
+            f"{', '.join(defaults) or 'no parameters'}"
+        )
+    return {**defaults, **params}
 
 
 def get_case(key, **params):
     """Benchmark case by registry key.
 
     linear accepts m and n, crank_slider accepts t, cantilever_tube takes
-    no parameters.
+    no parameters; any other parameter is an InvalidParameterError.
     """
-    if key == "linear":
-        return case_linear(**params)
-    if key == "crank_slider":
-        return case_crank_slider(**params)
-    if key == "cantilever_tube":
-        if params:
-            raise InvalidParameterError("cantilever_tube takes no parameters")
-        return case_cantilever_tube()
-    raise InvalidParameterError(
-        f"unknown case {key!r}; available: {', '.join(CASE_KEYS)}"
+    entry = _entry(key, "unknown case")
+    values = _resolve(key, params, {**entry.sizes, **entry.params})
+    sizes = {name: values[name] for name in entry.sizes}
+    randoms, uncertains = entry.variables(**sizes)
+    lsf = entry.lsf(len(randoms), len(uncertains),
+                    **{name: values[name] for name in entry.params})
+    problem = HybridProblem(
+        lsf=lsf,
+        randoms=randoms,
+        uncertains=uncertains,
+        lsf_batch=lsf,
+        name=entry.name.format(**values),
+    )
+    return BenchmarkCase(
+        key=key,
+        problem=problem,
+        description=entry.description.format(**values),
+        reference=dict(entry.reference.get(tuple(sizes.values()), {})),
     )
 
 
@@ -308,57 +388,13 @@ def get_case(key, **params):
 # problem definition files
 # ---------------------------------------------------------------------------
 
-def _linear_lsf_builder(m, n, params):
-    if params:
-        raise InvalidParameterError("the linear limit state takes no param.* keys")
-    if m < 1:
-        raise InvalidParameterError("the linear limit state needs >= 1 random input")
-    total = m + n
-
-    def lsf(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return 1.0 - (x.sum(axis=-1) + y.sum(axis=-1)) / total
-
-    return lsf
-
-
-def _crank_lsf_builder(m, n, params):
-    if (m, n) != (3, 4):
-        raise InvalidParameterError(
-            "the crank-slider limit state needs 3 random and 4 uncertain inputs "
-            "(diameters + strength; lengths, force, offset)"
-        )
-    t = float(params.pop("t", 0.0))
-    if params:
-        raise InvalidParameterError(f"unknown param keys {sorted(params)}")
-    return case_crank_slider(t).problem.lsf
-
-
-def _tube_lsf_builder(m, n, params):
-    if (m, n) != (6, 6):
-        raise InvalidParameterError(
-            "the cantilever-tube limit state needs 6 random and 6 uncertain inputs"
-        )
-    if params:
-        raise InvalidParameterError(f"unknown param keys {sorted(params)}")
-    return case_cantilever_tube().problem.lsf
-
-
-LSF_REGISTRY = {
-    "linear": _linear_lsf_builder,
-    "crank_slider": _crank_lsf_builder,
-    "cantilever_tube": _tube_lsf_builder,
-}
-
-
 def load_problem(path):
     """Build a case from a flat key=value problem-definition file.
 
     Recognized keys (UTF-8, '#' comments):
 
         name = my_case                     # report label
-        lsf = linear                       # LSF_REGISTRY key
+        lsf = linear                       # built-in case key (CASE_KEYS)
         param.t = 10                       # optional LSF parameter
         random = d1 10.0 0.5               # name mean stddev (repeatable)
         uncertain = a 94 106               # name lower upper (repeatable)
@@ -373,49 +409,33 @@ def load_problem(path):
     params = {}
     randoms = []
     uncertains = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidParameterError(
-                    f"{path}:{lineno}: expected key=value, got {raw.strip()!r}"
-                )
-            key, value = (part.strip() for part in line.split("=", 1))
+    for lineno, key, value in read_key_values(path):
+        if key == "name":
+            name = value
+        elif key == "lsf":
+            lsf_key = value
+        elif key.startswith("param.") or key in ("random", "uncertain"):
             try:
-                if key == "name":
-                    name = value
-                elif key == "lsf":
-                    lsf_key = value
-                elif key.startswith("param."):
+                if key.startswith("param."):
                     params[key[len("param."):]] = float(value)
-                elif key == "random":
-                    vname, mean, stddev = value.split()
-                    randoms.append(RandomVariable(vname, float(mean), float(stddev)))
-                elif key == "uncertain":
-                    vname, lower, upper = value.split()
-                    uncertains.append(
-                        UncertainVariable(vname, float(lower), float(upper))
-                    )
                 else:
-                    raise InvalidParameterError(
-                        f"{path}:{lineno}: unknown key {key!r}"
-                    )
-            except (ValueError, InvalidParameterError) as exc:
-                if isinstance(exc, InvalidParameterError):
-                    raise
+                    vname, first, second = value.split()
+                    first, second = float(first), float(second)
+            except ValueError as exc:
                 raise InvalidParameterError(
-                    f"{path}:{lineno}: bad declaration {raw.strip()!r}"
+                    f"{path}:{lineno}: bad declaration {f'{key} = {value}'!r}"
                 ) from exc
+            if key == "random":
+                randoms.append(RandomVariable(vname, first, second))
+            elif key == "uncertain":
+                uncertains.append(UncertainVariable(vname, first, second))
+        else:
+            raise InvalidParameterError(f"{path}:{lineno}: unknown key {key!r}")
     if lsf_key is None:
         raise InvalidParameterError(f"{path}: missing required key 'lsf'")
-    if lsf_key not in LSF_REGISTRY:
-        raise InvalidParameterError(
-            f"{path}: unknown lsf {lsf_key!r}; available: "
-            f"{', '.join(sorted(LSF_REGISTRY))}"
-        )
-    lsf = LSF_REGISTRY[lsf_key](len(randoms), len(uncertains), dict(params))
+    entry = _entry(lsf_key, f"{path}: unknown lsf")
+    lsf = entry.lsf(len(randoms), len(uncertains),
+                    **_resolve(f"{path}: lsf {lsf_key}", params, entry.params))
     problem = HybridProblem(
         lsf=lsf,
         randoms=tuple(randoms),
@@ -465,20 +485,27 @@ class RunReport:
     settings: dict = field(default_factory=dict)
 
 
-def run_case(case, settings=None, mcs_estimate=None, include_timing=False):
-    """Run the full pipeline on a benchmark case and assemble the report.
-
-    Pipeline: standardize, design-point search, polar reduction, shift-swept
-    reliability interval.  An externally computed Monte Carlo estimate can
-    be attached for the comparison columns.
-    """
+def design_point(case, settings=None):
+    """The pipeline's first stages: standardize the case and search its
+    design point.  Returns (standardized problem, DesignPoint)."""
     settings = settings or RunSettings()
-    start = time.perf_counter()
     std = standardize(case.problem)
     solver_settings = SolverSettings(
         epsilon=settings.epsilon, fd_rel_step=settings.fd_step
     )
-    design = find_design_point(std, solver_settings)
+    return std, find_design_point(std, solver_settings)
+
+
+def run_case(case, settings=None, mcs_estimate=None, include_timing=False):
+    """Run the full pipeline on a benchmark case and assemble the report.
+
+    Pipeline: design_point (standardize, design-point search), polar
+    reduction, shift-swept reliability interval.  An externally computed
+    Monte Carlo estimate can be attached for the comparison columns.
+    """
+    settings = settings or RunSettings()
+    start = time.perf_counter()
+    std, design = design_point(case, settings)
     reduced = reduce_to_polar(std, design)
     schedule = ShiftSchedule.uniform(case.n, levels=settings.alpha_levels)
     interval = reliability_interval(

@@ -7,9 +7,11 @@ Subcommands:
   design-point  design-point search details
   curve         per-shift reliability curve, plot-ready
 
-Every subcommand takes either --case KEY (the built-in registry, with
---m/--n for the linear case and --t for the crank-slider) or
---problem PATH, a flat key=value problem-definition file:
+Every subcommand takes either --case KEY (the built-in registry) or
+--problem PATH, a flat key=value problem-definition file.  --m/--n belong
+to the linear case and --t to the crank-slider; any other use of them,
+with another case or with --problem, is a usage error.  A problem file
+reads:
 
     name = tweaked_tube          # report label
     lsf = cantilever_tube        # built-in limit-state key
@@ -21,9 +23,10 @@ Variable lines are positional: the limit state receives the declared
 randoms and uncertains in file order, so a definition file reruns a
 built-in response surface on shifted means or bounds.
 
-Settings files passed via --config use the same key=value syntax with the
-keys alpha_levels, quad_nodes, epsilon, fd_step, seed.  The HRA_THREADS
-environment variable caps worker parallelism.
+Settings files passed via --config are read by the same key=value reader
+as problem files, with the keys alpha_levels, quad_nodes, epsilon,
+fd_step, seed.  The HRA_THREADS environment variable caps worker
+parallelism.
 
 Exit codes: 0 success, 2 usage error, 3 numerical error.  Floats serialize
 with 17 significant digits so that parsing an emitted file recovers every
@@ -34,14 +37,10 @@ import argparse
 import json
 import sys
 
-from .benchmarks import CASE_KEYS, get_case, load_problem, run_case
-from .config import RunSettings, apply_overrides, load_config, thread_cap
+from .benchmarks import CASE_KEYS, design_point, get_case, load_problem, run_case
+from .config import RunSettings, apply_overrides, load_config
 from .errors import HybrelError, InvalidParameterError
-from .integrator import ShiftSchedule, reliability_interval
 from .mcs import estimate_failure
-from .model import standardize
-from .polar import reduce_to_polar
-from .solver import SolverSettings, find_design_point
 
 __all__ = ["main", "run_cli", "CSV_HEADER", "format_float"]
 
@@ -101,19 +100,23 @@ def report_to_json(report):
 
 
 def _select_case(args):
-    """Case from --case (registry) or --problem (definition file)."""
+    """Case from --case (registry) or --problem (definition file).
+
+    Only the case flags given are passed on, so the case's own defaults
+    apply and a flag the case does not take is a usage error.
+    """
+    params = {name: getattr(args, name) for name in ("m", "n", "t")
+              if getattr(args, name) is not None}
     if getattr(args, "problem", None):
         if args.case is not None:
             raise InvalidParameterError("--case and --problem are exclusive")
+        if params:
+            raise InvalidParameterError(
+                f"--problem takes no {', '.join('--' + name for name in params)}"
+            )
         return load_problem(args.problem)
     if args.case is None:
         raise InvalidParameterError("one of --case or --problem is required")
-    params = {}
-    if args.case == "linear":
-        params["m"] = args.m
-        params["n"] = args.n
-    elif args.case == "crank_slider":
-        params["t"] = args.t
     return get_case(args.case, **params)
 
 
@@ -142,9 +145,9 @@ def _emit(text, out_path):
 def _add_case_arguments(parser, with_settings=True):
     parser.add_argument("--case", choices=CASE_KEYS)
     parser.add_argument("--problem", help="problem-definition file (key=value)")
-    parser.add_argument("--m", type=int, default=5, help="random inputs (linear case)")
-    parser.add_argument("--n", type=int, default=5, help="uncertain inputs (linear case)")
-    parser.add_argument("--t", type=float, default=0.0, help="time (crank_slider case)")
+    parser.add_argument("--m", type=int, help="random inputs (linear case, default 5)")
+    parser.add_argument("--n", type=int, help="uncertain inputs (linear case, default 5)")
+    parser.add_argument("--t", type=float, help="time (crank_slider case, default 0)")
     if with_settings:
         parser.add_argument("--alpha-levels", type=int, dest="alpha_levels")
         parser.add_argument("--quad-nodes", type=int, dest="quad_nodes")
@@ -206,10 +209,7 @@ def _cmd_mcs(args):
 def _cmd_design_point(args):
     settings = _settings_from(args)
     case = _select_case(args)
-    std = standardize(case.problem)
-    design = find_design_point(
-        std, SolverSettings(epsilon=settings.epsilon, fd_rel_step=settings.fd_step)
-    )
+    _, design = design_point(case, settings)
     if args.trace:
         _print_trace(design.trace)
     if args.format == "json":
@@ -236,25 +236,17 @@ def _cmd_design_point(args):
 def _cmd_curve(args):
     settings = _settings_from(args)
     case = _select_case(args)
-    std = standardize(case.problem)
-    design = find_design_point(
-        std, SolverSettings(epsilon=settings.epsilon, fd_rel_step=settings.fd_step)
-    )
-    reduced = reduce_to_polar(std, design)
-    schedule = ShiftSchedule.uniform(case.n, levels=settings.alpha_levels)
-    interval = reliability_interval(
-        reduced, schedule, quad_nodes=settings.quad_nodes, thread_cap=thread_cap()
-    )
+    report = run_case(case, settings)
     if args.format == "json":
         payload = {
             "case": case.key,
-            "curve": [[s, r] for s, r in interval.curve],
-            "R_lo": interval.r_lo,
-            "R_hi": interval.r_hi,
+            "curve": [[s, r] for s, r in report.curve],
+            "R_lo": report.R_lo,
+            "R_hi": report.R_hi,
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        rows = [f"{format_float(s)},{format_float(r)}" for s, r in interval.curve]
+        rows = [f"{format_float(s)},{format_float(r)}" for s, r in report.curve]
         text = "shift,reliability\n" + "\n".join(rows) + "\n"
     _emit(text, args.out)
     return 0

@@ -1,11 +1,12 @@
-"""Run settings, config-file parsing and thread-cap handling."""
+"""Run settings, the key=value file reader, config parsing and the thread cap."""
 
 import os
 from dataclasses import dataclass, replace
 
 from .errors import InvalidParameterError
 
-__all__ = ["RunSettings", "load_config", "apply_overrides", "thread_cap"]
+__all__ = ["RunSettings", "read_key_values", "load_config", "apply_overrides",
+           "thread_cap"]
 
 _INT_KEYS = {"alpha_levels", "quad_nodes", "seed"}
 _FLOAT_KEYS = {"epsilon", "fd_step"}
@@ -31,13 +32,12 @@ class RunSettings:
             raise InvalidParameterError("epsilon and fd_step must be positive")
 
 
-def load_config(path):
-    """Parse a flat key=value config file (UTF-8, '#' comments).
+def read_key_values(path):
+    """Yield (lineno, key, value) for each key=value line of a UTF-8 file.
 
-    Returns a dict of typed overrides; unknown keys are rejected so typos
-    surface as usage errors instead of silently keeping defaults.
+    '#' starts a comment and blank lines are skipped; any other line
+    without '=' is a usage error naming path:lineno.
     """
-    overrides = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -48,16 +48,27 @@ def load_config(path):
                     f"{path}:{lineno}: expected key=value, got {raw.strip()!r}"
                 )
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _KNOWN_KEYS:
-                raise InvalidParameterError(
-                    f"{path}:{lineno}: unknown config key {key!r}"
-                )
-            try:
-                overrides[key] = int(value) if key in _INT_KEYS else float(value)
-            except ValueError as exc:
-                raise InvalidParameterError(
-                    f"{path}:{lineno}: bad value for {key}: {value!r}"
-                ) from exc
+            yield lineno, key, value
+
+
+def load_config(path):
+    """Parse a flat key=value config file (UTF-8, '#' comments).
+
+    Returns a dict of typed overrides; unknown keys are rejected so typos
+    surface as usage errors instead of silently keeping defaults.
+    """
+    overrides = {}
+    for lineno, key, value in read_key_values(path):
+        if key not in _KNOWN_KEYS:
+            raise InvalidParameterError(
+                f"{path}:{lineno}: unknown config key {key!r}"
+            )
+        try:
+            overrides[key] = int(value) if key in _INT_KEYS else float(value)
+        except ValueError as exc:
+            raise InvalidParameterError(
+                f"{path}:{lineno}: bad value for {key}: {value!r}"
+            ) from exc
     return overrides
 
 

@@ -21,9 +21,6 @@ from .errors import InvalidParameterError
 
 __all__ = [
     "Normal",
-    "ChiSquare",
-    "ShiftedChi",
-    "CosineAngle",
     "LinearUncertain",
     "normal_cdf",
     "normal_pdf",
@@ -305,73 +302,6 @@ class Normal:
 
     def sample(self, rng, size=None):
         return rng.normal(self.mean, self.stddev, size)
-
-
-@dataclass(frozen=True)
-class ChiSquare:
-    """Sum of `dof` squared independent standard normals."""
-
-    dof: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "dof", _check_dof(self.dof))
-
-    def pdf(self, x):
-        return chi_square_pdf(x, self.dof)
-
-    def cdf(self, x):
-        return chi_square_cdf(x, self.dof)
-
-    def inv_cdf(self, p):
-        return chi_square_ppf(p, self.dof)
-
-    def sample(self, rng, size=None):
-        return rng.chisquare(self.dof, size)
-
-
-@dataclass(frozen=True)
-class ShiftedChi:
-    """Law of sqrt(Q + shift) with Q chi-square(dof); shift >= 0."""
-
-    dof: int
-    shift: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "dof", _check_dof(self.dof))
-        if not (np.isfinite(self.shift) and self.shift >= 0):
-            raise InvalidParameterError(f"shift must be >= 0, got {self.shift!r}")
-
-    def pdf(self, x):
-        return shifted_chi_pdf(x, self.dof, self.shift)
-
-    def cdf(self, x):
-        return shifted_chi_cdf(x, self.dof, self.shift)
-
-    def sample(self, rng, size=None):
-        return np.sqrt(rng.chisquare(self.dof, size) + self.shift)
-
-
-@dataclass(frozen=True)
-class CosineAngle:
-    """Cosine of the angle between a random direction in `total_dim`
-    dimensions and a fixed unit vector."""
-
-    total_dim: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "total_dim", _check_total_dim(self.total_dim))
-
-    def pdf(self, x):
-        return cos_angle_pdf(x, self.total_dim)
-
-    def cdf(self, x):
-        return cos_angle_cdf(x, self.total_dim)
-
-    def sample(self, rng, size=None):
-        n = 1 if size is None else int(size)
-        vecs = rng.standard_normal((n, self.total_dim))
-        cosines = vecs[:, 0] / np.linalg.norm(vecs, axis=1)
-        return float(cosines[0]) if size is None else cosines
 
 
 @dataclass(frozen=True)

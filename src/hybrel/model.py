@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .chance import (
     MonotonicityProfile,
@@ -265,6 +264,9 @@ def degenerate_random(problem, quad_nodes=200):
         return float(normal_cdf(c / norm_a))
 
     if m == 1:
+        # imported here so that `import hybrel` does not load scipy.optimize
+        from scipy.optimize import brentq
+
         f1 = lambda t: func(np.array([t]))
         grid = np.linspace(-10.0, 10.0, 2001)
         vals = np.array([f1(t) for t in grid])

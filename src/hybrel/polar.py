@@ -11,8 +11,8 @@ Sign classification only needs the normalized margin
 offset + sqrt(q_rand+q_unc)*cosine, since grad_norm > 0.
 """
 
+import logging
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +20,8 @@ import numpy as np
 from .errors import DegenerateGradientError, InvalidParameterError, UndefinedAngleError
 
 __all__ = ["PolarFeatures", "ReducedLSF", "polar_features", "reduce_to_polar"]
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,7 @@ def reduce_to_polar(std_problem, design_point, collinearity_tol=1e-3):
     converged design point the Gaussian subvector is collinear (up to sign)
     with the Gaussian part of the gradient; that alignment is the
     convergence diagnostic checked here, and a deviation beyond
-    `collinearity_tol` radians is surfaced as a warning, not an error.
+    `collinearity_tol` radians is logged as a warning, not raised.
     (Box-pinned uncertain coordinates carry bound multipliers and interior
     ones their own subproblem multiplier, so full-vector collinearity is
     not available as a diagnostic for mixed problems.)
@@ -130,12 +132,10 @@ def reduce_to_polar(std_problem, design_point, collinearity_tol=1e-3):
         cosine = float(u_star @ grad_u) / norms
         angle_gap = math.sqrt(max(0.0, 1.0 - cosine * cosine))
         if angle_gap > collinearity_tol:
-            warnings.warn(
+            logger.warning(
                 "Gaussian design-point coordinates deviate from the gradient "
-                f"direction by {math.asin(min(1.0, angle_gap)):.2e} rad; "
-                "the design point may not be converged",
-                RuntimeWarning,
-                stacklevel=2,
+                "direction by %.2e rad; the design point may not be converged",
+                math.asin(min(1.0, angle_gap)),
             )
     offset = (std_problem.lsf_omega(omega) - float(grad @ omega)) / grad_norm
     return ReducedLSF(

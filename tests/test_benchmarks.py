@@ -31,6 +31,16 @@ class TestRegistry:
         with pytest.raises(InvalidParameterError):
             get_case("cantilever_tube", t=1.0)
 
+    @pytest.mark.parametrize("key, params", [
+        ("linear", {"t": 1.0}),
+        ("linear", {"m": 3, "n": 2, "t": 1.0}),
+        ("crank_slider", {"m": 3}),
+        ("crank_slider", {"n": 4, "t": 1.0}),
+    ])
+    def test_undeclared_params_rejected(self, key, params):
+        with pytest.raises(InvalidParameterError, match="does not take"):
+            get_case(key, **params)
+
     def test_linear_validation(self):
         with pytest.raises(InvalidParameterError):
             case_linear(0, 5)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hybrel.benchmarks import get_case, run_case
 from hybrel.cli import CSV_HEADER, run_cli
 from hybrel.errors import AccuracyError
 
@@ -77,6 +78,18 @@ class TestRunCommand:
     def test_usage_error_unknown_case(self, capsys):
         code, _, err = _run(capsys, "run", "--case", "bridge")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--case", "cantilever_tube", "--t", "40"],
+        ["--case", "linear", "--t", "5"],
+        ["--case", "crank_slider", "--m", "3"],
+        ["--case", "crank_slider", "--n", "4", "--t", "10"],
+    ])
+    def test_flag_the_case_does_not_take(self, capsys, argv):
+        code, out, err = _run(capsys, "run", *argv)
+        assert code == 2
+        assert out == ""
+        assert "does not take" in err
 
     def test_usage_error_unknown_flag(self, capsys):
         code, _, _ = _run(capsys, "run", "--case", "linear", "--bogus")
@@ -158,6 +171,25 @@ class TestProblemDefinitionFiles:
         assert (out_problem.strip().splitlines()[1].split(",")[3:10]
                 == out_case.strip().splitlines()[1].split(",")[3:10])
 
+    def test_tube_matches_registry_case(self, capsys, tmp_path):
+        path = tmp_path / "tube.cfg"
+        path.write_text(
+            "name = tube\n"
+            "lsf = cantilever_tube\n"
+            "random = t 5.0 0.1\nrandom = d 42.0 0.5\nrandom = L1 120.0 1.2\n"
+            "random = L2 60.0 0.6\nrandom = Sy 185.0 22.0\nrandom = noise 0.0 0.03\n"
+            "uncertain = theta1 0.0 10.0\nuncertain = theta2 5.0 15.0\n"
+            "uncertain = F1 12.7 13.3\nuncertain = F2 12.7 13.3\n"
+            "uncertain = P 21.0 23.0\nuncertain = T 85.0 95.0\n",
+            encoding="utf-8",
+        )
+        code, out_problem, _ = _run(capsys, "run", "--problem", str(path))
+        assert code == 0
+        code, out_case, _ = _run(capsys, "run", "--case", "cantilever_tube")
+        assert code == 0
+        assert (out_problem.strip().splitlines()[1].split(",")[3:10]
+                == out_case.strip().splitlines()[1].split(",")[3:10])
+
     def test_wrong_arity_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "problem.cfg"
         path.write_text(
@@ -179,6 +211,15 @@ class TestProblemDefinitionFiles:
         code, _, _ = _run(capsys, "run", "--case", "linear",
                           "--problem", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [["--m", "3"], ["--t", "10"]])
+    def test_case_flags_with_problem_are_usage_errors(self, capsys, tmp_path,
+                                                      flags):
+        path = self._write_linear(tmp_path)
+        code, out, err = _run(capsys, "run", "--problem", str(path), *flags)
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err
 
     def test_missing_both_is_usage_error(self, capsys):
         code, _, _ = _run(capsys, "run")
@@ -250,6 +291,14 @@ class TestDesignPointCommand:
         assert payload["converged"] is True
 
 
+    def test_beta_is_run_case_beta(self, capsys):
+        code, out, _ = _run(capsys, "design-point", "--case", "crank_slider",
+                            "--t", "10", "--format", "json")
+        assert code == 0
+        report = run_case(get_case("crank_slider", t=10.0))
+        assert json.loads(out)["beta"] == report.beta
+
+
 class TestCurveCommand:
     def test_default_levels(self, capsys):
         code, out, _ = _run(capsys, "curve", "--case", "linear", "--m", "2", "--n", "1")
@@ -269,6 +318,15 @@ class TestCurveCommand:
         payload = json.loads(out)
         assert len(payload["curve"]) == 21
         assert payload["R_lo"] <= payload["R_hi"]
+
+    def test_json_curve_is_run_case_curve(self, capsys):
+        code, out, _ = _run(capsys, "curve", "--case", "crank_slider",
+                            "--t", "10", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        report = run_case(get_case("crank_slider", t=10.0))
+        assert [tuple(row) for row in payload["curve"]] == list(report.curve)
+        assert (payload["R_lo"], payload["R_hi"]) == (report.R_lo, report.R_hi)
 
 
 class TestErrorPaths:

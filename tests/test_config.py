@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from hybrel.benchmarks import load_problem
 from hybrel.config import RunSettings, apply_overrides, load_config, thread_cap
 from hybrel.errors import InvalidParameterError
 
@@ -54,6 +57,15 @@ class TestLoadConfig:
         cfg.write_text("alpha_levels\n")
         with pytest.raises(InvalidParameterError):
             load_config(cfg)
+
+    @pytest.mark.parametrize("loader", [load_config, load_problem])
+    def test_one_reader_names_path_and_line(self, tmp_path, loader):
+        # --config and --problem files share one key=value reader
+        path = tmp_path / "file.cfg"
+        path.write_text("# comment\n\nwhat  # no key\n")
+        with pytest.raises(InvalidParameterError,
+                           match=re.escape(f"{path}:3: expected key=value")):
+            loader(path)
 
     def test_bad_value_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -177,6 +179,14 @@ class TestDegenerateRandom:
         )
         with pytest.raises(InvalidParameterError):
             degenerate_random(problem)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only degenerate_random's one-dimensional nonlinear branch needs brentq
+    code = "import sys, hybrel; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestDegenerateUncertain:
