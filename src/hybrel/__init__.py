@@ -54,6 +54,7 @@ from .errors import (
     HybrelError,
     InvalidGeometryError,
     InvalidParameterError,
+    NonFiniteResponseError,
     UndefinedAngleError,
     UnsupportedDimensionError,
 )

@@ -33,6 +33,10 @@ class DegenerateGradientError(HybrelError):
     """The limit-state gradient vanished where a direction is required."""
 
 
+class NonFiniteResponseError(HybrelError):
+    """The limit state returned NaN or an infinity at a point."""
+
+
 class UndefinedAngleError(HybrelError):
     """Angle features are undefined at the origin."""
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from .distributions import normal_inv_cdf
 from .errors import InvalidParameterError
+from .model import evaluate_rows
 
 __all__ = ["MCSEstimate", "estimate_failure"]
 
@@ -64,14 +65,7 @@ def estimate_failure(problem, samples=1_000_000, confidence=0.95, seed=0):
         block = min(_CHUNK, remaining)
         x = means + stds * rng.standard_normal((block, m)) if m else np.empty((block, 0))
         y = lows + (highs - lows) * rng.random((block, n)) if n else np.empty((block, 0))
-        if problem.lsf_batch is not None:
-            g = np.asarray(problem.lsf_batch(x, y))
-        else:
-            g = np.fromiter(
-                (problem.lsf(x[i], y[i]) for i in range(block)),
-                dtype=float,
-                count=block,
-            )
+        g = evaluate_rows(problem, x, y)
         failures += int(np.count_nonzero(g <= 0.0))
         remaining -= block
 

@@ -23,7 +23,11 @@ from .chance import (
     gaussian_nodes,
 )
 from .distributions import LinearUncertain, Normal, normal_cdf
-from .errors import InvalidParameterError, UnsupportedDimensionError
+from .errors import (
+    InvalidParameterError,
+    NonFiniteResponseError,
+    UnsupportedDimensionError,
+)
 
 __all__ = [
     "RandomVariable",
@@ -31,6 +35,7 @@ __all__ = [
     "HybridProblem",
     "StandardizedProblem",
     "standardize",
+    "evaluate_rows",
     "fd_gradient",
     "reliability_reference",
     "degenerate_random",
@@ -83,7 +88,8 @@ class HybridProblem:
     callable must return the concatenated (df/dx, df/dy) vector at (x, y);
     when absent derivatives fall back to central finite differences.  The
     optional `lsf_batch` accepts (N, m) and (N, n) arrays and returns (N,)
-    responses; the Monte Carlo oracle uses it when present.
+    responses; the Monte Carlo oracle and the design-point search's seed
+    grid use it when present.
 
     User callables must tolerate concurrent invocation; the problem itself
     is immutable.
@@ -117,6 +123,22 @@ class HybridProblem:
         return [uv.dist for uv in self.uncertains]
 
 
+def evaluate_rows(problem, x, y):
+    """Responses at the rows of x (N, m) and y (N, n): one `lsf_batch` call
+    when the problem has one, a per-row `lsf` loop otherwise."""
+    if problem.lsf_batch is not None:
+        return np.asarray(problem.lsf_batch(x, y), dtype=float)
+    return np.fromiter((problem.lsf(x[i], y[i]) for i in range(len(x))),
+                       dtype=float, count=len(x))
+
+
+def _non_finite(value, x, y):
+    return NonFiniteResponseError(
+        f"limit state returned {float(value)} at x={np.asarray(x).tolist()}, "
+        f"y={np.asarray(y).tolist()}"
+    )
+
+
 def fd_gradient(func, point, rel_step=1e-6):
     """Central finite-difference gradient with per-coordinate step
     h = rel_step * max(1, |coordinate|)."""
@@ -138,7 +160,8 @@ class StandardizedProblem:
 
     The standardized limit state calls the original one on the mapped-back
     physical coordinates, so both share a single arithmetic path and agree
-    pointwise by construction.
+    pointwise by construction.  A NaN or infinite response raises
+    NonFiniteResponseError naming the physical point.
     """
 
     problem: HybridProblem
@@ -169,8 +192,23 @@ class StandardizedProblem:
         return (np.asarray(y, dtype=float) - self.centers) / self.half_widths
 
     def lsf_std(self, u, delta):
-        return self.problem.lsf(self.to_physical_random(u),
-                                self.to_physical_uncertain(delta))
+        x = self.to_physical_random(u)
+        y = self.to_physical_uncertain(delta)
+        value = self.problem.lsf(x, y)
+        if not math.isfinite(value):
+            raise _non_finite(value, x, y)
+        return value
+
+    def lsf_rows(self, u, deltas):
+        """Responses at fixed u for each row of deltas (N, n), through
+        `evaluate_rows`."""
+        y = self.to_physical_uncertain(deltas)
+        x = np.tile(self.to_physical_random(u), (len(y), 1))
+        values = evaluate_rows(self.problem, x, y)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise _non_finite(values[bad[0]], x[bad[0]], y[bad[0]])
+        return values
 
     def lsf_omega(self, omega):
         omega = np.asarray(omega, dtype=float)

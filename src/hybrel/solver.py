@@ -90,20 +90,25 @@ def _solve_box_qp(grad, target):
     The unconstrained stationary point is a multiple of grad; clamping each
     coordinate keeps grad . clip(mu*grad) monotone in mu, so the multiplier
     is found by bisection.  When even the extreme box point cannot reach the
-    target the closest achievable point is returned.
+    target the closest achievable point is returned.  The bisection stops
+    once the midpoint rounds onto an end: from then on (lo, hi) either stays
+    put or collapses onto that end, so 0.5*(lo+hi) is final.
     """
     gnorm_sq = float(grad @ grad)
     if gnorm_sq < 1e-30:
         return np.zeros_like(grad)
 
     def reach(mu):
-        return float(grad @ np.clip(mu * grad, -1.0, 1.0))
+        # minimum/maximum give np.clip's values without its dispatch cost
+        return float(grad @ np.minimum(np.maximum(mu * grad, -1.0), 1.0))
 
     mu_max = (1.0 + abs(target)) / gnorm_sq + 1.0 / np.min(np.abs(grad[grad != 0]))
     lo, hi = -mu_max, mu_max
     goal = min(max(target, reach(lo)), reach(hi))
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if reach(mid) < goal:
             lo = mid
         else:
@@ -137,7 +142,7 @@ def ua_step(std, u_fixed, settings=None):
     Minimizes the combined norm subject to f(u_fixed, delta) = 0 over the
     unit box; with no zero in the box, returns the box point minimizing |f|.
     For n <= 3 a dense grid seeds the refinement (grid resolution
-    settings.ua_grid per axis); beyond that the refinement runs from the
+    settings.ua_grid per axis, evaluated in one `lsf_rows` call); beyond that the refinement runs from the
     box center and from the best corner, keeping whichever lands better.
     """
     settings = settings or SolverSettings()
@@ -151,7 +156,7 @@ def ua_step(std, u_fixed, settings=None):
         axes = [np.linspace(-1.0, 1.0, settings.ua_grid)] * n
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.stack([g.ravel() for g in mesh], axis=1)
-        values = np.array([std.lsf_std(u_fixed, p) for p in points])
+        values = std.lsf_rows(u_fixed, points)
         crossing = None
         best_norm = np.inf
         order = np.argsort(np.abs(values))
@@ -209,7 +214,8 @@ def find_design_point(std, settings=None):
     step norm drops below epsilon.
 
     Starts from the origin (the median of every input).  Non-convergence
-    returns the last iterate with converged=False rather than raising; the
+    returns the last iterate with converged=False rather than raising, and
+    logs a warning with the iteration count and the last step norm; the
     trace carries (index, |omega|, step norm, f value) per iteration.  A
     growing |omega| after the first near-feasible iterate is logged as a
     warning, since the update is not a descent method in general.
@@ -251,6 +257,11 @@ def find_design_point(std, settings=None):
         if step <= settings.epsilon:
             converged = True
             break
+    if not converged:
+        logger.warning(
+            "design point did not converge in %d iterations; last step norm %.6g",
+            iterations, step,
+        )
 
     return DesignPoint(
         u_star=u,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -340,6 +341,22 @@ class TestErrorPaths:
         code, _, err = _run(capsys, "run", "--case", "linear")
         assert code == 3
         assert "synthetic" in err
+
+    def test_non_finite_response_is_a_numerical_error(self, capsys, monkeypatch):
+        import hybrel.cli as cli_module
+
+        case = get_case("linear", m=1, n=1)
+        problem = dataclasses.replace(
+            case.problem,
+            lsf=lambda x, y: float("nan") if x[0] > 1.5 else 3.0 - x[0] - y[0],
+            lsf_batch=None,
+        )
+        monkeypatch.setattr(cli_module, "get_case",
+                            lambda *_a, **_k: dataclasses.replace(case, problem=problem))
+        code, out, err = _run(capsys, "run", "--case", "linear")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical error: limit state returned nan at x=[")
 
     def test_missing_subcommand(self, capsys):
         code, _, _ = _run(capsys)

@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hybrel.errors import InvalidParameterError
+from hybrel.errors import InvalidParameterError, NonFiniteResponseError
+from hybrel.mcs import estimate_failure
 from hybrel.model import (
     HybridProblem,
     RandomVariable,
@@ -19,6 +20,7 @@ from hybrel.model import (
     reliability_reference,
     standardize,
 )
+from hybrel.solver import find_design_point
 
 STD_NORMAL = RandomVariable("u", 0.0, 1.0)
 
@@ -122,6 +124,52 @@ class TestStandardize:
     def test_empty_problem_rejected(self):
         with pytest.raises(InvalidParameterError):
             HybridProblem(lsf=lambda x, y: 0.0)
+
+
+def _nan_beyond(limit, batch):
+    """3 - x - y, but NaN wherever x > limit."""
+    def lsf(x, y):
+        x = np.asarray(x, float)
+        y = np.asarray(y, float)
+        return np.where(x[..., 0] > limit, math.nan, 3.0 - x[..., 0] - y[..., 0])
+
+    return HybridProblem(
+        lsf=lambda x, y: float(lsf(x, y)),
+        randoms=(RandomVariable("x0", 0.0, 1.0),),
+        uncertains=(UncertainVariable("y0", -1.0, 1.0),),
+        lsf_batch=lsf if batch else None,
+    )
+
+
+class TestNonFiniteResponse:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_scalar_call_names_the_point(self, bad):
+        problem = HybridProblem(
+            lsf=lambda x, y: bad if x[0] > 1.0 else 1.0,
+            randoms=(RandomVariable("x", 0.0, 2.0),),
+            uncertains=(UncertainVariable("y", 0.0, 4.0),),
+        )
+        std = standardize(problem)
+        assert std.lsf_std(np.array([0.25]), np.array([0.0])) == 1.0
+        with pytest.raises(NonFiniteResponseError, match=r"x=\[1\.5\], y=\[2\.0\]"):
+            std.lsf_std(np.array([0.75]), np.array([0.0]))
+
+    def test_row_call_names_the_first_bad_row(self):
+        std = standardize(_nan_beyond(1.5, batch=True))
+        deltas = np.array([[-1.0], [0.0], [0.5]])
+        assert std.lsf_rows([1.0], deltas).tolist() == [3.0, 2.0, 1.5]
+        with pytest.raises(NonFiniteResponseError, match=r"x=\[2\.0\], y=\[-1\.0\]"):
+            std.lsf_rows([2.0], deltas)
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_design_point_search_raises(self, batch):
+        with pytest.raises(NonFiniteResponseError, match="limit state returned nan"):
+            find_design_point(standardize(_nan_beyond(1.5, batch)))
+
+    def test_monte_carlo_counts_nan_as_safe(self):
+        # the sampling baseline keeps counting g <= 0 only; NaN is not a failure
+        problem = _nan_beyond(-10.0, batch=True)
+        assert estimate_failure(problem, samples=10_000, seed=0).failures == 0
 
 
 class TestFdGradient:

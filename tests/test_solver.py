@@ -3,10 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hybrel.errors import DegenerateGradientError, InvalidParameterError
 from hybrel.model import HybridProblem, RandomVariable, UncertainVariable, standardize
-from hybrel.solver import SolverSettings, find_design_point, pa_step, ua_step
+from hybrel.solver import (
+    SolverSettings,
+    _solve_box_qp,
+    find_design_point,
+    pa_step,
+    ua_step,
+)
 
 
 def _std(lsf, m, n):
@@ -26,6 +34,53 @@ def _linear_std(coeffs, constant, m, n):
         return constant + float(coeffs @ w)
 
     return _std(lsf, m, n)
+
+
+def _box_qp_200_steps(grad, target):
+    """Reference box solve: a fixed 200 bisection steps, with np.clip in
+    the bracket function."""
+    gnorm_sq = float(grad @ grad)
+    if gnorm_sq < 1e-30:
+        return np.zeros_like(grad)
+
+    def reach(mu):
+        return float(grad @ np.clip(mu * grad, -1.0, 1.0))
+
+    mu_max = (1.0 + abs(target)) / gnorm_sq + 1.0 / np.min(np.abs(grad[grad != 0]))
+    lo, hi = -mu_max, mu_max
+    goal = min(max(target, reach(lo)), reach(hi))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if reach(mid) < goal:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(0.5 * (lo + hi) * grad, -1.0, 1.0)
+
+
+# gradient entries from 1e-6 to 1e6 in magnitude, either sign, zeros allowed
+_GRAD_ENTRY = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
+              st.sampled_from([-1.0, 1.0]),
+              st.floats(min_value=-6.0, max_value=6.0)),
+)
+
+
+class TestSolveBoxQp:
+    @given(
+        grad=st.lists(_GRAD_ENTRY, min_size=1, max_size=12),
+        # target as a multiple of the reachable bound sum|g|: inside the
+        # reachable range within [-1, 1], beyond it outside
+        share=st.one_of(st.floats(min_value=-3.0, max_value=3.0),
+                        st.sampled_from([-1.0, 0.0, 1.0])),
+    )
+    def test_matches_200_step_bisection_bit_for_bit(self, grad, share):
+        grad = np.array(grad)
+        target = share * float(np.abs(grad).sum())
+        expected = _box_qp_200_steps(grad, target)
+        got = _solve_box_qp(grad, target)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestUaStep:
@@ -145,6 +200,61 @@ class TestFindDesignPoint:
         dp = find_design_point(std, SolverSettings(max_iterations=1))
         assert not dp.converged
         assert dp.iterations == 1
+
+    def test_nonconvergence_logs_one_warning(self, caplog):
+        std = _linear_std([-0.5, -0.5], 1.0, 1, 1)
+        with caplog.at_level(logging.WARNING, logger="hybrel.solver"):
+            dp = find_design_point(std, SolverSettings(max_iterations=1))
+        records = [r for r in caplog.records if r.name == "hybrel.solver"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        message = records[0].getMessage()
+        assert "did not converge in 1 iterations" in message
+        assert f"{dp.trace[-1].step_norm:.6g}" in message
+
+    def test_convergence_logs_nothing(self, caplog):
+        std = _linear_std([-0.5, -0.5], 1.0, 1, 1)
+        with caplog.at_level(logging.WARNING, logger="hybrel.solver"):
+            dp = find_design_point(std)
+        assert dp.converged
+        assert not [r for r in caplog.records if r.name == "hybrel.solver"]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_batch_seed_grid_matches_scalar_loop(self, n):
+        # nonlinear in u and delta; + and * only, so a row of the batch
+        # and a scalar call round identically
+        coeffs = (0.6, -0.35, 0.25)
+
+        def lsf(x, y):
+            x = np.asarray(x, float)
+            y = np.asarray(y, float)
+            value = 4.0 - x[..., 0] - 0.4 * x[..., 1] - 0.15 * x[..., 0] * x[..., 1]
+            for j in range(n):
+                value = value - coeffs[j] * y[..., j] + 0.05 * y[..., j] * y[..., j] * y[..., j]
+            return value
+
+        batch_rows = []
+
+        def lsf_batch(x, y):
+            assert x.shape == (len(y), 2) and x.flags.writeable
+            batch_rows.append(len(y))
+            return lsf(x, y)
+
+        def problem(batch):
+            return HybridProblem(
+                lsf=lsf,
+                randoms=(RandomVariable("x0", 0.5, 1.5), RandomVariable("x1", 0.0, 1.0)),
+                uncertains=tuple(UncertainVariable(f"y{j}", -2.0, 1.0)
+                                 for j in range(n)),
+                lsf_batch=batch,
+            )
+
+        looped = find_design_point(standardize(problem(None)))
+        batched = find_design_point(standardize(problem(lsf_batch)))
+        assert looped.converged and looped.iterations > 2
+        assert batched.omega().tobytes() == looped.omega().tobytes()
+        assert batched.trace == looped.trace
+        assert batch_rows == [21 ** n] * batched.iterations
 
     def test_requires_random_variables(self):
         std = _std(lambda x, y: 1.0 - y[0], 0, 1)
