@@ -72,7 +72,6 @@ from .model import (
     StandardizedProblem,
     UncertainVariable,
     degenerate_random,
-    degenerate_uncertain,
     fd_gradient,
     reliability_reference,
     standardize,

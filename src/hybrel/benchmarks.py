@@ -15,7 +15,7 @@ documents the choice in its docstring.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -487,9 +487,10 @@ class RunReport:
 
 def design_point(case, settings=None):
     """The pipeline's first stages: standardize the case and search its
-    design point.  Returns (standardized problem, DesignPoint)."""
+    design point, both differentiating with settings.fd_step.  Returns
+    (standardized problem, DesignPoint)."""
     settings = settings or RunSettings()
-    std = standardize(case.problem)
+    std = replace(standardize(case.problem), fd_rel_step=settings.fd_step)
     solver_settings = SolverSettings(
         epsilon=settings.epsilon, fd_rel_step=settings.fd_step
     )

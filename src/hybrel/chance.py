@@ -1,12 +1,14 @@
 """Operational law for the chance measure.
 
 Given a limit-state callable over fixed random inputs and monotone uncertain
-inputs, the belief degree of the safe event {f > 0} is the root of a scalar
-equation in the belief level (increasing variables evaluated at the inverse
-distribution of one-minus-level, decreasing variables at the level itself).
-A dense-grid supremum scan provides an independent oracle for that root, and
-the chance distribution integrates the per-random-input belief over the
-random inputs with a Gaussian-measure tensor quadrature.
+inputs, the belief degree of the exceedance event {f > x} is the root of a
+scalar equation in the belief level (increasing variables evaluated at the
+inverse distribution of one-minus-level, decreasing variables at the level
+itself).  A dense-grid supremum scan provides an independent oracle for that
+root, and the chance measure integrates the per-random-input belief over the
+random inputs with a Gaussian-measure tensor quadrature.  Only the
+exceedance orientation is computed: the chance measure is self-dual, so the
+chance distribution Ch{f <= x} is one minus the exceedance.
 """
 
 import itertools
@@ -77,21 +79,13 @@ class BeliefRoot:
             raise InvalidParameterError("forced-one requires value 1")
 
 
-def _tau_at_level(unc_dists, signs, alpha, orientation):
-    """Uncertain-variable vector fed to f at belief level alpha.
-
-    orientation "above": event {f > x}; increasing variables take the
-    (1-alpha)-quantile, decreasing ones the alpha-quantile.  orientation
-    "below" swaps the two, which is exactly the root of the complementary
-    event; the two roots sum to one for regular families.
-    """
+def _tau_at_level(unc_dists, signs, alpha):
+    """Uncertain-variable vector fed to f at belief level alpha of the event
+    {f > x}: increasing variables take the (1-alpha)-quantile, decreasing
+    ones the alpha-quantile."""
     tau = np.empty(len(unc_dists))
     for i, (dist, sign) in enumerate(zip(unc_dists, signs)):
-        if orientation == "above":
-            level = 1.0 - alpha if sign == "increasing" else alpha
-        else:
-            level = alpha if sign == "increasing" else 1.0 - alpha
-        tau[i] = dist.inv(level)
+        tau[i] = dist.inv(1.0 - alpha if sign == "increasing" else alpha)
     return tau
 
 
@@ -102,7 +96,7 @@ def detect_profile(f, fixed_randoms, unc_dists, validation_points=5, seed=0):
     and re-checked at `validation_points` deterministic pseudo-random points
     of the support box; any disagreement (or a sign change) downgrades the
     variable to "unknown".  A variable whose partial derivative is zero at
-    every probe is classified "increasing" (either orientation is vacuous).
+    every probe is classified "increasing" (either sign is vacuous).
     """
     fixed = np.asarray(fixed_randoms, dtype=float)
     n = len(unc_dists)
@@ -138,19 +132,18 @@ def detect_profile(f, fixed_randoms, unc_dists, validation_points=5, seed=0):
     return MonotonicityProfile(tuple(signs))
 
 
-def _belief_root(f, fixed_randoms, unc_dists, signs, orientation, x, tol,
+def _belief_root(f, fixed_randoms, unc_dists, signs, x, tol,
                  prescan=11, max_iter=200):
-    """Shared root finder for both event orientations.
+    """Belief degree of {f > x}: the root of h(alpha) = f(...) - x.
 
-    orientation "above" makes h(alpha) = f(...) - x non-increasing in alpha,
-    orientation "below" non-decreasing; either way the root is bracketed on
-    [0, 1] and bisection is unconditionally convergent.  An 11-point pre-scan
-    guards the monotonicity assumption and reports the trace on violation.
+    h is non-increasing in alpha, so the root is bracketed on [0, 1] and
+    bisection is unconditionally convergent.  An 11-point pre-scan guards
+    the monotonicity assumption and reports the trace on violation.
     """
     fixed = np.asarray(fixed_randoms, dtype=float)
 
     def h(alpha):
-        return f(fixed, _tau_at_level(unc_dists, signs, alpha, orientation)) - x
+        return f(fixed, _tau_at_level(unc_dists, signs, alpha)) - x
 
     grid = np.linspace(0.0, 1.0, prescan)
     values = np.array([h(a) for a in grid])
@@ -164,9 +157,6 @@ def _belief_root(f, fixed_randoms, unc_dists, signs, orientation, x, tol,
         )
 
     h0, h1 = values[0], values[-1]
-    increasing_h = orientation == "below"
-    if increasing_h:
-        h0, h1 = -h0, -h1  # normalize to the non-increasing picture
     if h0 <= 0.0:
         # even the most favorable uncertain realization fails the event
         return BeliefRoot(0.0, "forced-zero")
@@ -177,8 +167,6 @@ def _belief_root(f, fixed_randoms, unc_dists, signs, orientation, x, tol,
     for _ in range(max_iter):
         mid = 0.5 * (lo_a + hi_a)
         hm = h(mid)
-        if increasing_h:
-            hm = -hm
         if abs(hm) <= tol or (hi_a - lo_a) < 1e-10:
             return BeliefRoot(mid, "interior-root")
         if hm > 0.0:
@@ -205,7 +193,7 @@ def belief_at_limit_state(f, fixed_randoms, unc_dists, profile, tol=1e-10):
     for dist in unc_dists:
         if not dist.regular:
             raise InvalidParameterError("root finding requires regular distributions")
-    return _belief_root(f, fixed_randoms, unc_dists, profile.signs, "above", 0.0, tol)
+    return _belief_root(f, fixed_randoms, unc_dists, profile.signs, 0.0, tol)
 
 
 def belief_sup_grid(f, fixed_randoms, unc_dists, grid_per_var=201):
@@ -308,26 +296,18 @@ def gaussian_nodes(quad_nodes):
     return s, ws
 
 
-def _belief_value(f, eta, unc_dists, profile, orientation, x, tol, sup_grid):
+def _belief_value(f, eta, unc_dists, profile, x, tol, sup_grid):
+    """Belief degree of {f(eta, tau) > x} over the uncertain inputs."""
     if len(unc_dists) == 0:
-        v = f(np.asarray(eta, dtype=float), np.empty(0))
-        if orientation == "above":
-            return 1.0 if v > x else 0.0
-        return 1.0 if v <= x else 0.0
+        return 1.0 if f(np.asarray(eta, dtype=float), np.empty(0)) > x else 0.0
     if profile.has_unknown:
-        if orientation == "above" and x == 0.0:
-            return belief_sup_grid(f, eta, unc_dists, sup_grid)
-        if orientation == "below":
-            shifted = lambda xr, tau: -(f(xr, tau) - x)
-            return 1.0 - belief_sup_grid(shifted, eta, unc_dists, sup_grid)
         shifted = lambda xr, tau: f(xr, tau) - x
         return belief_sup_grid(shifted, eta, unc_dists, sup_grid)
-    root = _belief_root(f, eta, unc_dists, profile.signs, orientation, x, tol)
-    return root.value
+    return _belief_root(f, eta, unc_dists, profile.signs, x, tol).value
 
 
-def _chance_integral(f, prob_dists, unc_dists, x, quad_nodes, orientation,
-                     profile, tol, sup_grid):
+def _chance_integral(f, prob_dists, unc_dists, x, quad_nodes, profile, tol,
+                     sup_grid):
     m = len(prob_dists)
     if m > 3:
         raise UnsupportedDimensionError(
@@ -338,8 +318,8 @@ def _chance_integral(f, prob_dists, unc_dists, x, quad_nodes, orientation,
         profile = detect_profile(f, mid, unc_dists)
 
     if m == 0:
-        return _belief_value(f, np.empty(0), unc_dists, profile, orientation,
-                             x, tol, sup_grid)
+        return _belief_value(f, np.empty(0), unc_dists, profile, x, tol,
+                             sup_grid)
 
     s, w1 = gaussian_nodes(quad_nodes)
     axes = [np.asarray(d.inv_cdf(s)) for d in prob_dists]
@@ -347,53 +327,42 @@ def _chance_integral(f, prob_dists, unc_dists, x, quad_nodes, orientation,
     for idx in itertools.product(*(range(len(s)) for _ in range(m))):
         eta = np.array([axes[j][idx[j]] for j in range(m)])
         weight = math.prod(w1[i] for i in idx)
-        total += weight * _belief_value(f, eta, unc_dists, profile, orientation,
-                                        x, tol, sup_grid)
+        total += weight * _belief_value(f, eta, unc_dists, profile, x, tol,
+                                        sup_grid)
     return float(total)
-
-
-def chance_distribution(f, prob_dists, unc_dists, x, quad_nodes=64,
-                        profile=None, tol=1e-10, sup_grid=201, verify=False):
-    """Chance distribution of f at x: the composite measure of {f <= x}.
-
-    Integrates the per-random-input belief degree over the random inputs by
-    tensor quadrature (m <= 3; this is the reference path, the production
-    pipeline goes through the polar reduction).  The inner belief is the
-    root of the limit-state equation in the "below" orientation; uncertain
-    variables whose monotonicity could not be classified are routed through
-    the grid supremum when n <= 3.
-
-    With verify=True the integral is recomputed at doubled quad_nodes and an
-    AccuracyError is raised when the relative change exceeds 1e-6.
-    """
-    value = _chance_integral(f, prob_dists, unc_dists, x, quad_nodes, "below",
-                             profile, tol, sup_grid)
-    if verify:
-        check = _chance_integral(f, prob_dists, unc_dists, x, 2 * quad_nodes,
-                                 "below", profile, tol, sup_grid)
-        if abs(check - value) > 1e-6 * max(1.0, abs(value)):
-            raise AccuracyError(
-                f"chance distribution did not converge under node doubling: "
-                f"{value!r} vs {check!r} at {quad_nodes} nodes"
-            )
-    return min(max(value, 0.0), 1.0)
 
 
 def chance_exceedance(f, prob_dists, unc_dists, x=0.0, quad_nodes=64,
                       profile=None, tol=1e-10, sup_grid=201, verify=False):
-    """Chance measure of the exceedance event {f > x}.
+    """Chance measure of the exceedance event {f > x}; at x = 0 this is the
+    hybrid reliability metric.
 
-    At x = 0 this is the hybrid reliability metric; by self-duality of the
-    uncertain measure it complements :func:`chance_distribution` to one.
+    Integrates the per-random-input belief degree over the random inputs by
+    tensor quadrature (m <= 3; this is the reference path, the production
+    pipeline goes through the polar reduction).  The inner belief is the
+    root of the limit-state equation; uncertain variables whose
+    monotonicity could not be classified are routed through the grid
+    supremum when n <= 3.
+
+    With verify=True the integral is recomputed at doubled quad_nodes and an
+    AccuracyError is raised when the relative change exceeds 1e-6.
     """
-    value = _chance_integral(f, prob_dists, unc_dists, x, quad_nodes, "above",
-                             profile, tol, sup_grid)
+    value = _chance_integral(f, prob_dists, unc_dists, x, quad_nodes, profile,
+                             tol, sup_grid)
     if verify:
         check = _chance_integral(f, prob_dists, unc_dists, x, 2 * quad_nodes,
-                                 "above", profile, tol, sup_grid)
+                                 profile, tol, sup_grid)
         if abs(check - value) > 1e-6 * max(1.0, abs(value)):
             raise AccuracyError(
-                f"chance exceedance did not converge under node doubling: "
+                f"chance measure did not converge under node doubling: "
                 f"{value!r} vs {check!r} at {quad_nodes} nodes"
             )
     return min(max(value, 0.0), 1.0)
+
+
+def chance_distribution(f, prob_dists, unc_dists, x, quad_nodes=64,
+                        profile=None, tol=1e-10, sup_grid=201, verify=False):
+    """Chance distribution of f at x: the chance measure of {f <= x}, which
+    by self-duality is one minus :func:`chance_exceedance` at x."""
+    return 1.0 - chance_exceedance(f, prob_dists, unc_dists, x, quad_nodes,
+                                   profile, tol, sup_grid, verify)

@@ -4,30 +4,20 @@ A hybrid problem couples Gaussian random inputs with bounded uncertain
 inputs through a limit-state function; positive response means safe.  The
 standardization maps random inputs to standard normals and uncertain inputs
 to the symmetric unit box, sharing one arithmetic path with the original
-limit state.  Reference evaluators compute the reliability metric by direct
-integration (small dimension only) together with the two pure-case
-degenerations.
+limit state.  The reference evaluator computes the reliability metric by
+the chance integral of `chance.py` (small dimension only); a purely random
+problem first tries the exact affine closed form and the one-dimensional
+root bracketing of `degenerate_random`.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chance import (
-    MonotonicityProfile,
-    belief_at_limit_state,
-    chance_exceedance,
-    detect_profile,
-    gaussian_nodes,
-)
+from .chance import MonotonicityProfile, chance_exceedance, detect_profile
 from .distributions import LinearUncertain, Normal, normal_cdf
-from .errors import (
-    InvalidParameterError,
-    NonFiniteResponseError,
-    UnsupportedDimensionError,
-)
+from .errors import InvalidParameterError, NonFiniteResponseError
 
 __all__ = [
     "RandomVariable",
@@ -39,7 +29,6 @@ __all__ = [
     "fd_gradient",
     "reliability_reference",
     "degenerate_random",
-    "degenerate_uncertain",
 ]
 
 
@@ -132,9 +121,9 @@ def evaluate_rows(problem, x, y):
                        dtype=float, count=len(x))
 
 
-def _non_finite(value, x, y):
+def _non_finite(source, value, x, y):
     return NonFiniteResponseError(
-        f"limit state returned {float(value)} at x={np.asarray(x).tolist()}, "
+        f"{source} returned {value} at x={np.asarray(x).tolist()}, "
         f"y={np.asarray(y).tolist()}"
     )
 
@@ -196,7 +185,7 @@ class StandardizedProblem:
         y = self.to_physical_uncertain(delta)
         value = self.problem.lsf(x, y)
         if not math.isfinite(value):
-            raise _non_finite(value, x, y)
+            raise _non_finite("limit state", float(value), x, y)
         return value
 
     def lsf_rows(self, u, deltas):
@@ -207,7 +196,8 @@ class StandardizedProblem:
         values = evaluate_rows(self.problem, x, y)
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
-            raise _non_finite(values[bad[0]], x[bad[0]], y[bad[0]])
+            i = bad[0]
+            raise _non_finite("limit state", float(values[i]), x[i], y[i])
         return values
 
     def lsf_omega(self, omega):
@@ -218,13 +208,17 @@ class StandardizedProblem:
         """Gradient of the standardized limit state at omega = (u, delta).
 
         Chain rule through the affine maps when an analytic physical
-        gradient is available, central differences otherwise.
+        gradient is available, central differences otherwise.  A NaN or
+        infinite analytic gradient raises NonFiniteResponseError naming
+        the gradient and the physical point.
         """
         omega = np.asarray(omega, dtype=float)
         if self.problem.gradient is not None:
             x = self.to_physical_random(omega[: self.m])
             y = self.to_physical_uncertain(omega[self.m:])
             phys = np.asarray(self.problem.gradient(x, y), dtype=float)
+            if not np.isfinite(phys).all():
+                raise _non_finite("gradient", phys.tolist(), x, y)
             scale = np.concatenate([self.stddevs, self.half_widths])
             return phys * scale
         return fd_gradient(self.lsf_omega, omega, self.fd_rel_step)
@@ -283,9 +277,10 @@ def degenerate_random(problem, quad_nodes=200):
     as normal_cdf(c / |a|) in standardized coordinates, which is exact.  A
     one-dimensional nonlinear limit state is decomposed into sign intervals
     by root bracketing on [-10, 10].  Higher-dimensional nonlinear problems
-    (m <= 3) fall back to tensor quadrature of the safe-set indicator, whose
-    accuracy is limited by the discontinuity; treat that path as a smoke
-    check rather than a precision oracle.
+    (m <= 3) fall back to `chance_exceedance` with no uncertain inputs, a
+    tensor quadrature of the safe-set indicator whose accuracy is limited
+    by the discontinuity; treat that path as a smoke check rather than a
+    precision oracle.
     """
     if problem.n != 0:
         raise InvalidParameterError("degenerate_random requires n = 0")
@@ -322,32 +317,8 @@ def degenerate_random(problem, quad_nodes=200):
                 total += cdf_hi - cdf_lo
         return min(max(total, 0.0), 1.0)
 
-    if m > 3:
-        raise UnsupportedDimensionError(
-            "nonlinear pure-random reference supports m <= 3"
-        )
-    s, w = gaussian_nodes(quad_nodes)
-    from scipy.special import ndtri
-    axis = ndtri(s)
-    total = 0.0
-    for idx in itertools.product(*(range(len(axis)) for _ in range(m))):
-        u = np.array([axis[j] for j in idx])
-        if func(u) > 0:
-            total += math.prod(w[j] for j in idx)
-    return min(max(total, 0.0), 1.0)
-
-
-def degenerate_uncertain(problem, tol=1e-10, profile=None):
-    """Reliability of a purely uncertain problem: the belief degree of
-    {f(y) > 0} from the limit-state root."""
-    if problem.m != 0:
-        raise InvalidParameterError("degenerate_uncertain requires m = 0")
-    dists = problem.uncertain_dists()
-    f = lambda _x, tau: problem.lsf(np.empty(0), tau)
-    if profile is None:
-        profile = detect_profile(f, np.empty(0), dists)
-    root = belief_at_limit_state(f, np.empty(0), dists, profile, tol)
-    return root.value
+    return chance_exceedance(problem.lsf, problem.random_dists(), [],
+                             quad_nodes=quad_nodes)
 
 
 def _validated_profile(problem, seed=0):
@@ -372,8 +343,8 @@ def _validated_profile(problem, seed=0):
 def reliability_reference(problem, quad_nodes=64, threshold=0.0, verify=False):
     """Reference hybrid reliability: the chance measure of {f > threshold}.
 
-    Routes pure cases to their degenerate evaluators and otherwise runs the
-    tensor-quadrature chance integral (m <= 3).  The production path for
+    Routes purely random problems to `degenerate_random` and otherwise runs
+    the tensor-quadrature chance integral (m <= 3).  The production path for
     benchmark-sized problems is the polar pipeline; this evaluator exists to
     cross-check it at small dimension.
     """
@@ -385,8 +356,6 @@ def reliability_reference(problem, quad_nodes=64, threshold=0.0, verify=False):
             )
             return degenerate_random(shifted)
         return degenerate_random(problem)
-    if problem.m == 0 and threshold == 0.0:
-        return degenerate_uncertain(problem)
     profile = _validated_profile(problem)
     return chance_exceedance(
         problem.lsf,

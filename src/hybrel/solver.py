@@ -8,7 +8,7 @@ norm of the combined iterate.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,7 +32,9 @@ class SolverSettings:
 
     epsilon is the convergence tolerance on the combined step norm; the
     finite-difference floor of the gradient sits near 1e-8, so pushing
-    epsilon far below 1e-6 buys nothing.
+    epsilon far below 1e-6 buys nothing.  fd_rel_step is the relative
+    central-difference step the search differentiates with; it replaces
+    the standardized problem's own.
     """
 
     epsilon: float = 1e-6
@@ -213,12 +215,13 @@ def find_design_point(std, settings=None):
     """Alternate the box subproblem and the HLRF update until the combined
     step norm drops below epsilon.
 
-    Starts from the origin (the median of every input).  Non-convergence
-    returns the last iterate with converged=False rather than raising, and
-    logs a warning with the iteration count and the last step norm; the
-    trace carries (index, |omega|, step norm, f value) per iteration.  A
-    growing |omega| after the first near-feasible iterate is logged as a
-    warning, since the update is not a descent method in general.
+    Starts from the origin (the median of every input) and differentiates
+    with settings.fd_rel_step.  Non-convergence returns the last iterate
+    with converged=False rather than raising, and logs a warning with the
+    iteration count and the last step norm; the trace carries (index,
+    |omega|, step norm, f value) per iteration.  A growing |omega| after
+    the first near-feasible iterate is logged as a warning, since the
+    update is not a descent method in general.
     """
     settings = settings or SolverSettings()
     if std.m < 1:
@@ -226,6 +229,7 @@ def find_design_point(std, settings=None):
             "the design-point search needs at least one random variable; "
             "purely uncertain problems bypass it"
         )
+    std = replace(std, fd_rel_step=settings.fd_rel_step)
     u = np.zeros(std.m)
     delta = np.zeros(std.n)
     beta_scalar = 0.0

@@ -150,6 +150,16 @@ class TestRunCase:
         assert report.F_lo == report.F_hi
         assert report.F_lo == pytest.approx(normal_cdf(-np.sqrt(2)), abs=1e-6)
 
+    def test_fd_step_reaches_the_gradients(self):
+        # the finite-difference step moves the design point only at the
+        # level of its truncation error
+        case = case_crank_slider(10.0)
+        default = run_case(case)
+        coarse = run_case(case, RunSettings(fd_step=1e-3))
+        assert coarse.beta != default.beta
+        assert coarse.beta == pytest.approx(default.beta, abs=1e-6)
+        assert coarse.settings["fd_step"] == 1e-3
+
     def test_design_point_stays_in_box(self):
         from hybrel.model import standardize
         from hybrel.solver import find_design_point

@@ -178,16 +178,30 @@ class TestChanceDistribution:
 
     def test_value_against_closed_form_oracle(self):
         # inner belief has the closed form clamp((x - eta + 1)/2, 0, 1);
-        # integrate it against the Gaussian weight independently
-        x = 1.0
-        oracle, err = quad(
-            lambda e: np.clip((x - e + 1) / 2, 0, 1)
-            * np.exp(-e * e / 2) / np.sqrt(2 * np.pi),
-            -12, 12, limit=400,
-        )
-        assert err < 1e-9
-        value = chance_distribution(self.f, self.dists, self.unc, x, quad_nodes=512)
-        assert value == pytest.approx(oracle, abs=2e-6)
+        # integrate it against the Gaussian weight independently.  At x = 2
+        # the kink at eta = 3 falls in the wide tail panels of the
+        # probability-scale rule, which leaves 8.2e-6 at 512 nodes
+        for x, tol in ((-1.0, 2e-6), (0.0, 2e-6), (0.7, 2e-6), (1.0, 2e-6),
+                       (2.0, 1e-5)):
+            oracle, err = quad(
+                lambda e: np.clip((x - e + 1) / 2, 0, 1)
+                * np.exp(-e * e / 2) / np.sqrt(2 * np.pi),
+                -12, 12, limit=400, points=(x - 1, x + 1),  # clamp kinks
+            )
+            assert err < 1e-8  # quad's own bound; 1.9e-9 at x = 0
+            value = chance_distribution(self.f, self.dists, self.unc, x,
+                                        quad_nodes=512)
+            assert value == pytest.approx(oracle, abs=tol)
+            above = chance_exceedance(self.f, self.dists, self.unc, x,
+                                      quad_nodes=512)
+            assert above == pytest.approx(1.0 - oracle, abs=tol)
+            # an unclassified profile routes the inner belief through the
+            # grid supremum; 101 grid points and 32 nodes leave about 3e-4
+            grid = chance_distribution(
+                self.f, self.dists, self.unc, x, quad_nodes=32, sup_grid=101,
+                profile=MonotonicityProfile(("unknown",)),
+            )
+            assert grid == pytest.approx(oracle, abs=1e-3)
 
     def test_monotone_in_threshold(self):
         xs = np.linspace(-3, 3, 20)

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from hybrel.benchmarks import BenchmarkCase, run_case
 from hybrel.errors import InvalidParameterError, NonFiniteResponseError
 from hybrel.mcs import estimate_failure
 from hybrel.model import (
@@ -15,7 +16,6 @@ from hybrel.model import (
     RandomVariable,
     UncertainVariable,
     degenerate_random,
-    degenerate_uncertain,
     fd_gradient,
     reliability_reference,
     standardize,
@@ -166,6 +166,18 @@ class TestNonFiniteResponse:
         with pytest.raises(NonFiniteResponseError, match="limit state returned nan"):
             find_design_point(standardize(_nan_beyond(1.5, batch)))
 
+    def test_gradient_nan_names_the_gradient(self):
+        problem = HybridProblem(
+            lsf=lambda x, y: 3.0 - x[0] - y[0],
+            randoms=(RandomVariable("x0", 0.0, 1.0),),
+            uncertains=(UncertainVariable("y0", -1.0, 1.0),),
+            gradient=lambda x, y: [math.nan, -1.0],
+        )
+        case = BenchmarkCase("nan_gradient", problem, "NaN analytic gradient")
+        with pytest.raises(NonFiniteResponseError,
+                           match=r"^gradient returned \[nan, -1\.0\] at x=\[0\.0\], y=\[0\.0\]$"):
+            run_case(case)
+
     def test_monte_carlo_counts_nan_as_safe(self):
         # the sampling baseline keeps counting g <= 0 only; NaN is not a failure
         problem = _nan_beyond(-10.0, batch=True)
@@ -238,9 +250,11 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 
 class TestDegenerateUncertain:
+    """reliability_reference's purely uncertain (m = 0) route."""
+
     def test_symmetric_interval(self):
         problem = _pure_uncertain(lambda x, y: y[0], [(-1.0, 1.0)])
-        assert degenerate_uncertain(problem) == pytest.approx(0.5, abs=1e-9)
+        assert reliability_reference(problem) == pytest.approx(0.5, abs=1e-9)
 
     def test_against_grid_oracle(self):
         problem = _pure_uncertain(lambda x, y: 0.7 - y[0], [(0.0, 1.0)])
@@ -250,16 +264,11 @@ class TestDegenerateUncertain:
             lambda _x, tau: 0.7 - tau[0], np.empty(0),
             [LinearUncertain(0.0, 1.0)], grid_per_var=2001,
         )
-        assert degenerate_uncertain(problem) == pytest.approx(oracle, abs=1e-3)
+        assert reliability_reference(problem) == pytest.approx(oracle, abs=1e-3)
 
     def test_forced_zero(self):
         problem = _pure_uncertain(lambda x, y: y[0] - 2.0, [(0.0, 1.0)])
-        assert degenerate_uncertain(problem) == 0.0
-
-    def test_requires_no_randoms(self):
-        problem = _pure_random(lambda x, y: x[0])
-        with pytest.raises(InvalidParameterError):
-            degenerate_uncertain(problem)
+        assert reliability_reference(problem) == 0.0
 
 
 class TestReliabilityReference:
@@ -270,9 +279,13 @@ class TestReliabilityReference:
     def test_pure_uncertain_route(self):
         problem = _pure_uncertain(lambda x, y: y[0], [(-1.0, 1.0)])
         assert reliability_reference(problem) == pytest.approx(0.5, abs=1e-9)
-        assert reliability_reference(problem) == pytest.approx(
-            degenerate_uncertain(problem), abs=1e-6
+        from hybrel.chance import belief_sup_grid
+        from hybrel.distributions import LinearUncertain
+        oracle = belief_sup_grid(
+            lambda _x, tau: tau[0], np.empty(0),
+            [LinearUncertain(-1.0, 1.0)], grid_per_var=2001,
         )
+        assert reliability_reference(problem) == pytest.approx(oracle, abs=1e-6)
 
     def test_mixed_against_quadrature_oracle(self):
         # g = 2 - u - tau: inner belief clamp((3 - u)/2, 0, 1), outer Gaussian
