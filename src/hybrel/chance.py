@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import normal_cdf
 from .errors import (
     AccuracyError,
     AmbiguousRootError,
@@ -36,6 +37,10 @@ __all__ = [
 ]
 
 _SIGNS = ("increasing", "decreasing", "unknown")
+_BOX_PROBES = 5  # pseudo-random uncertain points re-checked per random point
+_SUPPORT_PROBES = 5  # random points, within 2.5 sigma, re-checked per profile
+_ROOT_TOL = 1e-10  # |h(alpha)| accepted as the belief root
+_PRESCAN = 11  # belief levels scanned for a monotonicity violation
 
 
 @dataclass(frozen=True)
@@ -89,14 +94,17 @@ def _tau_at_level(unc_dists, signs, alpha):
     return tau
 
 
-def detect_profile(f, fixed_randoms, unc_dists, validation_points=5, seed=0):
-    """Classify each uncertain variable as increasing or decreasing in f.
+def detect_profile(f, fixed_randoms, unc_dists):
+    """Classify each uncertain variable as increasing or decreasing in f at
+    one fixed random point.
 
     The sign of a central finite difference is taken at the support midpoint
-    and re-checked at `validation_points` deterministic pseudo-random points
-    of the support box; any disagreement (or a sign change) downgrades the
-    variable to "unknown".  A variable whose partial derivative is zero at
-    every probe is classified "increasing" (either sign is vacuous).
+    and re-checked at 5 deterministic pseudo-random points of the support
+    box; any disagreement (or a sign change) downgrades the variable to
+    "unknown".  A variable whose partial derivative is zero at every probe
+    is classified "increasing" (either sign is vacuous).  The sign may still
+    change elsewhere in the random support; :func:`chance_exceedance`
+    re-checks it there.
     """
     fixed = np.asarray(fixed_randoms, dtype=float)
     n = len(unc_dists)
@@ -104,9 +112,9 @@ def detect_profile(f, fixed_randoms, unc_dists, validation_points=5, seed=0):
         return MonotonicityProfile(())
     lo = np.array([d.inv(0.0) for d in unc_dists])
     hi = np.array([d.inv(1.0) for d in unc_dists])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     probes = [0.5 * (lo + hi)]
-    for _ in range(validation_points):
+    for _ in range(_BOX_PROBES):
         probes.append(lo + rng.uniform(0.05, 0.95, size=n) * (hi - lo))
 
     signs = []
@@ -132,8 +140,19 @@ def detect_profile(f, fixed_randoms, unc_dists, validation_points=5, seed=0):
     return MonotonicityProfile(tuple(signs))
 
 
-def _belief_root(f, fixed_randoms, unc_dists, signs, x, tol,
-                 prescan=11, max_iter=200):
+def _support_profile(f, prob_dists, unc_dists):
+    """The profile policy of :func:`chance_exceedance`."""
+    median = np.array([d.inv_cdf(0.5) for d in prob_dists])
+    signs = detect_profile(f, median, unc_dists).signs
+    rng = np.random.default_rng(0)
+    for z in rng.uniform(-2.5, 2.5, size=(_SUPPORT_PROBES, len(prob_dists))):
+        eta = np.array([d.inv_cdf(normal_cdf(v)) for d, v in zip(prob_dists, z)])
+        other = detect_profile(f, eta, unc_dists).signs
+        signs = tuple(a if a == b else "unknown" for a, b in zip(signs, other))
+    return MonotonicityProfile(signs)
+
+
+def _belief_root(f, fixed_randoms, unc_dists, signs, x):
     """Belief degree of {f > x}: the root of h(alpha) = f(...) - x.
 
     h is non-increasing in alpha, so the root is bracketed on [0, 1] and
@@ -145,9 +164,9 @@ def _belief_root(f, fixed_randoms, unc_dists, signs, x, tol,
     def h(alpha):
         return f(fixed, _tau_at_level(unc_dists, signs, alpha)) - x
 
-    grid = np.linspace(0.0, 1.0, prescan)
+    grid = np.linspace(0.0, 1.0, _PRESCAN)
     values = np.array([h(a) for a in grid])
-    nonzero = values[np.abs(values) > tol]
+    nonzero = values[np.abs(values) > _ROOT_TOL]
     flips = int(np.sum(np.diff(np.sign(nonzero)) != 0)) if len(nonzero) > 1 else 0
     if flips > 1:
         raise AmbiguousRootError(
@@ -164,19 +183,18 @@ def _belief_root(f, fixed_randoms, unc_dists, signs, x, tol,
         return BeliefRoot(1.0, "forced-one")
 
     lo_a, hi_a = 0.0, 1.0
-    for _ in range(max_iter):
+    while True:  # the width test ends this within 34 halvings
         mid = 0.5 * (lo_a + hi_a)
         hm = h(mid)
-        if abs(hm) <= tol or (hi_a - lo_a) < 1e-10:
+        if abs(hm) <= _ROOT_TOL or (hi_a - lo_a) < 1e-10:
             return BeliefRoot(mid, "interior-root")
         if hm > 0.0:
             lo_a = mid
         else:
             hi_a = mid
-    return BeliefRoot(0.5 * (lo_a + hi_a), "interior-root")
 
 
-def belief_at_limit_state(f, fixed_randoms, unc_dists, profile, tol=1e-10):
+def belief_at_limit_state(f, fixed_randoms, unc_dists, profile):
     """Belief degree of {f(fixed_randoms, tau) > 0} over the uncertain inputs.
 
     Requires a fully classified profile (no "unknown" entries) and regular
@@ -193,7 +211,7 @@ def belief_at_limit_state(f, fixed_randoms, unc_dists, profile, tol=1e-10):
     for dist in unc_dists:
         if not dist.regular:
             raise InvalidParameterError("root finding requires regular distributions")
-    return _belief_root(f, fixed_randoms, unc_dists, profile.signs, 0.0, tol)
+    return _belief_root(f, fixed_randoms, unc_dists, profile.signs, 0.0)
 
 
 def belief_sup_grid(f, fixed_randoms, unc_dists, grid_per_var=201):
@@ -263,11 +281,7 @@ def belief_sup_grid(f, fixed_randoms, unc_dists, grid_per_var=201):
 
     if best >= 0.0:
         return float(best)
-    if np.all(values > 0):
-        return 1.0
-    if np.all(values < 0):
-        return 0.0
-    return 0.0  # mixed signs with no axis crossing cannot occur for continuous f
+    return 1.0 if np.all(values > 0) else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -296,30 +310,20 @@ def gaussian_nodes(quad_nodes):
     return s, ws
 
 
-def _belief_value(f, eta, unc_dists, profile, x, tol, sup_grid):
+def _belief_value(f, eta, unc_dists, profile, x):
     """Belief degree of {f(eta, tau) > x} over the uncertain inputs."""
     if len(unc_dists) == 0:
         return 1.0 if f(np.asarray(eta, dtype=float), np.empty(0)) > x else 0.0
     if profile.has_unknown:
         shifted = lambda xr, tau: f(xr, tau) - x
-        return belief_sup_grid(shifted, eta, unc_dists, sup_grid)
-    return _belief_root(f, eta, unc_dists, profile.signs, x, tol).value
+        return belief_sup_grid(shifted, eta, unc_dists)
+    return _belief_root(f, eta, unc_dists, profile.signs, x).value
 
 
-def _chance_integral(f, prob_dists, unc_dists, x, quad_nodes, profile, tol,
-                     sup_grid):
+def _chance_integral(f, prob_dists, unc_dists, x, quad_nodes, profile):
     m = len(prob_dists)
-    if m > 3:
-        raise UnsupportedDimensionError(
-            f"tensor quadrature reference path supports m <= 3, got {m}"
-        )
-    if profile is None:
-        mid = np.array([d.inv_cdf(0.5) for d in prob_dists])
-        profile = detect_profile(f, mid, unc_dists)
-
     if m == 0:
-        return _belief_value(f, np.empty(0), unc_dists, profile, x, tol,
-                             sup_grid)
+        return _belief_value(f, np.empty(0), unc_dists, profile, x)
 
     s, w1 = gaussian_nodes(quad_nodes)
     axes = [np.asarray(d.inv_cdf(s)) for d in prob_dists]
@@ -327,31 +331,39 @@ def _chance_integral(f, prob_dists, unc_dists, x, quad_nodes, profile, tol,
     for idx in itertools.product(*(range(len(s)) for _ in range(m))):
         eta = np.array([axes[j][idx[j]] for j in range(m)])
         weight = math.prod(w1[i] for i in idx)
-        total += weight * _belief_value(f, eta, unc_dists, profile, x, tol,
-                                        sup_grid)
+        total += weight * _belief_value(f, eta, unc_dists, profile, x)
     return float(total)
 
 
 def chance_exceedance(f, prob_dists, unc_dists, x=0.0, quad_nodes=64,
-                      profile=None, tol=1e-10, sup_grid=201, verify=False):
+                      profile=None, verify=False):
     """Chance measure of the exceedance event {f > x}; at x = 0 this is the
     hybrid reliability metric.
 
     Integrates the per-random-input belief degree over the random inputs by
     tensor quadrature (m <= 3; this is the reference path, the production
     pipeline goes through the polar reduction).  The inner belief is the
-    root of the limit-state equation; uncertain variables whose
-    monotonicity could not be classified are routed through the grid
-    supremum when n <= 3.
+    root of the limit-state equation, which needs each uncertain variable's
+    monotonicity sign to hold over the whole random support.  With no
+    profile given, the sign found at the median random point is re-checked
+    at 5 pseudo-random points within 2.5 standard deviations of it; a
+    variable whose sign differs is "unknown" and goes through the grid
+    supremum (n <= 3).
 
     With verify=True the integral is recomputed at doubled quad_nodes and an
     AccuracyError is raised when the relative change exceeds 1e-6.
     """
-    value = _chance_integral(f, prob_dists, unc_dists, x, quad_nodes, profile,
-                             tol, sup_grid)
+    m = len(prob_dists)
+    if m > 3:
+        raise UnsupportedDimensionError(
+            f"tensor quadrature reference path supports m <= 3, got {m}"
+        )
+    if profile is None:
+        profile = _support_profile(f, prob_dists, unc_dists)
+    value = _chance_integral(f, prob_dists, unc_dists, x, quad_nodes, profile)
     if verify:
         check = _chance_integral(f, prob_dists, unc_dists, x, 2 * quad_nodes,
-                                 profile, tol, sup_grid)
+                                 profile)
         if abs(check - value) > 1e-6 * max(1.0, abs(value)):
             raise AccuracyError(
                 f"chance measure did not converge under node doubling: "
@@ -361,8 +373,8 @@ def chance_exceedance(f, prob_dists, unc_dists, x=0.0, quad_nodes=64,
 
 
 def chance_distribution(f, prob_dists, unc_dists, x, quad_nodes=64,
-                        profile=None, tol=1e-10, sup_grid=201, verify=False):
+                        profile=None, verify=False):
     """Chance distribution of f at x: the chance measure of {f <= x}, which
     by self-duality is one minus :func:`chance_exceedance` at x."""
     return 1.0 - chance_exceedance(f, prob_dists, unc_dists, x, quad_nodes,
-                                   profile, tol, sup_grid, verify)
+                                   profile, verify)

@@ -23,10 +23,11 @@ Variable lines are positional: the limit state receives the declared
 randoms and uncertains in file order, so a definition file reruns a
 built-in response surface on shifted means or bounds.
 
-Settings files passed via --config are read by the same key=value reader
-as problem files, with the keys alpha_levels, quad_nodes, epsilon,
-fd_step, seed.  The HRA_THREADS environment variable caps worker
-parallelism.
+Every subcommand takes --seed and --config; only run and curve, which
+sweep the belief levels, take --alpha-levels and --quad-nodes.  Settings
+files passed via --config are read by the same key=value reader as
+problem files, with the keys alpha_levels, quad_nodes, epsilon, fd_step,
+seed.  The HRA_THREADS environment variable caps worker parallelism.
 
 Exit codes: 0 success, 2 usage error, 3 numerical error.  Floats serialize
 with 17 significant digits so that parsing an emitted file recovers every
@@ -36,9 +37,10 @@ value bit-exactly.
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .benchmarks import CASE_KEYS, design_point, get_case, load_problem, run_case
-from .config import RunSettings, apply_overrides, load_config
+from .config import RunSettings, load_config
 from .errors import HybrelError, InvalidParameterError
 from .mcs import estimate_failure
 
@@ -122,16 +124,12 @@ def _select_case(args):
 
 def _settings_from(args):
     settings = RunSettings()
-    if getattr(args, "config", None):
-        settings = apply_overrides(settings, load_config(args.config))
-    overrides = {}
-    if getattr(args, "alpha_levels", None) is not None:
-        overrides["alpha_levels"] = args.alpha_levels
-    if getattr(args, "quad_nodes", None) is not None:
-        overrides["quad_nodes"] = args.quad_nodes
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    return apply_overrides(settings, overrides)
+    if args.config:
+        settings = replace(settings, **load_config(args.config))
+    given = {name: getattr(args, name)
+             for name in ("alpha_levels", "quad_nodes", "seed")
+             if getattr(args, name, None) is not None}
+    return replace(settings, **given)
 
 
 def _emit(text, out_path):
@@ -142,17 +140,14 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _add_case_arguments(parser, with_settings=True):
+def _add_case_arguments(parser):
     parser.add_argument("--case", choices=CASE_KEYS)
     parser.add_argument("--problem", help="problem-definition file (key=value)")
     parser.add_argument("--m", type=int, help="random inputs (linear case, default 5)")
     parser.add_argument("--n", type=int, help="uncertain inputs (linear case, default 5)")
     parser.add_argument("--t", type=float, help="time (crank_slider case, default 0)")
-    if with_settings:
-        parser.add_argument("--alpha-levels", type=int, dest="alpha_levels")
-        parser.add_argument("--quad-nodes", type=int, dest="quad_nodes")
-        parser.add_argument("--seed", type=int)
-        parser.add_argument("--config", help="flat key=value settings file")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--config", help="flat key=value settings file")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", help="write output to this path instead of stdout")
 
@@ -281,6 +276,10 @@ def build_parser():
     p_curve = sub.add_parser("curve", help="per-shift reliability curve")
     _add_case_arguments(p_curve)
     p_curve.set_defaults(func=_cmd_curve)
+
+    for sweep in (p_run, p_curve):  # mcs and design-point do not read these
+        sweep.add_argument("--alpha-levels", type=int, dest="alpha_levels")
+        sweep.add_argument("--quad-nodes", type=int, dest="quad_nodes")
 
     return parser
 

@@ -1,12 +1,11 @@
 """Run settings, the key=value file reader, config parsing and the thread cap."""
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InvalidParameterError
 
-__all__ = ["RunSettings", "read_key_values", "load_config", "apply_overrides",
-           "thread_cap"]
+__all__ = ["RunSettings", "read_key_values", "load_config", "thread_cap"]
 
 _INT_KEYS = {"alpha_levels", "quad_nodes", "seed"}
 _FLOAT_KEYS = {"epsilon", "fd_step"}
@@ -70,11 +69,6 @@ def load_config(path):
                 f"{path}:{lineno}: bad value for {key}: {value!r}"
             ) from exc
     return overrides
-
-
-def apply_overrides(settings, overrides):
-    """New RunSettings with the given key/value overrides applied."""
-    return replace(settings, **overrides)
 
 
 def thread_cap(default=1):

@@ -61,19 +61,18 @@ class ShiftSchedule:
         object.__setattr__(self, "shifts", tuple(float(v) for v in self.shifts))
 
     @classmethod
-    def uniform(cls, n_uncertain, levels=21, dist=None):
-        """Uniform belief-level grid; shift distribution defaults to the
-        linear family on [0, n_uncertain].  With no uncertain variables the
-        schedule collapses to the single shift 0."""
+    def uniform(cls, n_uncertain, levels=21):
+        """Uniform belief-level grid mapped through the linear family on
+        [0, n_uncertain].  With no uncertain variables the schedule
+        collapses to the single shift 0."""
         if n_uncertain < 0:
             raise InvalidParameterError("n_uncertain must be >= 0")
         if n_uncertain == 0:
             return cls(levels=(0.0,), shifts=(0.0,))
         if levels < 2:
             raise InvalidParameterError("levels must be >= 2 when n > 0")
-        if dist is None:
-            dist = LinearUncertain(0.0, float(n_uncertain))
         alphas = np.linspace(0.0, 1.0, levels)
+        dist = LinearUncertain(0.0, float(n_uncertain))
         return cls(levels=tuple(alphas), shifts=tuple(dist.inv(alphas)))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chance import MonotonicityProfile, chance_exceedance, detect_profile
+from .chance import chance_exceedance
 from .distributions import LinearUncertain, Normal, normal_cdf
 from .errors import InvalidParameterError, NonFiniteResponseError
 
@@ -30,6 +30,8 @@ __all__ = [
     "reliability_reference",
     "degenerate_random",
 ]
+
+_AFFINE_RTOL = 1e-8  # superposition error of _detect_affine, relative to scale
 
 
 @dataclass(frozen=True)
@@ -121,11 +123,12 @@ def evaluate_rows(problem, x, y):
                        dtype=float, count=len(x))
 
 
+def _point(x, y):
+    return f"x={np.asarray(x).tolist()}, y={np.asarray(y).tolist()}"
+
+
 def _non_finite(source, value, x, y):
-    return NonFiniteResponseError(
-        f"{source} returned {value} at x={np.asarray(x).tolist()}, "
-        f"y={np.asarray(y).tolist()}"
-    )
+    return NonFiniteResponseError(f"{source} returned {value} at {_point(x, y)}")
 
 
 def fd_gradient(func, point, rel_step=1e-6):
@@ -150,7 +153,8 @@ class StandardizedProblem:
     The standardized limit state calls the original one on the mapped-back
     physical coordinates, so both share a single arithmetic path and agree
     pointwise by construction.  A NaN or infinite response raises
-    NonFiniteResponseError naming the physical point.
+    NonFiniteResponseError, a non-scalar one InvalidParameterError naming
+    its shape; both name the physical point.
     """
 
     problem: HybridProblem
@@ -184,16 +188,31 @@ class StandardizedProblem:
         x = self.to_physical_random(u)
         y = self.to_physical_uncertain(delta)
         value = self.problem.lsf(x, y)
+        if not isinstance(value, float):  # numpy's float64 is a float
+            if np.shape(value) != ():
+                raise InvalidParameterError(
+                    f"limit state returned shape {np.shape(value)}, not a "
+                    f"scalar, at {_point(x, y)}"
+                )
+            value = float(value)
         if not math.isfinite(value):
-            raise _non_finite("limit state", float(value), x, y)
+            raise _non_finite("limit state", value, x, y)
         return value
 
     def lsf_rows(self, u, deltas):
-        """Responses at fixed u for each row of deltas (N, n), through
-        `evaluate_rows`."""
+        """Responses at fixed u for each row of deltas (N, n): one
+        `lsf_batch` call, whose result must have shape (N,), when the
+        problem has one, `lsf_std` per row otherwise."""
+        if self.problem.lsf_batch is None:
+            return np.array([self.lsf_std(u, delta) for delta in deltas])
         y = self.to_physical_uncertain(deltas)
         x = np.tile(self.to_physical_random(u), (len(y), 1))
-        values = evaluate_rows(self.problem, x, y)
+        values = np.asarray(self.problem.lsf_batch(x, y), dtype=float)
+        if values.shape != (len(y),):
+            raise InvalidParameterError(
+                f"limit-state batch returned shape {values.shape} for "
+                f"{len(y)} rows, the first at {_point(x[0], y[0])}"
+            )
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             i = bad[0]
@@ -243,7 +262,7 @@ def standardize(problem):
 # degenerate evaluators
 # ---------------------------------------------------------------------------
 
-def _detect_affine(func, dim, rtol=1e-8):
+def _detect_affine(func, dim):
     """Return (constant, coefficient vector) when func is affine, else None.
 
     Probes the unit directions and checks superposition at three fixed
@@ -258,14 +277,15 @@ def _detect_affine(func, dim, rtol=1e-8):
         fp = func(e)
         fm = func(-e)
         coeffs[i] = (fp - fm) / 2
-        if abs(fp + fm - 2 * c) > rtol * max(1.0, abs(c), abs(fp)):
+        if abs(fp + fm - 2 * c) > _AFFINE_RTOL * max(1.0, abs(c), abs(fp)):
             return None
     probes = [np.full(dim, 0.37), np.linspace(-1.3, 0.9, dim),
               np.full(dim, -2.1)]
     for p in probes:
         predicted = c + coeffs @ p
         actual = func(p)
-        if abs(actual - predicted) > rtol * max(1.0, abs(actual), abs(predicted)):
+        if abs(actual - predicted) > _AFFINE_RTOL * max(1.0, abs(actual),
+                                                        abs(predicted)):
             return None
     return c, coeffs
 
@@ -321,25 +341,6 @@ def degenerate_random(problem, quad_nodes=200):
                              quad_nodes=quad_nodes)
 
 
-def _validated_profile(problem, seed=0):
-    """Profile detected at the median point and revalidated across the
-    random support; disagreement downgrades a variable to unknown."""
-    dists = problem.uncertain_dists()
-    f = lambda x, tau: problem.lsf(x, tau)
-    mid = np.array([rv.mean for rv in problem.randoms])
-    base = detect_profile(f, mid, dists)
-    signs = list(base.signs)
-    rng = np.random.default_rng(seed)
-    for _ in range(5):
-        eta = np.array([rv.mean + rv.stddev * rng.uniform(-2.5, 2.5)
-                        for rv in problem.randoms])
-        other = detect_profile(f, eta, dists)
-        for i, (a, b) in enumerate(zip(signs, other.signs)):
-            if a != b:
-                signs[i] = "unknown"
-    return MonotonicityProfile(tuple(signs))
-
-
 def reliability_reference(problem, quad_nodes=64, threshold=0.0, verify=False):
     """Reference hybrid reliability: the chance measure of {f > threshold}.
 
@@ -356,13 +357,11 @@ def reliability_reference(problem, quad_nodes=64, threshold=0.0, verify=False):
             )
             return degenerate_random(shifted)
         return degenerate_random(problem)
-    profile = _validated_profile(problem)
     return chance_exceedance(
         problem.lsf,
         problem.random_dists(),
         problem.uncertain_dists(),
         x=threshold,
         quad_nodes=quad_nodes,
-        profile=profile,
         verify=verify,
     )

@@ -23,6 +23,8 @@ __all__ = ["PolarFeatures", "ReducedLSF", "polar_features", "reduce_to_polar"]
 
 logger = logging.getLogger(__name__)
 
+_COLLINEARITY_TOL = 1e-3  # radians from u* to the u-gradient before a warning
+
 
 @dataclass(frozen=True)
 class PolarFeatures:
@@ -69,7 +71,8 @@ class ReducedLSF:
 
     offset is the normalized plane offset (the signed distance of the
     tangent plane from the origin), grad_norm the Euclidean norm of the
-    gradient at the expansion point, and direction the unit gradient.
+    gradient at the expansion point, and direction the unit gradient, kept
+    as a read-only copy so the caller's array stays its own.
     """
 
     offset: float
@@ -79,7 +82,7 @@ class ReducedLSF:
     direction: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        direction = np.asarray(self.direction, dtype=float)
+        direction = np.array(self.direction, dtype=float)
         if self.grad_norm <= 0:
             raise InvalidParameterError("grad_norm must be positive")
         if abs(np.linalg.norm(direction) - 1.0) > 1e-12:
@@ -103,15 +106,15 @@ class ReducedLSF:
         return self.surrogate(feats.random_sq, feats.uncertain_sq, feats.cosine)
 
 
-def reduce_to_polar(std_problem, design_point, collinearity_tol=1e-3):
+def reduce_to_polar(std_problem, design_point):
     """Reduce a standardized problem to its polar surrogate at a design point.
 
     offset = (f(w*) - grad(w*).w*) / |grad(w*)| and grad_norm = |grad(w*)|,
     with the expansion direction taken as the normalized gradient.  At a
     converged design point the Gaussian subvector is collinear (up to sign)
     with the Gaussian part of the gradient; that alignment is the
-    convergence diagnostic checked here, and a deviation beyond
-    `collinearity_tol` radians is logged as a warning, not raised.
+    convergence diagnostic checked here, and a deviation beyond 1e-3
+    radians is logged as a warning, not raised.
     (Box-pinned uncertain coordinates carry bound multipliers and interior
     ones their own subproblem multiplier, so full-vector collinearity is
     not available as a diagnostic for mixed problems.)
@@ -131,7 +134,7 @@ def reduce_to_polar(std_problem, design_point, collinearity_tol=1e-3):
     if norms > 1e-12:
         cosine = float(u_star @ grad_u) / norms
         angle_gap = math.sqrt(max(0.0, 1.0 - cosine * cosine))
-        if angle_gap > collinearity_tol:
+        if angle_gap > _COLLINEARITY_TOL:
             logger.warning(
                 "Gaussian design-point coordinates deviate from the gradient "
                 "direction by %.2e rad; the design point may not be converged",

@@ -25,6 +25,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+_UA_GRID = 21  # seed-grid points per axis of the box subproblem (n <= 3)
+_UA_REFINE_ITERATIONS = 50  # linearization passes per box-subproblem seed
+
 
 @dataclass(frozen=True)
 class SolverSettings:
@@ -39,8 +42,6 @@ class SolverSettings:
 
     epsilon: float = 1e-6
     max_iterations: int = 100
-    ua_grid: int = 21
-    ua_refine_iterations: int = 50
     fd_rel_step: float = 1e-6
 
     def __post_init__(self):
@@ -48,8 +49,6 @@ class SolverSettings:
             raise InvalidParameterError("epsilon must be positive")
         if self.max_iterations < 1:
             raise InvalidParameterError("max_iterations must be at least 1")
-        if self.ua_grid < 3:
-            raise InvalidParameterError("ua_grid must be at least 3")
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,7 @@ def _solve_box_qp(grad, target):
     return np.clip(0.5 * (lo + hi) * grad, -1.0, 1.0)
 
 
-def _ua_refine(std, u_fixed, delta0, iterations):
+def _ua_refine(std, u_fixed, delta0):
     """Sequential linearization of the box-constrained minimum-norm problem.
 
     Each pass linearizes f at the current delta and solves the resulting
@@ -127,7 +126,7 @@ def _ua_refine(std, u_fixed, delta0, iterations):
     point minimizing the linearized |f|, which is the documented fallback.
     """
     delta = np.asarray(delta0, dtype=float)
-    for _ in range(iterations):
+    for _ in range(_UA_REFINE_ITERATIONS):
         value = std.lsf_std(u_fixed, delta)
         grad = _delta_gradient(std, u_fixed, delta)
         target = float(grad @ delta) - value
@@ -138,16 +137,16 @@ def _ua_refine(std, u_fixed, delta0, iterations):
     return delta
 
 
-def ua_step(std, u_fixed, settings=None):
+def ua_step(std, u_fixed):
     """Uncertain-variable design point at fixed Gaussian coordinates.
 
     Minimizes the combined norm subject to f(u_fixed, delta) = 0 over the
     unit box; with no zero in the box, returns the box point minimizing |f|.
-    For n <= 3 a dense grid seeds the refinement (grid resolution
-    settings.ua_grid per axis, evaluated in one `lsf_rows` call); beyond that the refinement runs from the
-    box center and from the best corner, keeping whichever lands better.
+    For n <= 3 a dense grid of 21 points per axis, evaluated in one
+    `lsf_rows` call, seeds the refinement; beyond that the refinement runs
+    from the box center and from the best corner, keeping whichever lands
+    better.
     """
-    settings = settings or SolverSettings()
     u_fixed = np.asarray(u_fixed, dtype=float)
     n = std.n
     if n == 0:
@@ -155,20 +154,13 @@ def ua_step(std, u_fixed, settings=None):
 
     candidates = [np.zeros(n)]
     if n <= 3:
-        axes = [np.linspace(-1.0, 1.0, settings.ua_grid)] * n
+        axes = [np.linspace(-1.0, 1.0, _UA_GRID)] * n
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.stack([g.ravel() for g in mesh], axis=1)
         values = std.lsf_rows(u_fixed, points)
-        crossing = None
-        best_norm = np.inf
-        order = np.argsort(np.abs(values))
-        for idx in order[: max(8, settings.ua_grid)]:
-            nrm = np.linalg.norm(points[idx])
-            if nrm < best_norm:
-                best_norm = nrm
-                crossing = points[idx]
-        if crossing is not None:
-            candidates.append(crossing)
+        # the shortest of the grid points nearest the zero set
+        nearest = points[np.argsort(np.abs(values))[:_UA_GRID]]
+        candidates.append(min(nearest, key=np.linalg.norm))
     else:
         if 2 ** n <= 128:
             bits = np.array(list(np.ndindex(*(2,) * n)))
@@ -182,7 +174,7 @@ def ua_step(std, u_fixed, settings=None):
     best = None
     best_key = None
     for seed in candidates:
-        delta = _ua_refine(std, u_fixed, seed, settings.ua_refine_iterations)
+        delta = _ua_refine(std, u_fixed, seed)
         residual = abs(std.lsf_std(u_fixed, delta))
         # feasible solutions rank before infeasible ones, then by norm
         key = (residual > 1e-8, residual if residual > 1e-8 else 0.0,
@@ -241,7 +233,7 @@ def find_design_point(std, settings=None):
 
     for k in range(1, settings.max_iterations + 1):
         iterations = k
-        delta_new = ua_step(std, u, settings) if std.n else delta
+        delta_new = ua_step(std, u) if std.n else delta
         u_new, beta_scalar = pa_step(std, u, delta_new, beta_scalar)
         step = float(np.linalg.norm(np.concatenate([u_new - u, delta_new - delta])))
         u, delta = u_new, delta_new

@@ -196,9 +196,9 @@ class TestChanceDistribution:
                                       quad_nodes=512)
             assert above == pytest.approx(1.0 - oracle, abs=tol)
             # an unclassified profile routes the inner belief through the
-            # grid supremum; 101 grid points and 32 nodes leave about 3e-4
+            # grid supremum; 201 grid points and 32 nodes leave about 3e-4
             grid = chance_distribution(
-                self.f, self.dists, self.unc, x, quad_nodes=32, sup_grid=101,
+                self.f, self.dists, self.unc, x, quad_nodes=32,
                 profile=MonotonicityProfile(("unknown",)),
             )
             assert grid == pytest.approx(oracle, abs=1e-3)
@@ -226,6 +226,21 @@ class TestChanceDistribution:
         with pytest.raises(AccuracyError):
             chance_distribution(self.f, self.dists, self.unc, 1.0,
                                 quad_nodes=64, verify=True)
+
+    def test_sign_change_across_the_random_support(self):
+        # d/dtau (0.5 + eta*tau) = eta changes sign with eta and vanishes at
+        # the median, so only a check across the random support sees that
+        # the root formula does not apply.  Oracle: the belief is 1 for
+        # |eta| <= 0.5 and (1 + 0.5/|eta|)/2 beyond
+        f = lambda x, tau: 0.5 + x[0] * tau[0]
+        belief = lambda e: 1.0 if abs(e) <= 0.5 else (1 + 0.5 / abs(e)) / 2
+        oracle, err = quad(
+            lambda e: belief(e) * np.exp(-e * e / 2) / np.sqrt(2 * np.pi),
+            -12, 12, limit=400, points=(-0.5, 0.5),
+        )
+        assert err < 1e-9
+        value = chance_exceedance(f, self.dists, self.unc)
+        assert value == pytest.approx(oracle, abs=1e-3)
 
     def test_dimension_guard(self):
         f = lambda x, tau: x.sum() + tau[0]

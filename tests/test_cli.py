@@ -106,6 +106,19 @@ class TestRunCommand:
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + 5  # header + 5 levels
 
+    @pytest.mark.parametrize("flag", [["--alpha-levels", "5"],
+                                      ["--quad-nodes", "64"]])
+    @pytest.mark.parametrize("command,accepted", [
+        ("run", True), ("curve", True), ("mcs", False), ("design-point", False),
+    ])
+    def test_sweep_flags_only_where_read(self, capsys, command, accepted, flag):
+        extra = ["--samples", "10000"] if command == "mcs" else []
+        code, _, err = _run(capsys, command, "--case", "linear", "--m", "2",
+                            "--n", "1", *extra, *flag)
+        assert code == (0 if accepted else 2)
+        if not accepted:
+            assert "unrecognized arguments" in err
+
     def test_config_unknown_key(self, capsys, tmp_path):
         cfg = tmp_path / "settings.cfg"
         cfg.write_text("warp_speed=9\n")

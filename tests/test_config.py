@@ -1,9 +1,10 @@
 import re
+from dataclasses import replace
 
 import pytest
 
 from hybrel.benchmarks import load_problem
-from hybrel.config import RunSettings, apply_overrides, load_config, thread_cap
+from hybrel.config import RunSettings, load_config, thread_cap
 from hybrel.errors import InvalidParameterError
 
 
@@ -42,7 +43,7 @@ class TestLoadConfig:
             "epsilon": 1e-8,
             "seed": 42,
         }
-        settings = apply_overrides(RunSettings(), overrides)
+        settings = replace(RunSettings(), **overrides)
         assert settings.quad_nodes == 128
         assert settings.fd_step == 1e-6  # untouched default
 

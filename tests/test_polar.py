@@ -168,6 +168,16 @@ class TestReduce:
             ReducedLSF(offset=1.0, grad_norm=1.0, m=1, n=1,
                        direction=np.array([1.0, 1.0]))
 
+    def test_direction_is_a_read_only_copy(self):
+        direction = np.array([0.6, 0.8])
+        reduced = ReducedLSF(offset=1.0, grad_norm=1.0, m=1, n=1,
+                             direction=direction)
+        assert direction.flags.writeable
+        direction[0] = 0.0
+        assert reduced.direction.tolist() == [0.6, 0.8]
+        with pytest.raises(ValueError):
+            reduced.direction[0] = 0.0
+
     def test_surrogate_scaling(self):
         reduced = ReducedLSF(offset=2.0, grad_norm=0.5, m=2, n=1,
                              direction=np.array([1.0, 0.0, 0.0]))

@@ -282,5 +282,3 @@ class TestFindDesignPoint:
             SolverSettings(epsilon=0.0)
         with pytest.raises(InvalidParameterError):
             SolverSettings(max_iterations=0)
-        with pytest.raises(InvalidParameterError):
-            SolverSettings(ua_grid=2)
