@@ -12,6 +12,7 @@ root bracketing of `degenerate_random`.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -164,11 +165,12 @@ class StandardizedProblem:
     half_widths: np.ndarray = field(repr=False)
     fd_rel_step: float = 1e-6
 
-    @property
+    # cached: the limit-state path reads m on every call
+    @cached_property
     def m(self):
         return self.problem.m
 
-    @property
+    @cached_property
     def n(self):
         return self.problem.n
 
@@ -185,8 +187,9 @@ class StandardizedProblem:
         return (np.asarray(y, dtype=float) - self.centers) / self.half_widths
 
     def lsf_std(self, u, delta):
-        x = self.to_physical_random(u)
-        y = self.to_physical_uncertain(delta)
+        """Response at standardized (u, delta), each an array or a sequence."""
+        x = self.means + self.stddevs * u
+        y = self.centers + self.half_widths * delta
         value = self.problem.lsf(x, y)
         if not isinstance(value, float):  # numpy's float64 is a float
             if np.shape(value) != ():
@@ -220,8 +223,8 @@ class StandardizedProblem:
         return values
 
     def lsf_omega(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        return self.lsf_std(omega[: self.m], omega[self.m:])
+        m = self.m
+        return self.lsf_std(omega[:m], omega[m:])
 
     def gradient_omega(self, omega):
         """Gradient of the standardized limit state at omega = (u, delta).

@@ -8,6 +8,7 @@ norm of the combined iterate.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,6 +28,8 @@ logger = logging.getLogger(__name__)
 
 _UA_GRID = 21  # seed-grid points per axis of the box subproblem (n <= 3)
 _UA_REFINE_ITERATIONS = 50  # linearization passes per box-subproblem seed
+_BOX_SLACK = 4  # c in the box solve's bound on the float reach's error
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,39 @@ def _delta_gradient(std, u_fixed, delta):
     return std.gradient_omega(omega)[std.m:]
 
 
+def _reach(grad, mu):
+    """grad . clip(mu*grad, -1, 1) in floating point, as the bisection
+    compares it with its goal."""
+    # minimum/maximum give np.clip's values without its dispatch cost
+    return float(grad @ np.minimum(np.maximum(mu * grad, -1.0), 1.0))
+
+
+def _breakpoints(mags):
+    """Prefix sums of r(mu) = sum |g_i| clip(mu |g_i|, -1, 1).
+
+    r is odd and piecewise linear with kinks at 1/|g_i|.  With mags the
+    nonzero |g| in descending order, r(mu) = before[k] + mu*after[k] on the
+    k-th segment of mu >= 0, where before[k] = sum_{j<k} mags[j] and
+    after[k] = sum_{j>=k} mags[j]^2.
+    """
+    before = np.concatenate(([0.0], np.cumsum(mags[:-1])))
+    after = np.cumsum((mags * mags)[::-1])[::-1]
+    return before, after
+
+
+def _reach_inverse(before, after, level):
+    """mu with r(mu) = level, for |level| < sum |g|.
+
+    On mu >= 0, r is concave and each segment's line before[k] +
+    mu*after[k] lies on or above it, so r^-1(level) is the largest of the
+    lines' inverses; no segment search is needed.  r is odd, so negative
+    levels mirror.  Rounding moves r at the result by at most
+    (n+2)*eps*|level| plus n*eps*sum |g|.
+    """
+    mu = float(np.max((abs(level) - before) / after))
+    return math.copysign(mu, level)
+
+
 def _solve_box_qp(grad, target):
     """Minimum-norm delta in [-1,1]^n with grad . delta = target (clamped).
 
@@ -94,23 +130,47 @@ def _solve_box_qp(grad, target):
     target the closest achievable point is returned.  The bisection stops
     once the midpoint rounds onto an end: from then on (lo, hi) either stays
     put or collapses onto that end, so 0.5*(lo+hi) is final.
+
+    Most steps are decided without evaluating the float reach.  Its value
+    lies within slack = c*(n+2)*eps*sum|g| of the exact r(mu) in any
+    summation order, so every mu below r^-1(goal - 2*slack) compares below
+    the goal and every mu above r^-1(goal + 2*slack) does not; the second
+    slack covers the rounding of the inverse.  Where |mu|*min|g| >= 1
+    every coordinate clips, and the float reach is bitwise the one already
+    computed at the end of that sign.  The steps taken, and so the result,
+    are those of the plain bisection.
     """
     gnorm_sq = float(grad @ grad)
     if gnorm_sq < 1e-30:
         return np.zeros_like(grad)
 
-    def reach(mu):
-        # minimum/maximum give np.clip's values without its dispatch cost
-        return float(grad @ np.minimum(np.maximum(mu * grad, -1.0), 1.0))
-
-    mu_max = (1.0 + abs(target)) / gnorm_sq + 1.0 / np.min(np.abs(grad[grad != 0]))
+    mags = np.sort(np.abs(grad[grad != 0]))[::-1]
+    gmin = float(mags[-1])
+    mu_max = (1.0 + abs(target)) / gnorm_sq + 1.0 / gmin
     lo, hi = -mu_max, mu_max
-    goal = min(max(target, reach(lo)), reach(hi))
+    bottom = _reach(grad, lo)
+    goal = min(max(target, bottom), _reach(grad, hi))
+
+    before, after = _breakpoints(mags)
+    below, above = -math.inf, math.inf
+    if 0.0 < after[-1] and after[0] < math.inf:  # no square under- or overflowed
+        total = float(before[-1] + mags[-1])
+        slack = _BOX_SLACK * (grad.size + 2) * _EPS * total
+        reachable = total * (1.0 - (grad.size + 1) * _EPS)  # <= the exact sum
+        if goal - 2.0 * slack > -reachable:
+            below = _reach_inverse(before, after, goal - 2.0 * slack)
+        if goal + 2.0 * slack < reachable:
+            above = _reach_inverse(before, after, goal + 2.0 * slack)
+
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if reach(mid) < goal:
+        if mid < below or (mid * gmin <= -1.0 and bottom < goal):
+            lo = mid
+        elif mid > above or abs(mid) * gmin >= 1.0:
+            hi = mid
+        elif _reach(grad, mid) < goal:
             lo = mid
         else:
             hi = mid

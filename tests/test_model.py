@@ -1,6 +1,8 @@
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +126,61 @@ class TestStandardize:
     def test_empty_problem_rejected(self):
         with pytest.raises(InvalidParameterError):
             HybridProblem(lsf=lambda x, y: 0.0)
+
+    def test_lsf_std_accepts_sequences(self):
+        problem = HybridProblem(
+            lsf=lambda x, y: x[0] * x[1] - y[0],
+            randoms=(RandomVariable("a", 5.0, 2.0), RandomVariable("b", -1.0, 0.5)),
+            uncertains=(UncertainVariable("y", -1.0, 3.0),),
+        )
+        std = standardize(problem)
+        expected = std.lsf_std(np.array([0.5, -1.5]), np.array([0.25]))
+        assert std.lsf_std([0.5, -1.5], [0.25]) == expected
+        assert std.lsf_std((0.5, -1.5), (0.25,)) == expected
+        assert std.lsf_omega([0.5, -1.5, 0.25]) == expected
+
+
+def _fd_oracle(std, omega):
+    """fd_gradient over an explicit map from omega to the physical (x, y)."""
+    m = std.m
+    physical = lambda w: std.problem.lsf(std.means + std.stddevs * w[:m],
+                                         std.centers + std.half_widths * w[m:])
+    return fd_gradient(physical, omega, std.fd_rel_step)
+
+
+class TestGradientOmegaWithoutAnalyticGradient:
+    @given(
+        m=st.integers(1, 4),
+        n=st.integers(0, 4),
+        curvature=st.sampled_from([0.0, 0.05, -0.3]),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_equals_fd_oracle_bit_for_bit(self, m, n, curvature, seed):
+        # affine when curvature is 0, mildly quadratic otherwise
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(-3.0, 3.0, size=m + n)
+        constant = float(rng.uniform(-5.0, 5.0))
+
+        def lsf(x, y):
+            w = np.concatenate([x, y])
+            return constant + float(weights @ w) + curvature * float(w @ w)
+
+        lower = rng.uniform(-10.0, 10.0, size=n)
+        problem = HybridProblem(
+            lsf=lsf,
+            randoms=tuple(RandomVariable(f"x{i}", float(mu), float(sd))
+                          for i, (mu, sd) in enumerate(
+                              zip(rng.uniform(-10.0, 10.0, size=m),
+                                  rng.uniform(0.1, 5.0, size=m)))),
+            uncertains=tuple(UncertainVariable(f"y{j}", float(lo), float(lo + w))
+                             for j, (lo, w) in enumerate(
+                                 zip(lower, rng.uniform(0.1, 8.0, size=n)))),
+        )
+        std = standardize(problem)
+        omega = np.concatenate([rng.normal(size=m) * 2.0,
+                                rng.uniform(-1.0, 1.0, size=n)])
+        got = std.gradient_omega(omega)
+        assert got.tobytes() == _fd_oracle(std, omega).tobytes()
 
 
 def _nan_beyond(limit, batch):
@@ -270,8 +327,10 @@ class TestDegenerateRandom:
 def test_import_leaves_scipy_optimize_unloaded():
     # only degenerate_random's one-dimensional nonlinear branch needs brentq
     code = "import sys, hybrel; print('scipy.optimize' in sys.modules)"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout
+                         text=True, env=env, check=True).stdout
     assert out.strip() == "False"
 
 

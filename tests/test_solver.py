@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hybrel import solver
 from hybrel.errors import DegenerateGradientError, InvalidParameterError
 from hybrel.model import HybridProblem, RandomVariable, UncertainVariable, standardize
 from hybrel.solver import (
     SolverSettings,
+    _breakpoints,
+    _reach_inverse,
     _solve_box_qp,
     find_design_point,
     pa_step,
@@ -81,6 +84,89 @@ class TestSolveBoxQp:
         expected = _box_qp_200_steps(grad, target)
         got = _solve_box_qp(grad, target)
         assert got.tobytes() == expected.tobytes()
+
+    @staticmethod
+    def _assert_bitwise(grad, targets):
+        for target in targets:
+            expected = _box_qp_200_steps(grad, target)
+            assert _solve_box_qp(grad, target).tobytes() == expected.tobytes(), \
+                (grad.tolist(), target)
+
+    @given(grad=st.lists(_GRAD_ENTRY, min_size=1, max_size=12))
+    def test_targets_at_and_just_inside_the_reachable_bound(self, grad):
+        grad = np.array(grad)
+        bound = float(np.abs(grad).sum())
+        inside = bound * (1.0 - 1e-15)
+        self._assert_bitwise(grad, [bound, -bound, inside, -inside])
+
+    @given(grad=st.lists(_GRAD_ENTRY, min_size=1, max_size=12),
+           ulps=st.integers(-4, 4), sign=st.sampled_from([-1.0, 1.0]))
+    def test_goals_within_ulps_of_a_kink(self, grad, ulps, sign):
+        grad = np.array(grad)
+        mags = np.abs(grad[grad != 0])
+        for mag in np.unique(mags):
+            # r(1/|g_k|), summed exactly
+            kink = math.fsum(mags * np.minimum(mags / mag, 1.0))
+            target = sign * kink
+            for _ in range(abs(ulps)):
+                target = np.nextafter(target, math.copysign(math.inf, ulps))
+            self._assert_bitwise(grad, [float(target)])
+
+    @given(
+        magnitudes=st.lists(st.floats(min_value=-3.0, max_value=3.0),
+                            min_size=1, max_size=3),
+        picks=st.lists(st.tuples(st.integers(0, 2), st.booleans()),
+                       min_size=2, max_size=12),
+        share=st.floats(min_value=-1.2, max_value=1.2),
+    )
+    def test_tied_magnitudes(self, magnitudes, picks, share):
+        grad = np.array([(-1.0 if negative else 1.0)
+                         * 10.0 ** magnitudes[k % len(magnitudes)]
+                         for k, negative in picks])
+        bound = float(np.abs(grad).sum())
+        self._assert_bitwise(grad, [share * bound, 0.0, 0.5 * bound])
+
+    @given(size=st.integers(1, 12), index=st.integers(0, 11),
+           entry=_GRAD_ENTRY.filter(lambda g: g != 0.0),
+           share=st.floats(min_value=-2.0, max_value=2.0))
+    def test_single_nonzero_entry(self, size, index, entry, share):
+        grad = np.zeros(size)
+        grad[index % size] = entry
+        self._assert_bitwise(grad, [share * abs(entry), abs(entry), -abs(entry)])
+
+    @given(grad=st.lists(_GRAD_ENTRY, min_size=1, max_size=12)
+           .filter(lambda g: any(g)))
+    def test_breakpoint_inverse_against_dense_evaluation(self, grad):
+        grad = np.array(grad)
+        mags = np.sort(np.abs(grad[grad != 0]))[::-1]
+        before, after = _breakpoints(mags)
+        # r is linear between kinks, so a grid holding every kink and
+        # many points between interpolates it exactly
+        kinks = 1.0 / mags
+        grid = np.unique(np.concatenate([
+            kinks, np.geomspace(kinks[0] * 1e-3, kinks[-1], 400), [0.0]]))
+        reach = np.array([math.fsum(mags * np.minimum(mu * mags, 1.0))
+                          for mu in grid])
+        total = math.fsum(mags)
+        for share in np.linspace(-0.999, 0.999, 37):
+            level = share * total
+            want = math.copysign(np.interp(abs(level), reach, grid), level)
+            got = _reach_inverse(before, after, level)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-300)
+
+    def test_most_steps_skip_the_float_reach(self, monkeypatch):
+        # the plain bisection evaluates the reach about 60 times per solve
+        calls = []
+        reach = solver._reach
+        monkeypatch.setattr(solver, "_reach",
+                            lambda grad, mu: calls.append(mu) or reach(grad, mu))
+        rng = np.random.default_rng(7)
+        solves = 200
+        for _ in range(solves):
+            grad = rng.normal(size=6) * 10.0 ** rng.uniform(-3, 3, size=6)
+            target = rng.uniform(-1.2, 1.2) * float(np.abs(grad).sum())
+            _solve_box_qp(grad, target)
+        assert len(calls) <= 20 * solves
 
 
 class TestUaStep:
