@@ -1,10 +1,11 @@
 """Built-in benchmark cases and the end-to-end case runner.
 
 Three desk-scale cases: a configurable linear limit state, a crank-slider
-mechanism and a cantilever tube.  Limit-state functions are written against
-the trailing axis, so the same callable serves the scalar contract
-(vectors of length m and n) and the Monte Carlo batch contract
-((N, m) and (N, n) arrays).
+mechanism and a cantilever tube.  Limit-state functions unpack their inputs
+through the transpose, so the same formula serves both contracts: a point
+(vectors of length m and n) unpacks into numpy scalars, which are much
+cheaper than 0-d arrays, and a Monte Carlo batch ((N, m) and (N, n)
+arrays) unpacks into columns.
 
 Both physical cases carry a stress-calibration constant.  Their source
 parameter tables mix unit conventions (kN-scale loads against MPa-scale
@@ -157,8 +158,8 @@ def _crank_lsf(m, n, t):
     def lsf(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        d1, d2, strength = x[..., 0], x[..., 1], x[..., 2]
-        a, b, big_p, e = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
+        d1, d2, strength = x.T
+        a, b, big_p, e = y.T
         stress = _crank_stress(d1, d2, a, b, big_p * 1e3, e, t)
         return strength * 1e3 - CRANK_STRESS_SCALE * stress
 
@@ -192,8 +193,11 @@ def _tube_max_stress(wall, d, length1, length2, th1, th2, f1, f2, p, torque):
     angles in radians.  The second moment uses the fourth power of both
     diameters, which dimensional consistency of the bending term requires.
     """
-    area = (np.pi / 4.0) * (d * d - (d - 2.0 * wall) ** 2)
-    second = (np.pi / 64.0) * (d ** 4 - (d - 2.0 * wall) ** 4)
+    inner = d - 2.0 * wall
+    # ** on a numpy scalar calls the C library's pow, whose last bit can
+    # differ from the array loops; square and power round alike on both
+    area = (np.pi / 4.0) * (d * d - np.square(inner))
+    second = (np.pi / 64.0) * (np.power(d, 4) - np.power(inner, 4))
     moment = f1 * length1 * np.cos(th1) + f2 * length2 * np.cos(th2)
     sigma_x = (p + f1 * np.sin(th1) + f2 * np.sin(th2)) / area \
         + moment * (d / 2.0) / second
@@ -210,14 +214,10 @@ def _tube_lsf(m, n):
     def lsf(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        wall, d, l1, l2, strength, noise = (x[..., i] for i in range(6))
-        th1 = np.deg2rad(y[..., 0])
-        th2 = np.deg2rad(y[..., 1])
-        f1 = y[..., 2] * 1e3
-        f2 = y[..., 3] * 1e3
-        p = y[..., 4] * 1e3
-        torque = y[..., 5] * 1e3
-        stress = _tube_max_stress(wall, d, l1, l2, th1, th2, f1, f2, p, torque)
+        wall, d, l1, l2, strength, noise = x.T
+        th1, th2, f1, f2, p, torque = y.T
+        stress = _tube_max_stress(wall, d, l1, l2, np.deg2rad(th1), np.deg2rad(th2),
+                                  f1 * 1e3, f2 * 1e3, p * 1e3, torque * 1e3)
         return strength - TUBE_STRESS_SCALE * stress + noise
 
     return lsf

@@ -148,8 +148,9 @@ def _solve_box_qp(grad, target):
     gmin = float(mags[-1])
     mu_max = (1.0 + abs(target)) / gnorm_sq + 1.0 / gmin
     lo, hi = -mu_max, mu_max
-    bottom = _reach(grad, lo)
-    goal = min(max(target, bottom), _reach(grad, hi))
+    top = _reach(grad, hi)
+    bottom = -top  # the reach rounds alike at mu and -mu
+    goal = min(max(target, bottom), top)
 
     before, after = _breakpoints(mags)
     below, above = -math.inf, math.inf

@@ -74,6 +74,16 @@ class TestCrankSlider:
         with pytest.raises(InvalidGeometryError):
             case.problem.lsf(x, bad)
 
+    def test_geometry_error_in_a_batch(self):
+        case = case_crank_slider(0.0)
+        x = np.tile([10.0, 20.0, 1.98], (3, 1))
+        y = np.array([[100.0, 300.0, 250.0, 125.0],
+                      [100.0, 150.0, 250.0, 125.0],  # b - a = 50 < e
+                      [100.0, 300.0, 250.0, 125.0]])
+        assert np.all(case.problem.lsf_batch(x[[0, 2]], y[[0, 2]]) > 0.0)
+        with pytest.raises(InvalidGeometryError):
+            case.problem.lsf_batch(x, y)
+
     def test_nominal_is_safe(self):
         case = case_crank_slider(0.0)
         x = np.array([10.0, 20.0, 1.98])
@@ -109,6 +119,33 @@ class TestCantileverTube:
         scalar = case.problem.lsf(x, y)
         batch = case.problem.lsf_batch(np.tile(x, (3, 1)), np.tile(y, (3, 1)))
         assert np.allclose(batch, scalar)
+
+
+@pytest.mark.parametrize("key, params", [
+    ("linear", {"m": 5, "n": 5}),
+    ("linear", {"m": 1, "n": 9}),
+    ("crank_slider", {"t": 0.0}),
+    ("crank_slider", {"t": 40.0}),
+    ("cantilever_tube", {}),
+])
+def test_scalar_and_batch_contracts_agree_bit_for_bit(key, params):
+    # one formula serves both contracts, so a point gives the same bits
+    # whether it comes alone or as a row of a batch
+    problem = get_case(key, **params).problem
+    rng = np.random.default_rng(2024)
+    count = 2000
+    means = np.array([rv.mean for rv in problem.randoms])
+    stddevs = np.array([rv.stddev for rv in problem.randoms])
+    lower = np.array([uv.lower for uv in problem.uncertains])
+    upper = np.array([uv.upper for uv in problem.uncertains])
+    x = means + stddevs * rng.uniform(-4.0, 4.0, (count, problem.m))
+    y = lower + (upper - lower) * rng.uniform(0.0, 1.0, (count, problem.n))
+    batch = problem.lsf_batch(x, y)
+    scalar = np.array([problem.lsf(xi, yi) for xi, yi in zip(x, y)])
+    assert scalar.tobytes() == batch.tobytes()
+    one = problem.lsf_batch(x[:1], y[:1])
+    assert one.shape == (1,)
+    assert one.tobytes() == batch[:1].tobytes()
 
 
 class TestRunCase:

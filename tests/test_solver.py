@@ -12,6 +12,7 @@ from hybrel.model import HybridProblem, RandomVariable, UncertainVariable, stand
 from hybrel.solver import (
     SolverSettings,
     _breakpoints,
+    _reach,
     _reach_inverse,
     _solve_box_qp,
     find_design_point,
@@ -153,6 +154,16 @@ class TestSolveBoxQp:
             want = math.copysign(np.interp(abs(level), reach, grid), level)
             got = _reach_inverse(before, after, level)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-300)
+
+    @given(grad=st.lists(_GRAD_ENTRY, min_size=1, max_size=12)
+           .filter(lambda g: any(g)),
+           exponent=st.floats(min_value=-8.0, max_value=8.0))
+    def test_reach_is_odd_bit_for_bit(self, grad, exponent):
+        # the box solve takes the reach at -mu_max as minus the one at mu_max
+        grad = np.array(grad)
+        mu = 10.0 ** exponent
+        down, up = _reach(grad, -mu), _reach(grad, mu)
+        assert np.float64(down).tobytes() == np.float64(-up).tobytes()
 
     def test_most_steps_skip_the_float_reach(self, monkeypatch):
         # the plain bisection evaluates the reach about 60 times per solve
