@@ -11,7 +11,6 @@ exceedance orientation is computed: the chance measure is self-dual, so the
 chance distribution Ch{f <= x} is one minus the exceedance.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +40,7 @@ _BOX_PROBES = 5  # pseudo-random uncertain points re-checked per random point
 _SUPPORT_PROBES = 5  # random points, within 2.5 sigma, re-checked per profile
 _ROOT_TOL = 1e-10  # |h(alpha)| accepted as the belief root
 _PRESCAN = 11  # belief levels scanned for a monotonicity violation
+_BLOCK = 1 << 14  # quadrature nodes per pass of the belief bisection
 
 
 @dataclass(frozen=True)
@@ -84,14 +84,43 @@ class BeliefRoot:
             raise InvalidParameterError("forced-one requires value 1")
 
 
-def _tau_at_level(unc_dists, signs, alpha):
-    """Uncertain-variable vector fed to f at belief level alpha of the event
-    {f > x}: increasing variables take the (1-alpha)-quantile, decreasing
-    ones the alpha-quantile."""
-    tau = np.empty(len(unc_dists))
-    for i, (dist, sign) in enumerate(zip(unc_dists, signs)):
-        tau[i] = dist.inv(1.0 - alpha if sign == "increasing" else alpha)
-    return tau
+def _row_loop(f):
+    """Rows form of a scalar limit state f(x, tau): one call per row of the
+    (N, m) and (N, n) arrays, in row order."""
+    return lambda xs, taus: np.fromiter(map(f, xs, taus), float, len(xs))
+
+
+def _profile_at(f, randoms, unc_dists):
+    """Monotonicity profile from central-difference signs at each random
+    point in randoms, probed at the support midpoint and at 5 deterministic
+    pseudo-random points of the box.  A probe where the partial vanishes
+    adds no sign; one sign seen is that sign, two are "unknown", and none
+    is "increasing" (either sign is vacuous)."""
+    n = len(unc_dists)
+    lo = np.array([d.inv(0.0) for d in unc_dists])
+    hi = np.array([d.inv(1.0) for d in unc_dists])
+    rng = np.random.default_rng(0)
+    probes = [0.5 * (lo + hi)]
+    for _ in range(_BOX_PROBES):
+        probes.append(lo + rng.uniform(0.05, 0.95, size=n) * (hi - lo))
+
+    seen = [set() for _ in range(n)]
+    for fixed in randoms:
+        for i in range(n):
+            h = 1e-6 * max(1.0, abs(hi[i] - lo[i]))
+            for tau in probes:
+                tp = tau.copy()
+                tm = tau.copy()
+                tp[i] += h
+                tm[i] -= h
+                diff = f(fixed, tp) - f(fixed, tm)
+                scale = max(1.0, abs(f(fixed, tau)))
+                if abs(diff) <= 1e-12 * scale:
+                    continue
+                seen[i].add("increasing" if diff > 0 else "decreasing")
+    return MonotonicityProfile(tuple(
+        "unknown" if len(s) > 1 else next(iter(s), "increasing") for s in seen
+    ))
 
 
 def detect_profile(f, fixed_randoms, unc_dists):
@@ -106,92 +135,67 @@ def detect_profile(f, fixed_randoms, unc_dists):
     change elsewhere in the random support; :func:`chance_exceedance`
     re-checks it there.
     """
-    fixed = np.asarray(fixed_randoms, dtype=float)
-    n = len(unc_dists)
-    if n == 0:
-        return MonotonicityProfile(())
-    lo = np.array([d.inv(0.0) for d in unc_dists])
-    hi = np.array([d.inv(1.0) for d in unc_dists])
-    rng = np.random.default_rng(0)
-    probes = [0.5 * (lo + hi)]
-    for _ in range(_BOX_PROBES):
-        probes.append(lo + rng.uniform(0.05, 0.95, size=n) * (hi - lo))
-
-    signs = []
-    for i in range(n):
-        h = 1e-6 * max(1.0, abs(hi[i] - lo[i]))
-        seen = set()
-        for tau in probes:
-            tp = tau.copy()
-            tm = tau.copy()
-            tp[i] += h
-            tm[i] -= h
-            diff = f(fixed, tp) - f(fixed, tm)
-            scale = max(1.0, abs(f(fixed, tau)))
-            if abs(diff) <= 1e-12 * scale:
-                continue
-            seen.add("increasing" if diff > 0 else "decreasing")
-        if len(seen) == 0:
-            signs.append("increasing")
-        elif len(seen) == 1:
-            signs.append(seen.pop())
-        else:
-            signs.append("unknown")
-    return MonotonicityProfile(tuple(signs))
+    return _profile_at(f, [np.asarray(fixed_randoms, dtype=float)], unc_dists)
 
 
 def _support_profile(f, prob_dists, unc_dists):
-    """The profile policy of :func:`chance_exceedance`."""
-    median = np.array([d.inv_cdf(0.5) for d in prob_dists])
-    signs = detect_profile(f, median, unc_dists).signs
+    """The profile policy of :func:`chance_exceedance`: the signs seen at the
+    median random point and at 5 pseudo-random points within 2.5 standard
+    deviations of it, combined, so a point where a partial vanishes adds
+    no sign."""
+    points = [np.array([d.inv_cdf(0.5) for d in prob_dists])]
     rng = np.random.default_rng(0)
     for z in rng.uniform(-2.5, 2.5, size=(_SUPPORT_PROBES, len(prob_dists))):
-        eta = np.array([d.inv_cdf(normal_cdf(v)) for d, v in zip(prob_dists, z)])
-        other = detect_profile(f, eta, unc_dists).signs
-        signs = tuple(a if a == b else "unknown" for a, b in zip(signs, other))
-    return MonotonicityProfile(signs)
+        points.append(np.array([d.inv_cdf(normal_cdf(v))
+                                for d, v in zip(prob_dists, z)]))
+    return _profile_at(f, points, unc_dists)
 
 
-def _belief_root(f, fixed_randoms, unc_dists, signs, x):
-    """Belief degree of {f > x}: the root of h(alpha) = f(...) - x.
+def _belief_rows(rows, etas, unc_dists, signs, x):
+    """Belief degrees of {f > x} at the rows of etas (N, m), and their
+    BeliefRoot statuses: the roots of h(alpha) = f - x, where increasing
+    variables take the (1-alpha)-quantile and decreasing ones the
+    alpha-quantile.  h is non-increasing, so bisection on [0, 1] converges;
+    each step is one `rows` call over the open rows.  An 11-point pre-scan
+    per row guards monotonicity and reports the first bad row's trace."""
 
-    h is non-increasing in alpha, so the root is bracketed on [0, 1] and
-    bisection is unconditionally convergent.  An 11-point pre-scan guards
-    the monotonicity assumption and reports the trace on violation.
-    """
-    fixed = np.asarray(fixed_randoms, dtype=float)
+    def h(alpha, at):
+        tau = np.empty((alpha.size, len(signs)))
+        for j, (dist, label) in enumerate(zip(unc_dists, signs)):
+            tau[:, j] = dist.inv(1.0 - alpha if label == "increasing" else alpha)
+        return rows(etas[at], tau) - x
 
-    def h(alpha):
-        return f(fixed, _tau_at_level(unc_dists, signs, alpha)) - x
-
+    k = len(etas)
     grid = np.linspace(0.0, 1.0, _PRESCAN)
-    values = np.array([h(a) for a in grid])
-    nonzero = values[np.abs(values) > _ROOT_TOL]
-    flips = int(np.sum(np.diff(np.sign(nonzero)) != 0)) if len(nonzero) > 1 else 0
-    if flips > 1:
+    scan = h(np.tile(grid, k), np.repeat(np.arange(k), _PRESCAN)).reshape(k, -1)
+    sign = np.where(np.abs(scan) > _ROOT_TOL, np.sign(scan), 0.0)
+    # each row's nonzero signs in level order, then its skipped levels
+    sign = np.take_along_axis(sign, np.argsort(sign == 0.0, 1, kind="stable"), 1)
+    flips = np.count_nonzero((np.diff(sign) != 0) & (sign[:, 1:] != 0), 1)
+    bad = np.flatnonzero(flips > 1)
+    if bad.size:
         raise AmbiguousRootError(
             "limit state is not monotone in the belief level; "
             "declare the profile explicitly or use the grid supremum",
-            scan=zip(grid.tolist(), values.tolist()),
+            scan=zip(grid.tolist(), scan[bad[0]].tolist()),
         )
 
-    h0, h1 = values[0], values[-1]
-    if h0 <= 0.0:
-        # even the most favorable uncertain realization fails the event
-        return BeliefRoot(0.0, "forced-zero")
-    if h1 >= 0.0:
-        return BeliefRoot(1.0, "forced-one")
-
-    lo_a, hi_a = 0.0, 1.0
-    while True:  # the width test ends this within 34 halvings
-        mid = 0.5 * (lo_a + hi_a)
-        hm = h(mid)
-        if abs(hm) <= _ROOT_TOL or (hi_a - lo_a) < 1e-10:
-            return BeliefRoot(mid, "interior-root")
-        if hm > 0.0:
-            lo_a = mid
-        else:
-            hi_a = mid
+    # at h(0) <= 0 even the most favorable uncertain realization fails
+    zero = scan[:, 0] <= 0.0
+    one = ~zero & (scan[:, -1] >= 0.0)
+    value = np.where(one, 1.0, 0.0)
+    status = np.where(zero, "forced-zero",
+                      np.where(one, "forced-one", "interior-root"))
+    at = np.flatnonzero(~zero & ~one)
+    lo, hi = np.zeros(at.size), np.ones(at.size)
+    while at.size:  # the width test ends this within 34 halvings
+        mid = 0.5 * (lo + hi)
+        hm = h(mid, at)
+        done = (np.abs(hm) <= _ROOT_TOL) | (hi - lo < 1e-10)
+        value[at[done]] = mid[done]
+        up, go = hm > 0.0, ~done
+        at, lo, hi = at[go], np.where(up, mid, lo)[go], np.where(up, hi, mid)[go]
+    return value, status
 
 
 def belief_at_limit_state(f, fixed_randoms, unc_dists, profile):
@@ -211,7 +215,9 @@ def belief_at_limit_state(f, fixed_randoms, unc_dists, profile):
     for dist in unc_dists:
         if not dist.regular:
             raise InvalidParameterError("root finding requires regular distributions")
-    return _belief_root(f, fixed_randoms, unc_dists, profile.signs, 0.0)
+    fixed = np.array(fixed_randoms, dtype=float, ndmin=2)
+    value, status = _belief_rows(_row_loop(f), fixed, unc_dists, profile.signs, 0.0)
+    return BeliefRoot(float(value[0]), str(status[0]))
 
 
 def belief_sup_grid(f, fixed_randoms, unc_dists, grid_per_var=201):
@@ -243,44 +249,29 @@ def belief_sup_grid(f, fixed_randoms, unc_dists, grid_per_var=201):
         )
 
     axes = [np.linspace(d.inv(0.0), d.inv(1.0), grid_per_var) for d in unc_dists]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    values = np.empty(mesh[0].shape)
-    for idx in itertools.product(*(range(grid_per_var) for _ in range(n))):
-        tau = np.array([mesh[j][idx] for j in range(n)])
-        values[idx] = f(fixed, tau)
+    grid = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), -1)
+    points = grid.reshape(-1, n)
+    xs = np.broadcast_to(fixed, (len(points), fixed.size))
+    values = _row_loop(f)(xs, points).reshape(grid.shape[:-1])
 
-    def measure(tau):
-        parts = []
-        for dist, sign, t in zip(unc_dists, profile.signs, tau):
-            c = dist.cdf(t)
-            parts.append(1.0 - c if sign == "increasing" else c)
-        return min(parts)
-
-    best = -1.0
+    # candidate zero points: the grid points where f is exactly zero, and
+    # the interpolated crossing of every sign change along each axis
+    taus = [points[values.ravel() == 0.0]]
     for axis in range(n):
-        fwd = np.take(values, range(1, grid_per_var), axis=axis)
         bck = np.take(values, range(0, grid_per_var - 1), axis=axis)
+        fwd = np.take(values, range(1, grid_per_var), axis=axis)
         crossing = np.sign(fwd) != np.sign(bck)
-        for idx in np.argwhere(crossing):
-            lo_idx = list(idx)
-            hi_idx = list(idx)
-            hi_idx[axis] += 1
-            v0 = values[tuple(lo_idx)]
-            v1 = values[tuple(hi_idx)]
-            tau = np.array([axes[j][lo_idx[j]] for j in range(n)])
-            t0 = axes[axis][lo_idx[axis]]
-            t1 = axes[axis][hi_idx[axis]]
-            frac = v0 / (v0 - v1) if v0 != v1 else 0.5
-            tau[axis] = t0 + frac * (t1 - t0)
-            best = max(best, measure(tau))
-
-    exact = np.abs(values) == 0.0
-    for idx in np.argwhere(exact):
-        tau = np.array([axes[j][idx[j]] for j in range(n)])
-        best = max(best, measure(tau))
-
-    if best >= 0.0:
-        return float(best)
+        v0, v1 = bck[crossing], fwd[crossing]
+        frac = np.divide(v0, v0 - v1, out=np.full(v0.shape, 0.5), where=v0 != v1)
+        tau = np.take(grid, range(0, grid_per_var - 1), axis)[crossing]
+        t1 = np.take(grid[..., axis], range(1, grid_per_var), axis)[crossing]
+        tau[:, axis] += frac * (t1 - tau[:, axis])
+        taus.append(tau)
+    tau = np.concatenate(taus)
+    if len(tau):
+        parts = [1.0 - dist.cdf(t) if sign == "increasing" else dist.cdf(t)
+                 for dist, sign, t in zip(unc_dists, profile.signs, tau.T)]
+        return float(np.min(parts, axis=0).max())
     return 1.0 if np.all(values > 0) else 0.0
 
 
@@ -310,29 +301,55 @@ def gaussian_nodes(quad_nodes):
     return s, ws
 
 
-def _belief_value(f, eta, unc_dists, profile, x):
-    """Belief degree of {f(eta, tau) > x} over the uncertain inputs."""
-    if len(unc_dists) == 0:
-        return 1.0 if f(np.asarray(eta, dtype=float), np.empty(0)) > x else 0.0
-    if profile.has_unknown:
-        shifted = lambda xr, tau: f(xr, tau) - x
-        return belief_sup_grid(shifted, eta, unc_dists)
-    return _belief_root(f, eta, unc_dists, profile.signs, x).value
-
-
-def _chance_integral(f, prob_dists, unc_dists, x, quad_nodes, profile):
+def _chance_integral(f, rows, prob_dists, unc_dists, x, quad_nodes, profile):
+    """Tensor-quadrature sum of the belief degree of {f > x} over the random
+    nodes, in node order, a block of at most _BLOCK nodes at a time."""
     m = len(prob_dists)
-    if m == 0:
-        return _belief_value(f, np.empty(0), unc_dists, profile, x)
-
     s, w1 = gaussian_nodes(quad_nodes)
     axes = [np.asarray(d.inv_cdf(s)) for d in prob_dists]
+    size = len(s) ** m
     total = 0.0
-    for idx in itertools.product(*(range(len(s)) for _ in range(m))):
-        eta = np.array([axes[j][idx[j]] for j in range(m)])
-        weight = math.prod(w1[i] for i in idx)
-        total += weight * _belief_value(f, eta, unc_dists, profile, x)
+    for start in range(0, size, _BLOCK):
+        node = np.arange(start, min(start + _BLOCK, size))
+        etas = np.empty((node.size, m))
+        weight = np.ones(node.size)
+        for j, axis in enumerate(axes):  # the last axis runs fastest
+            i = node // len(s) ** (m - 1 - j) % len(s)
+            etas[:, j] = axis[i]
+            weight = weight * w1[i]
+        if not unc_dists:
+            belief = np.where(rows(etas, np.empty((node.size, 0))) > x, 1.0, 0.0)
+        elif profile.has_unknown:
+            shifted = lambda xr, tau: f(xr, tau) - x
+            belief = np.array([belief_sup_grid(shifted, eta, unc_dists)
+                               for eta in etas])
+        else:
+            belief = _belief_rows(rows, etas, unc_dists, profile.signs, x)[0]
+        # cumsum adds one node after another, as a running total does
+        total = np.cumsum(np.concatenate(([total], weight * belief)))[-1]
     return float(total)
+
+
+def _exceedance(f, rows, prob_dists, unc_dists, x, quad_nodes, profile, verify):
+    """:func:`chance_exceedance` of f, whose beliefs evaluate rows(xs, taus):
+    the responses at the rows of (N, m) and (N, n) arrays."""
+    m = len(prob_dists)
+    if m > 3:
+        raise UnsupportedDimensionError(
+            f"tensor quadrature reference path supports m <= 3, got {m}"
+        )
+    if profile is None:
+        profile = _support_profile(f, prob_dists, unc_dists)
+    args = (f, rows, prob_dists, unc_dists, x)
+    value = _chance_integral(*args, quad_nodes, profile)
+    if verify:
+        check = _chance_integral(*args, 2 * quad_nodes, profile)
+        if abs(check - value) > 1e-6 * max(1.0, abs(value)):
+            raise AccuracyError(
+                f"chance measure did not converge under node doubling: "
+                f"{value!r} vs {check!r} at {quad_nodes} nodes"
+            )
+    return min(max(value, 0.0), 1.0)
 
 
 def chance_exceedance(f, prob_dists, unc_dists, x=0.0, quad_nodes=64,
@@ -353,23 +370,8 @@ def chance_exceedance(f, prob_dists, unc_dists, x=0.0, quad_nodes=64,
     With verify=True the integral is recomputed at doubled quad_nodes and an
     AccuracyError is raised when the relative change exceeds 1e-6.
     """
-    m = len(prob_dists)
-    if m > 3:
-        raise UnsupportedDimensionError(
-            f"tensor quadrature reference path supports m <= 3, got {m}"
-        )
-    if profile is None:
-        profile = _support_profile(f, prob_dists, unc_dists)
-    value = _chance_integral(f, prob_dists, unc_dists, x, quad_nodes, profile)
-    if verify:
-        check = _chance_integral(f, prob_dists, unc_dists, x, 2 * quad_nodes,
-                                 profile)
-        if abs(check - value) > 1e-6 * max(1.0, abs(value)):
-            raise AccuracyError(
-                f"chance measure did not converge under node doubling: "
-                f"{value!r} vs {check!r} at {quad_nodes} nodes"
-            )
-    return min(max(value, 0.0), 1.0)
+    return _exceedance(f, _row_loop(f), prob_dists, unc_dists, x, quad_nodes,
+                       profile, verify)
 
 
 def chance_distribution(f, prob_dists, unc_dists, x, quad_nodes=64,

@@ -27,7 +27,10 @@ Every subcommand takes --seed and --config; only run and curve, which
 sweep the belief levels, take --alpha-levels and --quad-nodes.  Settings
 files passed via --config are read by the same key=value reader as
 problem files, with the keys alpha_levels, quad_nodes, epsilon, fd_step,
-seed.  The HRA_THREADS environment variable caps worker parallelism.
+seed.  Every key is parsed and type-checked, but a subcommand ignores the
+keys it does not read (mcs reads seed, design-point epsilon and fd_step),
+so only those are range-checked.  The HRA_THREADS environment variable
+caps worker parallelism.
 
 Exit codes: 0 success, 2 usage error, 3 numerical error.  Floats serialize
 with 17 significant digits so that parsing an emitted file recovers every
@@ -37,7 +40,7 @@ value bit-exactly.
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
 from .benchmarks import CASE_KEYS, design_point, get_case, load_problem, run_case
 from .config import RunSettings, load_config
@@ -45,6 +48,8 @@ from .errors import HybrelError, InvalidParameterError
 from .mcs import estimate_failure
 
 __all__ = ["main", "run_cli", "CSV_HEADER", "format_float"]
+
+_ALL_SETTINGS = {field.name for field in fields(RunSettings)}
 
 CSV_HEADER = ("case,m,n,beta,d,D,F_lo,F_hi,R_lo,R_hi,"
               "mcs_p,mcs_ci_lo,mcs_ci_hi,runtime_ms,seed")
@@ -123,13 +128,13 @@ def _select_case(args):
 
 
 def _settings_from(args):
-    settings = RunSettings()
-    if args.config:
-        settings = replace(settings, **load_config(args.config))
-    given = {name: getattr(args, name)
-             for name in ("alpha_levels", "quad_nodes", "seed")
-             if getattr(args, name, None) is not None}
-    return replace(settings, **given)
+    """RunSettings from --config and the flags; the settings the subcommand
+    does not read keep their defaults."""
+    given = load_config(args.config) if args.config else {}
+    given.update({name: getattr(args, name)
+                  for name in ("alpha_levels", "quad_nodes", "seed")
+                  if getattr(args, name, None) is not None})
+    return RunSettings(**{k: v for k, v in given.items() if k in args.reads})
 
 
 def _emit(text, out_path):
@@ -260,22 +265,22 @@ def build_parser():
                        help="print the solver iteration trace to stderr")
     p_run.add_argument("--timing", action="store_true",
                        help="fill the runtime_ms column (breaks bit-exact reruns)")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, reads=_ALL_SETTINGS)
 
     p_mcs = sub.add_parser("mcs", help="Monte Carlo failure estimate")
     _add_case_arguments(p_mcs)
     p_mcs.add_argument("--samples", type=int, default=1_000_000)
     p_mcs.add_argument("--confidence", type=float, default=0.95)
-    p_mcs.set_defaults(func=_cmd_mcs)
+    p_mcs.set_defaults(func=_cmd_mcs, reads={"seed"})
 
     p_dp = sub.add_parser("design-point", help="design-point search details")
     _add_case_arguments(p_dp)
     p_dp.add_argument("--trace", action="store_true")
-    p_dp.set_defaults(func=_cmd_design_point)
+    p_dp.set_defaults(func=_cmd_design_point, reads={"epsilon", "fd_step"})
 
     p_curve = sub.add_parser("curve", help="per-shift reliability curve")
     _add_case_arguments(p_curve)
-    p_curve.set_defaults(func=_cmd_curve)
+    p_curve.set_defaults(func=_cmd_curve, reads=_ALL_SETTINGS)
 
     for sweep in (p_run, p_curve):  # mcs and design-point do not read these
         sweep.add_argument("--alpha-levels", type=int, dest="alpha_levels")

@@ -12,11 +12,11 @@ root bracketing of `degenerate_random`.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .chance import chance_exceedance
+from .chance import _exceedance
 from .distributions import LinearUncertain, Normal, normal_cdf
 from .errors import InvalidParameterError, NonFiniteResponseError
 
@@ -80,8 +80,8 @@ class HybridProblem:
     callable must return the concatenated (df/dx, df/dy) vector at (x, y);
     when absent derivatives fall back to central finite differences.  The
     optional `lsf_batch` accepts (N, m) and (N, n) arrays and returns (N,)
-    responses; the Monte Carlo oracle and the design-point search's seed
-    grid use it when present.
+    responses; the Monte Carlo oracle, the design-point search's seed grid
+    and the chance-measure reference use it when present.
 
     User callables must tolerate concurrent invocation; the problem itself
     is immutable.
@@ -300,10 +300,10 @@ def degenerate_random(problem, quad_nodes=200):
     as normal_cdf(c / |a|) in standardized coordinates, which is exact.  A
     one-dimensional nonlinear limit state is decomposed into sign intervals
     by root bracketing on [-10, 10].  Higher-dimensional nonlinear problems
-    (m <= 3) fall back to `chance_exceedance` with no uncertain inputs, a
-    tensor quadrature of the safe-set indicator whose accuracy is limited
-    by the discontinuity; treat that path as a smoke check rather than a
-    precision oracle.
+    (m <= 3) fall back to the chance integral with no uncertain inputs, a
+    tensor quadrature of the safe-set indicator over `evaluate_rows`, whose
+    accuracy is limited by the discontinuity; treat that path as a smoke
+    check rather than a precision oracle.
     """
     if problem.n != 0:
         raise InvalidParameterError("degenerate_random requires n = 0")
@@ -340,17 +340,18 @@ def degenerate_random(problem, quad_nodes=200):
                 total += cdf_hi - cdf_lo
         return min(max(total, 0.0), 1.0)
 
-    return chance_exceedance(problem.lsf, problem.random_dists(), [],
-                             quad_nodes=quad_nodes)
+    return _exceedance(problem.lsf, partial(evaluate_rows, problem),
+                       problem.random_dists(), [], 0.0, quad_nodes, None, False)
 
 
 def reliability_reference(problem, quad_nodes=64, threshold=0.0, verify=False):
     """Reference hybrid reliability: the chance measure of {f > threshold}.
 
     Routes purely random problems to `degenerate_random` and otherwise runs
-    the tensor-quadrature chance integral (m <= 3).  The production path for
-    benchmark-sized problems is the polar pipeline; this evaluator exists to
-    cross-check it at small dimension.
+    the tensor-quadrature chance integral (m <= 3), whose belief bisection
+    makes one `evaluate_rows` call per step over its open nodes.  The
+    production path for benchmark-sized problems is the polar pipeline;
+    this evaluator exists to cross-check it at small dimension.
     """
     if problem.n == 0:
         if threshold != 0.0:
@@ -360,11 +361,6 @@ def reliability_reference(problem, quad_nodes=64, threshold=0.0, verify=False):
             )
             return degenerate_random(shifted)
         return degenerate_random(problem)
-    return chance_exceedance(
-        problem.lsf,
-        problem.random_dists(),
-        problem.uncertain_dists(),
-        x=threshold,
-        quad_nodes=quad_nodes,
-        verify=verify,
-    )
+    return _exceedance(problem.lsf, partial(evaluate_rows, problem),
+                       problem.random_dists(), problem.uncertain_dists(),
+                       threshold, quad_nodes, None, verify)

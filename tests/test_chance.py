@@ -6,6 +6,8 @@ from scipy.integrate import quad
 
 from hybrel.chance import (
     BeliefRoot,
+    _belief_rows,
+    _support_profile,
     MonotonicityProfile,
     belief_at_limit_state,
     belief_sup_grid,
@@ -117,6 +119,70 @@ class TestBeliefRoot:
         assert dec.value == pytest.approx(inc.value, abs=1e-9)
 
 
+class TestBeliefRows:
+    """The batched bisection behind every root-path belief."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 2))
+    def test_affine_rows_against_closed_form(self, seed, n, m):
+        # g = c + a.x + b.tau is affine in the belief level: h(alpha) =
+        # h(0) - alpha * sum |b_i| (u_i - l_i), so the belief is the clipped
+        # ratio, with the endpoint statuses where the clip binds
+        rng = np.random.default_rng(seed)
+        c = rng.uniform(-3, 3)
+        a = rng.uniform(-2, 2, m)
+        b = rng.uniform(0.5, 2.0, n) * rng.choice((-1.0, 1.0), n)
+        lo = rng.uniform(-2, 2, n)
+        hi = lo + rng.uniform(0.5, 3.0, n)
+        etas = rng.uniform(-3, 3, (40, m))
+        signs = tuple("increasing" if v > 0 else "decreasing" for v in b)
+        rows = lambda xs, taus: c + xs @ a + taus @ b
+        value, status = _belief_rows(
+            rows, etas, [LinearUncertain(l, h) for l, h in zip(lo, hi)], signs, 0.0
+        )
+        h0 = c + etas @ a + np.maximum(b * lo, b * hi).sum()
+        span = (np.abs(b) * (hi - lo)).sum()
+        ratio = h0 / span
+        np.testing.assert_allclose(value, np.clip(ratio, 0, 1), rtol=0, atol=1e-9)
+        clear = np.minimum(np.abs(ratio), np.abs(ratio - 1)) > 1e-9
+        expected = np.where(ratio < 0, "forced-zero",
+                            np.where(ratio > 1, "forced-one", "interior-root"))
+        assert (status[clear] == expected[clear]).all()
+
+    def test_first_non_monotone_row_is_reported(self):
+        # row 2 changes sign twice in the belief level (+ - +) and row 4
+        # oscillates; the others are the monotone 0.5 - tau.  The scan
+        # reported is row 2's
+        def rows(xs, taus):
+            eta, tau = xs[:, 0], taus[:, 0]
+            return np.where(eta == 2, (tau - 0.25) * (tau - 0.75),
+                            0.5 - tau + (eta == 4) * np.sin(6 * np.pi * tau))
+
+        etas = np.arange(6.0)[:, None]
+        with pytest.raises(AmbiguousRootError) as excinfo:
+            _belief_rows(rows, etas, [lin01()], ("decreasing",), 0.0)
+        levels = np.linspace(0.0, 1.0, 11)
+        assert [level for level, _ in excinfo.value.scan] == levels.tolist()
+        expected = (levels - 0.25) * (levels - 0.75)
+        np.testing.assert_allclose([v for _, v in excinfo.value.scan], expected,
+                                   rtol=0, atol=1e-12)
+        # without the oscillating rows the batch is monotone and roots at 0.5
+        value, status = _belief_rows(rows, etas[[0, 1, 3, 5]], [lin01()],
+                                     ("decreasing",), 0.0)
+        np.testing.assert_allclose(value, 0.5, atol=1e-9)
+        assert (status == "interior-root").all()
+
+    def test_endpoint_conventions_at_exact_zeros(self):
+        # g = c - tau on [0, 1]: h(0) = c and h(1) = c - 1, so c = 0 is
+        # forced-zero (h(0) <= 0) and c = 1 forced-one (h(1) >= 0)
+        c = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
+        rows = lambda xs, taus: xs[:, 0] - taus[:, 0]
+        value, status = _belief_rows(rows, c[:, None], [lin01()],
+                                     ("decreasing",), 0.0)
+        assert status.tolist() == ["forced-zero", "forced-zero", "interior-root",
+                                   "forced-one", "forced-one"]
+        assert value.tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
+
+
 class TestSupGrid:
     def test_two_variable_case(self):
         f = lambda _x, tau: 1.0 - tau[0] - tau[1]
@@ -203,6 +269,29 @@ class TestChanceDistribution:
             )
             assert grid == pytest.approx(oracle, abs=1e-3)
 
+    @pytest.mark.parametrize("block", [5, None])
+    def test_sum_runs_in_node_order(self, monkeypatch, block):
+        # the integral adds weight * belief node by node in tensor order
+        # (last axis fastest), across node blocks too; oracle: that running
+        # sum over the one-point belief root of each node
+        import itertools
+
+        import hybrel.chance as chance
+        if block is not None:
+            monkeypatch.setattr(chance, "_BLOCK", block)
+        f = lambda x, tau: 0.5 + 0.1 * x[0] - 0.07 * x[1] - tau[0]
+        dists = [Normal(0.0, 1.0), Normal(0.3, 0.8)]
+        profile = MonotonicityProfile(("decreasing",))
+        s, w = chance.gaussian_nodes(16)
+        axes = [d.inv_cdf(s) for d in dists]
+        total = 0.0
+        for i, j in itertools.product(range(len(s)), repeat=2):
+            eta = np.array([axes[0][i], axes[1][j]])
+            total += w[i] * w[j] * belief_at_limit_state(f, eta, [lin01()],
+                                                         profile).value
+        assert chance_exceedance(f, dists, [lin01()], quad_nodes=16,
+                                 profile=profile) == total
+
     def test_monotone_in_threshold(self):
         xs = np.linspace(-3, 3, 20)
         vals = [chance_distribution(self.f, self.dists, self.unc, x) for x in xs]
@@ -240,6 +329,25 @@ class TestChanceDistribution:
         )
         assert err < 1e-9
         value = chance_exceedance(f, self.dists, self.unc)
+        assert value == pytest.approx(oracle, abs=1e-3)
+
+    def test_partial_vanishing_at_the_median_adds_no_sign(self):
+        # d/dtau (1.5 - eta^2 tau) = -eta^2 is zero at the median eta = 0
+        # and negative elsewhere, so the variable is decreasing throughout.
+        # Oracle: the belief is min(1, 1.5 / eta^2)
+        f = lambda x, tau: 1.5 - x[0] ** 2 * tau[0]
+        assert _support_profile(f, self.dists, [lin01()]).signs == ("decreasing",)
+        value = chance_exceedance(f, self.dists, [lin01()], quad_nodes=32)
+        explicit = chance_exceedance(f, self.dists, [lin01()], quad_nodes=32,
+                                     profile=MonotonicityProfile(("decreasing",)))
+        assert value == explicit
+        kink = np.sqrt(1.5)
+        oracle, err = quad(
+            lambda e: min(1.0, 1.5 / e**2 if e else 1.0)
+            * np.exp(-e * e / 2) / np.sqrt(2 * np.pi),
+            -12, 12, limit=400, points=(-kink, kink),
+        )
+        assert err < 1e-9
         assert value == pytest.approx(oracle, abs=1e-3)
 
     def test_dimension_guard(self):

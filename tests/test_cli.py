@@ -119,6 +119,30 @@ class TestRunCommand:
         if not accepted:
             assert "unrecognized arguments" in err
 
+    @pytest.mark.parametrize("command,extra", [
+        ("mcs", ["--samples", "10000"]), ("design-point", []),
+    ])
+    def test_config_keys_a_command_does_not_read(self, capsys, tmp_path,
+                                                 command, extra):
+        # quad_nodes = 10 is out of range, but mcs and design-point never
+        # read it; unknown keys and bad values are still refused
+        cfg = tmp_path / "settings.cfg"
+        argv = [command, "--case", "linear", "--m", "2", "--n", "1", *extra]
+        code, plain, _ = _run(capsys, *argv)
+        assert code == 0
+        cfg.write_text("quad_nodes = 10\n")
+        assert _run(capsys, *argv, "--config", str(cfg))[:2] == (0, plain)
+        for bad in ("warp_speed = 9\n", "quad_nodes = ten\n"):
+            cfg.write_text(bad)
+            assert _run(capsys, *argv, "--config", str(cfg))[0] == 2
+
+    def test_run_range_checks_its_config(self, capsys, tmp_path):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("quad_nodes = 10\n")
+        code, _, err = _run(capsys, "run", "--case", "linear", "--config", str(cfg))
+        assert code == 2
+        assert "quad_nodes must be >= 32" in err
+
     def test_config_unknown_key(self, capsys, tmp_path):
         cfg = tmp_path / "settings.cfg"
         cfg.write_text("warp_speed=9\n")

@@ -406,6 +406,33 @@ class TestReliabilityReference:
         )
         assert r + f == pytest.approx(1.0, abs=2e-6)
 
+    def test_crank_beliefs_go_through_lsf_batch(self):
+        # crank_slider t=0 at 8 nodes: only the profile probes (6 random
+        # points x 4 variables x 6 box probes x 3 calls = 432) stay scalar;
+        # the batch rows are exactly the evaluations the scalar path makes
+        import dataclasses
+
+        from hybrel.benchmarks import case_crank_slider
+        problem = case_crank_slider(0.0).problem
+        calls = {"scalar": 0, "rows": 0}
+
+        def lsf(x, y):
+            calls["scalar"] += 1
+            return problem.lsf(x, y)
+
+        def lsf_batch(x, y):
+            calls["rows"] += len(x)
+            return problem.lsf_batch(x, y)
+
+        scalar_only = dataclasses.replace(problem, lsf=lsf, lsf_batch=None)
+        value = reliability_reference(scalar_only, quad_nodes=8)
+        scalar_calls = calls["scalar"]
+        calls["scalar"] = 0
+        batched = dataclasses.replace(problem, lsf=lsf, lsf_batch=lsf_batch)
+        assert reliability_reference(batched, quad_nodes=8) == value
+        assert calls["scalar"] <= 432
+        assert calls["scalar"] + calls["rows"] == scalar_calls
+
     def test_threshold_parameter(self):
         problem = _pure_random(lambda x, y: -x[0])
         from hybrel.distributions import normal_cdf
