@@ -9,10 +9,14 @@ root, and the chance measure integrates the per-random-input belief over the
 random inputs with a Gaussian-measure tensor quadrature.  Only the
 exceedance orientation is computed: the chance measure is self-dual, so the
 chance distribution Ch{f <= x} is one minus the exceedance.
+
+User limit states are evaluated on arrays of points only through the checked
+`_rows`; the private functions take such a rows callable.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -21,6 +25,7 @@ from .errors import (
     AccuracyError,
     AmbiguousRootError,
     InvalidParameterError,
+    NonFiniteResponseError,
     UnsupportedDimensionError,
 )
 
@@ -41,6 +46,52 @@ _SUPPORT_PROBES = 5  # random points, within 2.5 sigma, re-checked per profile
 _ROOT_TOL = 1e-10  # |h(alpha)| accepted as the belief root
 _PRESCAN = 11  # belief levels scanned for a monotonicity violation
 _BLOCK = 1 << 14  # quadrature nodes per pass of the belief bisection
+_GRID = 201  # grid points per uncertain variable of the grid supremum
+
+
+def _point(x, y):
+    return f"x={np.asarray(x).tolist()}, y={np.asarray(y).tolist()}"
+
+
+def _non_finite(source, value, x, y):
+    return NonFiniteResponseError(f"{source} returned {value} at {_point(x, y)}")
+
+
+def _response(value, x, y):
+    """One limit-state response at the physical point (x, y) as a float: a
+    non-scalar raises InvalidParameterError naming its shape, NaN or an
+    infinity NonFiniteResponseError; both name the point."""
+    if np.shape(value) != ():
+        raise InvalidParameterError(
+            f"limit state returned shape {np.shape(value)}, not a scalar, "
+            f"at {_point(x, y)}"
+        )
+    value = float(value)
+    if not math.isfinite(value):
+        raise _non_finite("limit state", value, x, y)
+    return value
+
+
+def _rows(lsf, lsf_batch, x, y):
+    """Checked responses at the rows of x (N, m) and y (N, n): one
+    `lsf_batch` call, whose result must have shape (N,), when lsf_batch is
+    not None, a per-row `lsf` loop through `_response` otherwise.  A result
+    of the wrong shape raises InvalidParameterError, the first NaN or
+    infinite response NonFiniteResponseError; both name a physical point."""
+    if lsf_batch is None:
+        return np.fromiter((_response(lsf(xi, yi), xi, yi)
+                            for xi, yi in zip(x, y)), float, len(x))
+    values = np.asarray(lsf_batch(x, y), dtype=float)
+    if values.shape != (len(x),):
+        raise InvalidParameterError(
+            f"limit-state batch returned shape {values.shape} for "
+            f"{len(x)} rows, the first at {_point(x[0], y[0])}"
+        )
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = np.flatnonzero(~finite)[0]
+        raise _non_finite("limit state", float(values[i]), x[i], y[i])
+    return values
 
 
 @dataclass(frozen=True)
@@ -84,19 +135,15 @@ class BeliefRoot:
             raise InvalidParameterError("forced-one requires value 1")
 
 
-def _row_loop(f):
-    """Rows form of a scalar limit state f(x, tau): one call per row of the
-    (N, m) and (N, n) arrays, in row order."""
-    return lambda xs, taus: np.fromiter(map(f, xs, taus), float, len(xs))
-
-
-def _profile_at(f, randoms, unc_dists):
+def _profile_at(rows, randoms, unc_dists):
     """Monotonicity profile from central-difference signs at each random
     point in randoms, probed at the support midpoint and at 5 deterministic
-    pseudo-random points of the box.  A probe where the partial vanishes
-    adds no sign; one sign seen is that sign, two are "unknown", and none
-    is "increasing" (either sign is vacuous)."""
+    pseudo-random points of the box, all in one `rows` call.  A probe where
+    the partial vanishes adds no sign; one sign seen is that sign, two are
+    "unknown", and none is "increasing" (either sign is vacuous)."""
     n = len(unc_dists)
+    if n == 0:
+        return MonotonicityProfile(())
     lo = np.array([d.inv(0.0) for d in unc_dists])
     hi = np.array([d.inv(1.0) for d in unc_dists])
     rng = np.random.default_rng(0)
@@ -104,22 +151,22 @@ def _profile_at(f, randoms, unc_dists):
     for _ in range(_BOX_PROBES):
         probes.append(lo + rng.uniform(0.05, 0.95, size=n) * (hi - lo))
 
-    seen = [set() for _ in range(n)]
-    for fixed in randoms:
-        for i in range(n):
-            h = 1e-6 * max(1.0, abs(hi[i] - lo[i]))
-            for tau in probes:
-                tp = tau.copy()
-                tm = tau.copy()
-                tp[i] += h
-                tm[i] -= h
-                diff = f(fixed, tp) - f(fixed, tm)
-                scale = max(1.0, abs(f(fixed, tau)))
-                if abs(diff) <= 1e-12 * scale:
-                    continue
-                seen[i].add("increasing" if diff > 0 else "decreasing")
+    # for each random point, variable i and probe tau: tau + h_i e_i,
+    # tau - h_i e_i and tau itself, in that order
+    h = np.diag(1e-6 * np.maximum(1.0, np.abs(hi - lo)))
+    offsets = np.stack([h, -h, np.zeros_like(h)], axis=1)
+    taus = np.array(probes)[None, :, None, :] + offsets[:, None]
+    k, size = len(randoms), taus.size // n
+    values = rows(np.repeat(np.array(randoms, ndmin=2), size, axis=0),
+                  np.tile(taus.reshape(size, n), (k, 1)))
+    plus, minus, mid = np.moveaxis(values.reshape(k, *taus.shape[:-1]), -1, 0)
+    diff = plus - minus
+    signed = np.abs(diff) > 1e-12 * np.maximum(1.0, np.abs(mid))
+    rising = (signed & (diff > 0)).any(axis=(0, 2))
+    falling = (signed & (diff < 0)).any(axis=(0, 2))
     return MonotonicityProfile(tuple(
-        "unknown" if len(s) > 1 else next(iter(s), "increasing") for s in seen
+        "unknown" if up and down else "decreasing" if down else "increasing"
+        for up, down in zip(rising, falling)
     ))
 
 
@@ -135,10 +182,11 @@ def detect_profile(f, fixed_randoms, unc_dists):
     change elsewhere in the random support; :func:`chance_exceedance`
     re-checks it there.
     """
-    return _profile_at(f, [np.asarray(fixed_randoms, dtype=float)], unc_dists)
+    return _profile_at(partial(_rows, f, None),
+                       [np.asarray(fixed_randoms, dtype=float)], unc_dists)
 
 
-def _support_profile(f, prob_dists, unc_dists):
+def _support_profile(rows, prob_dists, unc_dists):
     """The profile policy of :func:`chance_exceedance`: the signs seen at the
     median random point and at 5 pseudo-random points within 2.5 standard
     deviations of it, combined, so a point where a partial vanishes adds
@@ -148,7 +196,7 @@ def _support_profile(f, prob_dists, unc_dists):
     for z in rng.uniform(-2.5, 2.5, size=(_SUPPORT_PROBES, len(prob_dists))):
         points.append(np.array([d.inv_cdf(normal_cdf(v))
                                 for d, v in zip(prob_dists, z)]))
-    return _profile_at(f, points, unc_dists)
+    return _profile_at(rows, points, unc_dists)
 
 
 def _belief_rows(rows, etas, unc_dists, signs, x):
@@ -216,11 +264,12 @@ def belief_at_limit_state(f, fixed_randoms, unc_dists, profile):
         if not dist.regular:
             raise InvalidParameterError("root finding requires regular distributions")
     fixed = np.array(fixed_randoms, dtype=float, ndmin=2)
-    value, status = _belief_rows(_row_loop(f), fixed, unc_dists, profile.signs, 0.0)
+    value, status = _belief_rows(partial(_rows, f, None), fixed, unc_dists,
+                                 profile.signs, 0.0)
     return BeliefRoot(float(value[0]), str(status[0]))
 
 
-def belief_sup_grid(f, fixed_randoms, unc_dists, grid_per_var=201):
+def belief_sup_grid(f, fixed_randoms, unc_dists, grid_per_var=_GRID):
     """Grid-supremum oracle for the belief degree of {f > 0}.
 
     Scans a tensor grid of the uncertain support box, locates zero crossings
@@ -233,6 +282,14 @@ def belief_sup_grid(f, fixed_randoms, unc_dists, grid_per_var=201):
     Combinatorial in the number of uncertain variables; supported for
     n <= 3 only.
     """
+    return _sup_grid(partial(_rows, f, None),
+                     np.asarray(fixed_randoms, dtype=float), unc_dists,
+                     grid_per_var)
+
+
+def _sup_grid(rows, fixed, unc_dists, grid_per_var):
+    """:func:`belief_sup_grid` at the random point fixed, whose profile
+    probes and grid each make one `rows` call."""
     n = len(unc_dists)
     if n == 0:
         raise InvalidParameterError("at least one uncertain variable required")
@@ -241,8 +298,7 @@ def belief_sup_grid(f, fixed_randoms, unc_dists, grid_per_var=201):
     if grid_per_var < 101:
         raise InvalidParameterError("grid_per_var must be at least 101")
 
-    fixed = np.asarray(fixed_randoms, dtype=float)
-    profile = detect_profile(f, fixed, unc_dists)
+    profile = _profile_at(rows, [fixed], unc_dists)
     if profile.has_unknown:
         raise InvalidParameterError(
             "could not classify monotonicity; the supremum formula needs it"
@@ -252,7 +308,7 @@ def belief_sup_grid(f, fixed_randoms, unc_dists, grid_per_var=201):
     grid = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), -1)
     points = grid.reshape(-1, n)
     xs = np.broadcast_to(fixed, (len(points), fixed.size))
-    values = _row_loop(f)(xs, points).reshape(grid.shape[:-1])
+    values = rows(xs, points).reshape(grid.shape[:-1])
 
     # candidate zero points: the grid points where f is exactly zero, and
     # the interpolated crossing of every sign change along each axis
@@ -301,7 +357,7 @@ def gaussian_nodes(quad_nodes):
     return s, ws
 
 
-def _chance_integral(f, rows, prob_dists, unc_dists, x, quad_nodes, profile):
+def _chance_integral(rows, prob_dists, unc_dists, x, quad_nodes, profile):
     """Tensor-quadrature sum of the belief degree of {f > x} over the random
     nodes, in node order, a block of at most _BLOCK nodes at a time."""
     m = len(prob_dists)
@@ -320,8 +376,8 @@ def _chance_integral(f, rows, prob_dists, unc_dists, x, quad_nodes, profile):
         if not unc_dists:
             belief = np.where(rows(etas, np.empty((node.size, 0))) > x, 1.0, 0.0)
         elif profile.has_unknown:
-            shifted = lambda xr, tau: f(xr, tau) - x
-            belief = np.array([belief_sup_grid(shifted, eta, unc_dists)
+            shifted = lambda xs, taus: rows(xs, taus) - x
+            belief = np.array([_sup_grid(shifted, eta, unc_dists, _GRID)
                                for eta in etas])
         else:
             belief = _belief_rows(rows, etas, unc_dists, profile.signs, x)[0]
@@ -330,17 +386,17 @@ def _chance_integral(f, rows, prob_dists, unc_dists, x, quad_nodes, profile):
     return float(total)
 
 
-def _exceedance(f, rows, prob_dists, unc_dists, x, quad_nodes, profile, verify):
-    """:func:`chance_exceedance` of f, whose beliefs evaluate rows(xs, taus):
-    the responses at the rows of (N, m) and (N, n) arrays."""
+def _exceedance(rows, prob_dists, unc_dists, x, quad_nodes, profile, verify):
+    """:func:`chance_exceedance` of the limit state whose checked responses
+    at the rows of (N, m) and (N, n) arrays are rows(xs, taus)."""
     m = len(prob_dists)
     if m > 3:
         raise UnsupportedDimensionError(
             f"tensor quadrature reference path supports m <= 3, got {m}"
         )
     if profile is None:
-        profile = _support_profile(f, prob_dists, unc_dists)
-    args = (f, rows, prob_dists, unc_dists, x)
+        profile = _support_profile(rows, prob_dists, unc_dists)
+    args = (rows, prob_dists, unc_dists, x)
     value = _chance_integral(*args, quad_nodes, profile)
     if verify:
         check = _chance_integral(*args, 2 * quad_nodes, profile)
@@ -370,8 +426,8 @@ def chance_exceedance(f, prob_dists, unc_dists, x=0.0, quad_nodes=64,
     With verify=True the integral is recomputed at doubled quad_nodes and an
     AccuracyError is raised when the relative change exceeds 1e-6.
     """
-    return _exceedance(f, _row_loop(f), prob_dists, unc_dists, x, quad_nodes,
-                       profile, verify)
+    return _exceedance(partial(_rows, f, None), prob_dists, unc_dists, x,
+                       quad_nodes, profile, verify)
 
 
 def chance_distribution(f, prob_dists, unc_dists, x, quad_nodes=64,

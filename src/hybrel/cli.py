@@ -51,8 +51,10 @@ __all__ = ["main", "run_cli", "CSV_HEADER", "format_float"]
 
 _ALL_SETTINGS = {field.name for field in fields(RunSettings)}
 
-CSV_HEADER = ("case,m,n,beta,d,D,F_lo,F_hi,R_lo,R_hi,"
-              "mcs_p,mcs_ci_lo,mcs_ci_hi,runtime_ms,seed")
+# the report fields of a CSV row, and the leading keys of the JSON object
+_REPORT_FIELDS = ("case", "m", "n", "beta", "d", "D", "F_lo", "F_hi", "R_lo",
+                  "R_hi", "mcs_p", "mcs_ci_lo", "mcs_ci_hi", "runtime_ms", "seed")
+CSV_HEADER = ",".join(_REPORT_FIELDS)
 
 
 def format_float(value):
@@ -63,46 +65,16 @@ def format_float(value):
 
 
 def report_to_csv(report):
-    fields = [
-        report.case,
-        str(report.m),
-        str(report.n),
-        format_float(report.beta),
-        format_float(report.d),
-        format_float(report.D),
-        format_float(report.F_lo),
-        format_float(report.F_hi),
-        format_float(report.R_lo),
-        format_float(report.R_hi),
-        format_float(report.mcs_p),
-        format_float(report.mcs_ci_lo),
-        format_float(report.mcs_ci_hi),
-        format_float(report.runtime_ms),
-        str(report.seed),
-    ]
-    return CSV_HEADER + "\n" + ",".join(fields) + "\n"
+    values = [getattr(report, name) for name in _REPORT_FIELDS]
+    # the case name and the integer fields print as they are
+    cells = [str(value) if isinstance(value, (str, int)) else format_float(value)
+             for value in values]
+    return CSV_HEADER + "\n" + ",".join(cells) + "\n"
 
 
 def report_to_json(report):
-    payload = {
-        "case": report.case,
-        "m": report.m,
-        "n": report.n,
-        "beta": report.beta,
-        "d": report.d,
-        "D": report.D,
-        "F_lo": report.F_lo,
-        "F_hi": report.F_hi,
-        "R_lo": report.R_lo,
-        "R_hi": report.R_hi,
-        "mcs_p": report.mcs_p,
-        "mcs_ci_lo": report.mcs_ci_lo,
-        "mcs_ci_hi": report.mcs_ci_hi,
-        "runtime_ms": report.runtime_ms,
-        "seed": report.seed,
-        "converged": report.converged,
-        "settings": report.settings,
-    }
+    payload = {name: getattr(report, name) for name in _REPORT_FIELDS}
+    payload.update(converged=report.converged, settings=report.settings)
     return json.dumps(payload, indent=2) + "\n"
 
 

@@ -300,9 +300,6 @@ class Normal:
     def inv_cdf(self, p):
         return normal_inv_cdf(p, self.mean, self.stddev)
 
-    def sample(self, rng, size=None):
-        return rng.normal(self.mean, self.stddev, size)
-
 
 @dataclass(frozen=True)
 class LinearUncertain:

@@ -43,9 +43,10 @@ def estimate_failure(problem, samples=1_000_000, confidence=0.95, seed=0):
 
     Randoms draw from their normal distributions, uncertains uniformly from
     their bounds (the oracle's convention, not a statement about their
-    epistemic nature).  Uses the problem's `lsf_batch` when available and
-    falls back to a per-realization loop otherwise, which is only sensible
-    for small sample counts.
+    epistemic nature).  Each chunk goes through `evaluate_rows`: the
+    problem's `lsf_batch` when available, a per-realization loop otherwise,
+    which is only sensible for small sample counts.  A NaN or infinite
+    response raises NonFiniteResponseError; it never counts as safe.
     """
     if samples < 10_000:
         raise InvalidParameterError("samples must be at least 10^4")

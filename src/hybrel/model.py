@@ -11,14 +11,14 @@ root bracketing of `degenerate_random`.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 
 import numpy as np
 
-from .chance import _exceedance
+from .chance import _exceedance, _non_finite, _response, _rows
 from .distributions import LinearUncertain, Normal, normal_cdf
-from .errors import InvalidParameterError, NonFiniteResponseError
+from .errors import InvalidParameterError
 
 __all__ = [
     "RandomVariable",
@@ -81,7 +81,8 @@ class HybridProblem:
     when absent derivatives fall back to central finite differences.  The
     optional `lsf_batch` accepts (N, m) and (N, n) arrays and returns (N,)
     responses; the Monte Carlo oracle, the design-point search's seed grid
-    and the chance-measure reference use it when present.
+    and the chance-measure reference use it when present.  Every response
+    is checked as in `evaluate_rows`.
 
     User callables must tolerate concurrent invocation; the problem itself
     is immutable.
@@ -116,20 +117,11 @@ class HybridProblem:
 
 
 def evaluate_rows(problem, x, y):
-    """Responses at the rows of x (N, m) and y (N, n): one `lsf_batch` call
-    when the problem has one, a per-row `lsf` loop otherwise."""
-    if problem.lsf_batch is not None:
-        return np.asarray(problem.lsf_batch(x, y), dtype=float)
-    return np.fromiter((problem.lsf(x[i], y[i]) for i in range(len(x))),
-                       dtype=float, count=len(x))
-
-
-def _point(x, y):
-    return f"x={np.asarray(x).tolist()}, y={np.asarray(y).tolist()}"
-
-
-def _non_finite(source, value, x, y):
-    return NonFiniteResponseError(f"{source} returned {value} at {_point(x, y)}")
+    """Responses at the rows of x (N, m) and y (N, n): one `lsf_batch`
+    call when the problem has one, a per-row `lsf` loop otherwise.  NaN or
+    an infinity raises NonFiniteResponseError, a non-scalar response or a
+    batch not of shape (N,) InvalidParameterError; both name the point."""
+    return _rows(problem.lsf, problem.lsf_batch, x, y)
 
 
 def fd_gradient(func, point, rel_step=1e-6):
@@ -191,36 +183,17 @@ class StandardizedProblem:
         x = self.means + self.stddevs * u
         y = self.centers + self.half_widths * delta
         value = self.problem.lsf(x, y)
-        if not isinstance(value, float):  # numpy's float64 is a float
-            if np.shape(value) != ():
-                raise InvalidParameterError(
-                    f"limit state returned shape {np.shape(value)}, not a "
-                    f"scalar, at {_point(x, y)}"
-                )
-            value = float(value)
-        if not math.isfinite(value):
-            raise _non_finite("limit state", value, x, y)
-        return value
+        # numpy's float64 is a float; anything else takes the full check
+        if isinstance(value, float) and math.isfinite(value):
+            return value
+        return _response(value, x, y)
 
     def lsf_rows(self, u, deltas):
-        """Responses at fixed u for each row of deltas (N, n): one
-        `lsf_batch` call, whose result must have shape (N,), when the
-        problem has one, `lsf_std` per row otherwise."""
-        if self.problem.lsf_batch is None:
-            return np.array([self.lsf_std(u, delta) for delta in deltas])
+        """Responses at fixed u for each row of deltas (N, n), through
+        `evaluate_rows`."""
         y = self.to_physical_uncertain(deltas)
         x = np.tile(self.to_physical_random(u), (len(y), 1))
-        values = np.asarray(self.problem.lsf_batch(x, y), dtype=float)
-        if values.shape != (len(y),):
-            raise InvalidParameterError(
-                f"limit-state batch returned shape {values.shape} for "
-                f"{len(y)} rows, the first at {_point(x[0], y[0])}"
-            )
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            i = bad[0]
-            raise _non_finite("limit state", float(values[i]), x[i], y[i])
-        return values
+        return evaluate_rows(self.problem, x, y)
 
     def lsf_omega(self, omega):
         m = self.m
@@ -340,8 +313,8 @@ def degenerate_random(problem, quad_nodes=200):
                 total += cdf_hi - cdf_lo
         return min(max(total, 0.0), 1.0)
 
-    return _exceedance(problem.lsf, partial(evaluate_rows, problem),
-                       problem.random_dists(), [], 0.0, quad_nodes, None, False)
+    return _exceedance(partial(evaluate_rows, problem), problem.random_dists(),
+                       [], 0.0, quad_nodes, None, False)
 
 
 def reliability_reference(problem, quad_nodes=64, threshold=0.0, verify=False):
@@ -355,12 +328,11 @@ def reliability_reference(problem, quad_nodes=64, threshold=0.0, verify=False):
     """
     if problem.n == 0:
         if threshold != 0.0:
-            shifted = HybridProblem(
-                lsf=lambda x, y, _f=problem.lsf, _t=threshold: _f(x, y) - _t,
-                randoms=problem.randoms,
-            )
-            return degenerate_random(shifted)
+            lsf, batch = problem.lsf, problem.lsf_batch
+            shifted = lambda x, y: np.subtract(batch(x, y), threshold)
+            problem = replace(problem, lsf=lambda x, y: lsf(x, y) - threshold,
+                              lsf_batch=None if batch is None else shifted)
         return degenerate_random(problem)
-    return _exceedance(problem.lsf, partial(evaluate_rows, problem),
-                       problem.random_dists(), problem.uncertain_dists(),
-                       threshold, quad_nodes, None, verify)
+    return _exceedance(partial(evaluate_rows, problem), problem.random_dists(),
+                       problem.uncertain_dists(), threshold, quad_nodes, None,
+                       verify)

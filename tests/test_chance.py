@@ -336,7 +336,8 @@ class TestChanceDistribution:
         # and negative elsewhere, so the variable is decreasing throughout.
         # Oracle: the belief is min(1, 1.5 / eta^2)
         f = lambda x, tau: 1.5 - x[0] ** 2 * tau[0]
-        assert _support_profile(f, self.dists, [lin01()]).signs == ("decreasing",)
+        rows = lambda xs, taus: 1.5 - xs[:, 0] ** 2 * taus[:, 0]
+        assert _support_profile(rows, self.dists, [lin01()]).signs == ("decreasing",)
         value = chance_exceedance(f, self.dists, [lin01()], quad_nodes=32)
         explicit = chance_exceedance(f, self.dists, [lin01()], quad_nodes=32,
                                      profile=MonotonicityProfile(("decreasing",)))

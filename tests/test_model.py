@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hybrel.benchmarks import BenchmarkCase, run_case
+from hybrel.chance import belief_sup_grid, chance_exceedance, detect_profile
 from hybrel.errors import InvalidParameterError, NonFiniteResponseError
 from hybrel.mcs import estimate_failure
 from hybrel.model import (
@@ -37,6 +39,23 @@ def _pure_uncertain(lsf, bounds):
         UncertainVariable(f"y{i}", lo, hi) for i, (lo, hi) in enumerate(bounds)
     )
     return HybridProblem(lsf=lsf, uncertains=uncertains)
+
+
+def _counted(problem):
+    """problem whose callables count scalar calls and batch rows, and the
+    counts."""
+    calls = {"scalar": 0, "rows": 0}
+
+    def lsf(x, y):
+        calls["scalar"] += 1
+        return problem.lsf(x, y)
+
+    def lsf_batch(x, y):
+        calls["rows"] += len(x)
+        return problem.lsf_batch(x, y)
+
+    batch = None if problem.lsf_batch is None else lsf_batch
+    return replace(problem, lsf=lsf, lsf_batch=batch), calls
 
 
 class TestStandardize:
@@ -183,12 +202,12 @@ class TestGradientOmegaWithoutAnalyticGradient:
         assert got.tobytes() == _fd_oracle(std, omega).tobytes()
 
 
-def _nan_beyond(limit, batch):
-    """3 - x - y, but NaN wherever x > limit."""
+def _nan_beyond(limit, batch, bad=math.nan):
+    """3 - x - y, but NaN (or bad) wherever x > limit."""
     def lsf(x, y):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
-        return np.where(x[..., 0] > limit, math.nan, 3.0 - x[..., 0] - y[..., 0])
+        return np.where(x[..., 0] > limit, bad, 3.0 - x[..., 0] - y[..., 0])
 
     return HybridProblem(
         lsf=lambda x, y: float(lsf(x, y)),
@@ -196,6 +215,19 @@ def _nan_beyond(limit, batch):
         uncertains=(UncertainVariable("y0", -1.0, 1.0),),
         lsf_batch=lsf if batch else None,
     )
+
+
+# the checked oracles, each run on a problem with randoms and uncertains;
+# belief_sup_grid and detect_profile are taken at the random point x = 2
+_ORACLES = {
+    "estimate_failure": lambda p: estimate_failure(p, samples=10_000, seed=0),
+    "reliability_reference": reliability_reference,
+    "chance_exceedance": lambda p: chance_exceedance(p.lsf, p.random_dists(),
+                                                     p.uncertain_dists()),
+    "belief_sup_grid": lambda p: belief_sup_grid(p.lsf, [2.0],
+                                                 p.uncertain_dists()),
+    "detect_profile": lambda p: detect_profile(p.lsf, [2.0], p.uncertain_dists()),
+}
 
 
 class TestNonFiniteResponse:
@@ -261,10 +293,46 @@ class TestNonFiniteResponse:
                                  r"x=\[0\.5\], y=\[-1\.0\]"):
             std.lsf_rows([0.5], deltas)
 
-    def test_monte_carlo_counts_nan_as_safe(self):
-        # the sampling baseline keeps counting g <= 0 only; NaN is not a failure
-        problem = _nan_beyond(-10.0, batch=True)
-        assert estimate_failure(problem, samples=10_000, seed=0).failures == 0
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("oracle, batch", [
+        ("estimate_failure", False), ("estimate_failure", True),
+        ("reliability_reference", False), ("reliability_reference", True),
+        ("chance_exceedance", False), ("belief_sup_grid", False),
+        ("detect_profile", False),
+    ])
+    def test_oracles_name_the_first_bad_point(self, oracle, batch, bad):
+        # the error names the first point, in evaluation order, beyond the
+        # limit; a bad response is never counted as safe or failed
+        seen = []
+        problem = _nan_beyond(1.5, batch, bad)
+        lsf, lsf_batch = problem.lsf, problem.lsf_batch
+
+        def record(x, y):
+            seen.append((np.array(x), np.array(y)))
+            return lsf(x, y)
+
+        def record_rows(x, y):
+            seen.extend(zip(np.array(x), np.array(y)))
+            return lsf_batch(x, y)
+
+        problem = replace(problem, lsf=record,
+                          lsf_batch=record_rows if batch else None)
+        with pytest.raises(NonFiniteResponseError) as excinfo:
+            _ORACLES[oracle](problem)
+        x, y = next((x, y) for x, y in seen if x[0] > 1.5)
+        assert str(excinfo.value) == (f"limit state returned {bad} at "
+                                      f"x={x.tolist()}, y={y.tolist()}")
+
+    @pytest.mark.parametrize("oracle", ["estimate_failure", "reliability_reference"])
+    def test_oracles_name_a_batch_of_wrong_shape(self, oracle):
+        problem = _nan_beyond(10.0, batch=True)
+        lsf_batch = problem.lsf_batch
+        wide = replace(problem,
+                       lsf_batch=lambda x, y: np.stack([lsf_batch(x, y)] * 2, 1))
+        with pytest.raises(InvalidParameterError,
+                           match=r"^limit-state batch returned shape \((\d+), 2\) "
+                                 r"for \1 rows, the first at x=\["):
+            _ORACLES[oracle](wide)
 
 
 class TestFdGradient:
@@ -432,6 +500,42 @@ class TestReliabilityReference:
         assert reliability_reference(batched, quad_nodes=8) == value
         assert calls["scalar"] <= 432
         assert calls["scalar"] + calls["rows"] == scalar_calls
+
+    def test_unclassified_profile_goes_through_lsf_batch(self):
+        # d/dy (0.5 + x y) = x changes sign across the random support, so
+        # every node's belief is a grid supremum: its profile probes and its
+        # grid are one batch call each, the same evaluations as the scalar path
+        g = lambda x, y: 0.5 + x[..., 0] * y[..., 0]
+        problem = HybridProblem(
+            lsf=lambda x, y: float(g(x, y)),
+            randoms=(STD_NORMAL,),
+            uncertains=(UncertainVariable("y0", -1.0, 1.0),),
+            lsf_batch=g,
+        )
+        scalar_only, scalar_calls = _counted(replace(problem, lsf_batch=None))
+        batched, calls = _counted(problem)
+        value = reliability_reference(batched)
+        assert value == reliability_reference(scalar_only)
+        assert calls == {"scalar": 0, "rows": scalar_calls["scalar"]}
+        assert value == pytest.approx(0.8532997719453629, abs=1e-12)
+
+    def test_threshold_keeps_lsf_batch(self):
+        # 3 - x0^2/2 - x1 is not affine, so it takes the m = 2 indicator
+        # quadrature; shifting both callables keeps that quadrature batched.
+        # Oracle: the scalar path of the shifted limit state
+        g = lambda x, y: 3.0 - x[..., 0] ** 2 / 2 - x[..., 1]
+        problem = HybridProblem(
+            lsf=lambda x, y: float(g(x, y)),
+            randoms=(STD_NORMAL, RandomVariable("x1", 0.5, 1.2)),
+            lsf_batch=g,
+        )
+        batched, calls = _counted(problem)
+        value = reliability_reference(batched, threshold=0.4)
+        assert calls["scalar"] <= 3 and calls["rows"] == 40_000
+        shifted = replace(problem, lsf=lambda x, y: float(g(x, y)) - 0.4,
+                          lsf_batch=None)
+        assert value == reliability_reference(shifted)
+        assert value == pytest.approx(0.8806025815702306, abs=1e-12)
 
     def test_threshold_parameter(self):
         problem = _pure_random(lambda x, y: -x[0])
