@@ -61,6 +61,9 @@ def _response(value, x, y):
     """One limit-state response at the physical point (x, y) as a float: a
     non-scalar raises InvalidParameterError naming its shape, NaN or an
     infinity NonFiniteResponseError; both name the point."""
+    # numpy's float64 is a float; anything else takes the full check
+    if isinstance(value, float) and math.isfinite(value):
+        return value
     if np.shape(value) != ():
         raise InvalidParameterError(
             f"limit state returned shape {np.shape(value)}, not a scalar, "
@@ -280,7 +283,9 @@ def belief_sup_grid(f, fixed_randoms, unc_dists, grid_per_var=_GRID):
     conventions apply: 1 if f > 0 over the whole box, 0 if f < 0.
 
     Combinatorial in the number of uncertain variables; supported for
-    n <= 3 only.
+    n <= 3 only.  The formula needs each variable's monotonicity sign at
+    fixed_randoms; a variable that is not monotone there raises
+    AmbiguousRootError.
     """
     return _sup_grid(partial(_rows, f, None),
                      np.asarray(fixed_randoms, dtype=float), unc_dists,
@@ -299,8 +304,8 @@ def _sup_grid(rows, fixed, unc_dists, grid_per_var):
         raise InvalidParameterError("grid_per_var must be at least 101")
 
     profile = _profile_at(rows, [fixed], unc_dists)
-    if profile.has_unknown:
-        raise InvalidParameterError(
+    if profile.has_unknown:  # a limit of this method, not a bad parameter
+        raise AmbiguousRootError(
             "could not classify monotonicity; the supremum formula needs it"
         )
 

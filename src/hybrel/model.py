@@ -10,7 +10,6 @@ problem first tries the exact affine closed form and the one-dimensional
 root bracketing of `degenerate_random`.
 """
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 
@@ -124,19 +123,30 @@ def evaluate_rows(problem, x, y):
     return _rows(problem.lsf, problem.lsf_batch, x, y)
 
 
+def _central_differences(evaluate, point, rel_step):
+    """Central-difference gradient at point from evaluate(rows), the values
+    at the 2k rows of the stencil: row 2i is point + h_i e_i, row 2i + 1 is
+    point - h_i e_i, with h = rel_step * max(1, |point|)."""
+    k = point.size
+    # fmax, like max(1.0, nan), steps a NaN coordinate by rel_step
+    h = rel_step * np.fmax(1.0, np.abs(point))
+    rows = np.repeat(point[None, :], 2 * k, axis=0)
+    # entry i of rows 2i and 2i + 1 sits at i*(2k + 1) and k + i*(2k + 1)
+    # of the flat array
+    flat = rows.reshape(-1)
+    flat[::2 * k + 1] += h
+    flat[k::2 * k + 1] -= h
+    values = evaluate(rows)
+    return (values[0::2] - values[1::2]) / (2 * h)
+
+
 def fd_gradient(func, point, rel_step=1e-6):
     """Central finite-difference gradient with per-coordinate step
-    h = rel_step * max(1, |coordinate|)."""
-    point = np.asarray(point, dtype=float)
-    grad = np.empty_like(point)
-    for i in range(point.size):
-        h = rel_step * max(1.0, abs(point[i]))
-        plus = point.copy()
-        minus = point.copy()
-        plus[i] += h
-        minus[i] -= h
-        grad[i] = (func(plus) - func(minus)) / (2 * h)
-    return grad
+    h = rel_step * max(1, |coordinate|); func is called at point + h_i e_i,
+    then at point - h_i e_i, coordinate by coordinate."""
+    return _central_differences(
+        lambda rows: np.fromiter(map(func, rows), float, len(rows)),
+        np.asarray(point, dtype=float), rel_step)
 
 
 @dataclass(frozen=True)
@@ -182,11 +192,16 @@ class StandardizedProblem:
         """Response at standardized (u, delta), each an array or a sequence."""
         x = self.means + self.stddevs * u
         y = self.centers + self.half_widths * delta
-        value = self.problem.lsf(x, y)
-        # numpy's float64 is a float; anything else takes the full check
-        if isinstance(value, float) and math.isfinite(value):
-            return value
-        return _response(value, x, y)
+        return _response(self.problem.lsf(x, y), x, y)
+
+    def lsf_std_rows(self, u, delta):
+        """Responses at the rows of standardized u (N, m) and delta (N, n):
+        both are mapped to physical coordinates at once, then `lsf` is
+        called once per row, in row order, never `lsf_batch`; each response
+        is checked as `lsf_std` checks it."""
+        x = self.means + self.stddevs * u
+        y = self.centers + self.half_widths * delta
+        return _rows(self.problem.lsf, None, x, y)
 
     def lsf_rows(self, u, deltas):
         """Responses at fixed u for each row of deltas (N, n), through
@@ -203,8 +218,9 @@ class StandardizedProblem:
         """Gradient of the standardized limit state at omega = (u, delta).
 
         Chain rule through the affine maps when an analytic physical
-        gradient is available, central differences otherwise.  A NaN or
-        infinite analytic gradient raises NonFiniteResponseError naming
+        gradient is available, central differences otherwise: the stencil
+        rows of `fd_gradient`, in its order, through `lsf_std_rows`.  A NaN
+        or infinite analytic gradient raises NonFiniteResponseError naming
         the gradient and the physical point.
         """
         omega = np.asarray(omega, dtype=float)
@@ -216,7 +232,10 @@ class StandardizedProblem:
                 raise _non_finite("gradient", phys.tolist(), x, y)
             scale = np.concatenate([self.stddevs, self.half_widths])
             return phys * scale
-        return fd_gradient(self.lsf_omega, omega, self.fd_rel_step)
+        m = self.m
+        return _central_differences(
+            lambda rows: self.lsf_std_rows(rows[:, :m], rows[:, m:]),
+            omega, self.fd_rel_step)
 
 
 def standardize(problem):

@@ -10,6 +10,8 @@ norm of the combined iterate.
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -96,15 +98,16 @@ def _reach(grad, mu):
 
 
 def _breakpoints(mags):
-    """Prefix sums of r(mu) = sum |g_i| clip(mu |g_i|, -1, 1).
+    """Prefix sums of r(mu) = sum |g_i| clip(mu |g_i|, -1, 1), as lists.
 
     r is odd and piecewise linear with kinks at 1/|g_i|.  With mags the
     nonzero |g| in descending order, r(mu) = before[k] + mu*after[k] on the
     k-th segment of mu >= 0, where before[k] = sum_{j<k} mags[j] and
-    after[k] = sum_{j>=k} mags[j]^2.
+    after[k] = sum_{j>=k} mags[j]^2: running sums, before from the largest
+    magnitude and after from the smallest square.
     """
-    before = np.concatenate(([0.0], np.cumsum(mags[:-1])))
-    after = np.cumsum((mags * mags)[::-1])[::-1]
+    before = list(accumulate(mags[:-1], initial=0.0))
+    after = list(accumulate(g * g for g in reversed(mags)))[::-1]
     return before, after
 
 
@@ -117,7 +120,7 @@ def _reach_inverse(before, after, level):
     levels mirror.  Rounding moves r at the result by at most
     (n+2)*eps*|level| plus n*eps*sum |g|.
     """
-    mu = float(np.max((abs(level) - before) / after))
+    mu = max((abs(level) - b) / a for b, a in zip(before, after))
     return math.copysign(mu, level)
 
 
@@ -137,15 +140,19 @@ def _solve_box_qp(grad, target):
     the goal and every mu above r^-1(goal + 2*slack) does not; the second
     slack covers the rounding of the inverse.  Where |mu|*min|g| >= 1
     every coordinate clips, and the float reach is bitwise the one already
-    computed at the end of that sign.  The steps taken, and so the result,
-    are those of the plain bisection.
+    computed at the end of that sign.  Only the float reach decides a
+    step whose outcome these bounds leave open, so with any bounds that
+    hold, the steps taken, and so the result, are those of the plain
+    bisection.
     """
     gnorm_sq = float(grad @ grad)
     if gnorm_sq < 1e-30:
         return np.zeros_like(grad)
 
-    mags = np.sort(np.abs(grad[grad != 0]))[::-1]
-    gmin = float(mags[-1])
+    # the set-up runs on Python floats: numpy costs more than it saves on
+    # the dozen or so entries of a box gradient
+    mags = sorted((abs(g) for g in grad.tolist() if g != 0.0), reverse=True)
+    gmin = mags[-1]
     mu_max = (1.0 + abs(target)) / gnorm_sq + 1.0 / gmin
     lo, hi = -mu_max, mu_max
     top = _reach(grad, hi)
@@ -155,7 +162,7 @@ def _solve_box_qp(grad, target):
     before, after = _breakpoints(mags)
     below, above = -math.inf, math.inf
     if 0.0 < after[-1] and after[0] < math.inf:  # no square under- or overflowed
-        total = float(before[-1] + mags[-1])
+        total = before[-1] + mags[-1]
         slack = _BOX_SLACK * (grad.size + 2) * _EPS * total
         reachable = total * (1.0 - (grad.size + 1) * _EPS)  # <= the exact sum
         if goal - 2.0 * slack > -reachable:
@@ -198,6 +205,21 @@ def _ua_refine(std, u_fixed, delta0):
     return delta
 
 
+@lru_cache(maxsize=None)
+def _corners(n):
+    """The corner seeds of the n-dimensional unit box (n >= 4), read-only:
+    all 2^n in lexicographic order of their signs when 2^n <= 128, else
+    128 drawn with a fixed seed."""
+    if 2 ** n <= 128:
+        bits = np.array(list(np.ndindex(*(2,) * n)))
+    else:
+        rng = np.random.default_rng(0)
+        bits = rng.integers(0, 2, size=(128, n))
+    corners = np.where(bits == 1, 1.0, -1.0)
+    corners.flags.writeable = False
+    return corners
+
+
 def ua_step(std, u_fixed):
     """Uncertain-variable design point at fixed Gaussian coordinates.
 
@@ -206,7 +228,7 @@ def ua_step(std, u_fixed):
     For n <= 3 a dense grid of 21 points per axis, evaluated in one
     `lsf_rows` call, seeds the refinement; beyond that the refinement runs
     from the box center and from the best corner, keeping whichever lands
-    better.
+    better.  The corners are scalar calls through `lsf_std_rows`.
     """
     u_fixed = np.asarray(u_fixed, dtype=float)
     n = std.n
@@ -223,13 +245,9 @@ def ua_step(std, u_fixed):
         nearest = points[np.argsort(np.abs(values))[:_UA_GRID]]
         candidates.append(min(nearest, key=np.linalg.norm))
     else:
-        if 2 ** n <= 128:
-            bits = np.array(list(np.ndindex(*(2,) * n)))
-        else:
-            rng = np.random.default_rng(0)
-            bits = rng.integers(0, 2, size=(128, n))
-        corner_pts = np.where(bits == 1, 1.0, -1.0)
-        corner_vals = np.array([std.lsf_std(u_fixed, p) for p in corner_pts])
+        corner_pts = _corners(n)
+        us = np.broadcast_to(u_fixed, (len(corner_pts), u_fixed.size))
+        corner_vals = std.lsf_std_rows(us, corner_pts)
         candidates.append(corner_pts[int(np.argmin(np.abs(corner_vals)))])
 
     best = None

@@ -11,9 +11,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hybrel.benchmarks import BenchmarkCase, run_case
+from hybrel.benchmarks import (
+    BenchmarkCase,
+    case_cantilever_tube,
+    case_crank_slider,
+    run_case,
+)
 from hybrel.chance import belief_sup_grid, chance_exceedance, detect_profile
-from hybrel.errors import InvalidParameterError, NonFiniteResponseError
+from hybrel.errors import (
+    AmbiguousRootError,
+    InvalidParameterError,
+    NonFiniteResponseError,
+)
 from hybrel.mcs import estimate_failure
 from hybrel.model import (
     HybridProblem,
@@ -200,6 +209,120 @@ class TestGradientOmegaWithoutAnalyticGradient:
                                 rng.uniform(-1.0, 1.0, size=n)])
         got = std.gradient_omega(omega)
         assert got.tobytes() == _fd_oracle(std, omega).tobytes()
+
+
+def _recorded(problem):
+    """problem whose lsf records the bytes of each physical point it is
+    called at and whose lsf_batch counts its rows, and the record."""
+    record = {"points": [], "rows": 0}
+
+    def lsf(x, y):
+        record["points"].append((x.tobytes(), y.tobytes()))
+        return problem.lsf(x, y)
+
+    def lsf_batch(x, y):
+        record["rows"] += len(x)
+        return problem.lsf_batch(x, y)
+
+    batch = None if problem.lsf_batch is None else lsf_batch
+    return replace(problem, lsf=lsf, lsf_batch=batch), record
+
+
+def _assert_stencil_is_fd_gradients(problem, omega):
+    """gradient_omega calls lsf at fd_gradient's points over lsf_omega, in
+    its order, never lsf_batch, and returns the same bytes."""
+    std, record = _recorded(problem)
+    std = standardize(std)
+    got = std.gradient_omega(omega)
+    stencil = record["points"][:]
+    record["points"].clear()
+    want = fd_gradient(std.lsf_omega, omega, std.fd_rel_step)
+    assert len(stencil) == 2 * omega.size
+    assert stencil == record["points"]
+    assert got.tobytes() == want.tobytes()
+    assert record["rows"] == 0
+
+
+class TestStencilRows:
+    """The finite-difference stencil is mapped once and evaluated one
+    scalar call per row, at the points fd_gradient visits."""
+
+    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize("case", [case_crank_slider(40.0),
+                                      case_cantilever_tube()],
+                             ids=["crank_slider_t40", "cantilever_tube"])
+    def test_builtin_cases(self, case, batch):
+        problem = case.problem if batch else replace(case.problem, lsf_batch=None)
+        rng = np.random.default_rng(3)
+        omega = np.concatenate([rng.normal(size=problem.m),
+                                rng.uniform(-1.0, 1.0, size=problem.n)])
+        _assert_stencil_is_fd_gradients(problem, omega)
+
+    @given(
+        m=st.integers(1, 4),
+        n=st.integers(0, 4),
+        curvature=st.sampled_from([0.0, 0.05, -0.3]),
+        batch=st.booleans(),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_affine_and_quadratic(self, m, n, curvature, batch, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(-3.0, 3.0, size=m + n)
+        constant = float(rng.uniform(-5.0, 5.0))
+
+        def lsf(x, y):
+            w = np.concatenate([x, y], axis=-1)
+            return constant + w @ weights + curvature * np.sum(w * w, axis=-1)
+
+        lower = rng.uniform(-10.0, 10.0, size=n)
+        problem = HybridProblem(
+            lsf=lsf,
+            randoms=tuple(RandomVariable(f"x{i}", float(mu), float(sd))
+                          for i, (mu, sd) in enumerate(
+                              zip(rng.uniform(-10.0, 10.0, size=m),
+                                  rng.uniform(0.1, 5.0, size=m)))),
+            uncertains=tuple(UncertainVariable(f"y{j}", float(lo), float(lo + w))
+                             for j, (lo, w) in enumerate(
+                                 zip(lower, rng.uniform(0.1, 8.0, size=n)))),
+            lsf_batch=lsf if batch else None,
+        )
+        omega = np.concatenate([rng.normal(size=m) * 2.0,
+                                rng.uniform(-1.0, 1.0, size=n)])
+        _assert_stencil_is_fd_gradients(problem, omega)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "shape"])
+    @pytest.mark.parametrize("row", [0, 3, 5])
+    def test_bad_row_names_its_point(self, bad, row):
+        # one stencil row (+h on u0, -h on u1, -h on delta0) answers bad;
+        # the error is the one lsf_std raises at that point
+        omega = np.array([0.3, -0.2, 0.4])
+        points = []
+        fd_gradient(lambda w: points.append(w.copy()) or 0.0, omega)
+        u, delta = points[row][:2], points[row][2:]
+        base = HybridProblem(
+            lsf=lambda x, y: 3.0 - x[0] - 0.5 * x[1] - y[0],
+            randoms=(RandomVariable("x0", 1.0, 2.0), RandomVariable("x1", 0.0, 0.5)),
+            uncertains=(UncertainVariable("y0", -1.0, 3.0),),
+        )
+        std = standardize(base)
+        target = (std.to_physical_random(u).tobytes(),
+                  std.to_physical_uncertain(delta).tobytes())
+
+        def lsf(x, y):
+            value = base.lsf(x, y)
+            if (x.tobytes(), y.tobytes()) != target:
+                return value
+            return np.array([value]) if bad == "shape" else bad
+
+        std = standardize(replace(base, lsf=lsf))
+        error = InvalidParameterError if bad == "shape" else NonFiniteResponseError
+        with pytest.raises(error) as from_stencil:
+            std.gradient_omega(omega)
+        with pytest.raises(error) as from_point:
+            std.lsf_std(u, delta)
+        assert str(from_stencil.value) == str(from_point.value)
+        x, y = std.to_physical_random(u), std.to_physical_uncertain(delta)
+        assert str(from_point.value).endswith(f"at x={x.tolist()}, y={y.tolist()}")
 
 
 def _nan_beyond(limit, batch, bad=math.nan):
@@ -544,3 +667,26 @@ class TestReliabilityReference:
         assert reliability_reference(problem, threshold=1.0) == pytest.approx(
             normal_cdf(-1.0), abs=1e-9
         )
+
+    def test_non_monotone_uncertain_input_is_ambiguous(self):
+        # d/dy0 = -2 (y0 - 0.3) changes sign inside [-1, 1] at every random
+        # point, so neither the root nor the grid supremum applies: the
+        # problem is well posed, the method has no answer for it
+        problem = HybridProblem(
+            lsf=lambda x, y: 0.2 + x[0] - (y[0] - 0.3) ** 2,
+            randoms=(STD_NORMAL,),
+            uncertains=(UncertainVariable("y0", -1.0, 1.0),),
+        )
+        with pytest.raises(AmbiguousRootError,
+                           match="^could not classify monotonicity; the "
+                                 "supremum formula needs it$") as excinfo:
+            reliability_reference(problem, quad_nodes=16)
+        assert not isinstance(excinfo.value, ValueError)
+
+
+def test_tube_design_point_calls():
+    # perfbench's traced run pins this count; a change to the search that
+    # moves it shows here first
+    problem, calls = _counted(case_cantilever_tube().problem)
+    find_design_point(standardize(problem))
+    assert calls == {"scalar": 12_960, "rows": 0}

@@ -7,11 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hybrel import solver
-from hybrel.errors import DegenerateGradientError, InvalidParameterError
+from hybrel.errors import (
+    DegenerateGradientError,
+    InvalidParameterError,
+    NonFiniteResponseError,
+)
 from hybrel.model import HybridProblem, RandomVariable, UncertainVariable, standardize
 from hybrel.solver import (
     SolverSettings,
     _breakpoints,
+    _corners,
     _reach,
     _reach_inverse,
     _solve_box_qp,
@@ -213,6 +218,42 @@ class TestUaStep:
     def test_empty_for_no_uncertains(self):
         std = _linear_std([-1.0], 3.0, 1, 0)
         assert ua_step(std, np.array([0.0])).size == 0
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_corners_built_once_per_n(self, n):
+        # the reference: every sign pattern in np.ndindex order up to 128
+        # corners, 128 seeded draws beyond
+        if 2 ** n <= 128:
+            bits = np.array(list(np.ndindex(*(2,) * n)))
+        else:
+            bits = np.random.default_rng(0).integers(0, 2, size=(128, n))
+        corners = _corners(n)
+        assert corners.tobytes() == np.where(bits == 1, 1.0, -1.0).tobytes()
+        assert _corners(n) is corners
+        assert not corners.flags.writeable
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "shape"])
+    def test_bad_corner_names_its_point(self, bad):
+        # the corner (-1, 1, 1, -1) answers bad; the error is the one
+        # lsf_std raises there
+        corner = np.array([-1.0, 1.0, 1.0, -1.0])
+        u = np.array([0.25])
+
+        def lsf(x, y):
+            value = 2.5 - x[0] - np.sum(y)
+            if y.tolist() != corner.tolist():
+                return value
+            return np.array([value]) if bad == "shape" else bad
+
+        std = _std(lsf, 1, 4)
+        error = InvalidParameterError if bad == "shape" else NonFiniteResponseError
+        with pytest.raises(error) as from_corner:
+            ua_step(std, u)
+        with pytest.raises(error) as from_point:
+            std.lsf_std(u, corner)
+        assert str(from_corner.value) == str(from_point.value)
+        assert str(from_point.value).endswith(
+            "at x=[0.25], y=[-1.0, 1.0, 1.0, -1.0]")
 
 
 class TestPaStep:
