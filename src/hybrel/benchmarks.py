@@ -1,11 +1,11 @@
 """Built-in benchmark cases and the end-to-end case runner.
 
 Three desk-scale cases: a configurable linear limit state, a crank-slider
-mechanism and a cantilever tube.  Limit-state functions unpack their inputs
-through the transpose, so the same formula serves both contracts: a point
-(vectors of length m and n) unpacks into numpy scalars, which are much
-cheaper than 0-d arrays, and a Monte Carlo batch ((N, m) and (N, n)
-arrays) unpacks into columns.
+mechanism and a cantilever tube.  The physical limit states unpack their
+inputs through one helper, so the same formula serves both contracts: a
+point (vectors of length m and n) unpacks into Python floats, whose
+arithmetic is much cheaper than numpy scalars' and rounds the same, and a
+Monte Carlo batch ((N, m) and (N, n) arrays) unpacks into columns.
 
 Both physical cases carry a stress-calibration constant.  Their source
 parameter tables mix unit conventions (kN-scale loads against MPa-scale
@@ -76,6 +76,12 @@ class BenchmarkCase:
         return self.problem.n
 
 
+def _columns(values):
+    """A point's coordinates as Python floats, a batch's as its columns."""
+    values = np.asarray(values, dtype=float)
+    return values.tolist() if values.ndim == 1 else values.T
+
+
 # ---------------------------------------------------------------------------
 # linear case
 # ---------------------------------------------------------------------------
@@ -136,7 +142,7 @@ def _crank_stress(d1, d2, a, b, big_p, e, t):
     mu = 0.30 + 0.002 * t
     ba = b - a
     disc = ba * ba - e * e
-    # count_nonzero answers for a numpy scalar several times faster than any
+    # count_nonzero answers for a scalar several times faster than any
     if np.count_nonzero(disc <= 0.0):
         raise InvalidGeometryError("coupler shorter than the offset: (b-a)^2 <= e^2")
     section = d2 * d2 - d1 * d1
@@ -156,10 +162,8 @@ def _crank_lsf(m, n, t):
         raise InvalidParameterError("t must lie in [0, 40]")
 
     def lsf(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        d1, d2, strength = x.T
-        a, b, big_p, e = y.T
+        d1, d2, strength = _columns(x)
+        a, b, big_p, e = _columns(y)
         stress = _crank_stress(d1, d2, a, b, big_p * 1e3, e, t)
         return strength * 1e3 - CRANK_STRESS_SCALE * stress
 
@@ -194,8 +198,8 @@ def _tube_max_stress(wall, d, length1, length2, th1, th2, f1, f2, p, torque):
     diameters, which dimensional consistency of the bending term requires.
     """
     inner = d - 2.0 * wall
-    # ** on a numpy scalar calls the C library's pow, whose last bit can
-    # differ from the array loops; square and power round alike on both
+    # ** on a scalar calls the C library's pow, whose last bit can differ
+    # from the array loops; square and power round alike on both
     area = (np.pi / 4.0) * (d * d - np.square(inner))
     second = (np.pi / 64.0) * (np.power(d, 4) - np.power(inner, 4))
     moment = f1 * length1 * np.cos(th1) + f2 * length2 * np.cos(th2)
@@ -212,10 +216,8 @@ def _tube_lsf(m, n):
         )
 
     def lsf(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        wall, d, l1, l2, strength, noise = x.T
-        th1, th2, f1, f2, p, torque = y.T
+        wall, d, l1, l2, strength, noise = _columns(x)
+        th1, th2, f1, f2, p, torque = _columns(y)
         stress = _tube_max_stress(wall, d, l1, l2, np.deg2rad(th1), np.deg2rad(th2),
                                   f1 * 1e3, f2 * 1e3, p * 1e3, torque * 1e3)
         return strength - TUBE_STRESS_SCALE * stress + noise

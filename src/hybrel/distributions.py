@@ -6,6 +6,12 @@ the cosine of the angle between a random direction and a fixed unit vector).
 Uncertainty side: the linear (interval) family with its cumulative function
 and exact inverse.
 
+Every dimension is an integer, so the chi-square and cosine-angle laws
+have cumulative functions that are finite sums of positive terms
+(Abramowitz & Stegun 26.4.4-5 and the sin^k reduction formula); they are
+evaluated in that closed form with the standard library's erfc and lgamma,
+and only the normal law calls scipy.special, imported on first use.
+
 All evaluation functions accept scalars or numpy arrays and return a matching
 shape; scalar inputs come back as Python floats.  Every object is immutable
 after construction and every function is pure, so concurrent use is safe.
@@ -15,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, gammainc, gammaincinv, gammaln, ndtr, ndtri
 
 from .errors import InvalidParameterError
 
@@ -71,6 +76,8 @@ def normal_cdf(x, mean=0.0, stddev=1.0):
         raise InvalidParameterError(f"stddev must be positive, got {stddev!r}")
     if not np.isfinite(mean):
         raise InvalidParameterError(f"mean must be finite, got {mean!r}")
+    from scipy.special import ndtr
+
     arr = _as_array(x, "x")
     return _maybe_scalar(ndtr((arr - mean) / stddev), x)
 
@@ -86,6 +93,8 @@ def normal_pdf(x, mean=0.0, stddev=1.0):
 
 def normal_inv_cdf(p, mean=0.0, stddev=1.0):
     """Quantile function of N(mean, stddev); p must lie in (0, 1)."""
+    from scipy.special import ndtri
+
     arr = _as_array(p, "p")
     if np.any(arr <= 0) or np.any(arr >= 1):
         raise InvalidParameterError("p must lie strictly inside (0, 1)")
@@ -95,6 +104,120 @@ def normal_inv_cdf(p, mean=0.0, stddev=1.0):
 # ---------------------------------------------------------------------------
 # chi / chi-square family
 # ---------------------------------------------------------------------------
+
+_EPS = float(np.finfo(float).eps)
+# the gamma terms start from exp(-y), which underflows past y = 745; up to
+# this dof the mass the sums then miss stays below 1e-19
+_MAX_GAMMA_DOF = 1000
+_NEWTON_STEPS = 100
+_MAX_LOG_STEP = 40.0
+
+
+def _gamma_tails(dof, y):
+    """Regularized incomplete gamma functions (P, Q) at a = dof/2 and y >= 0.
+
+    With a = k + h (h = 0 for even dof, 1/2 for odd) both tails are sums of
+    the positive terms t_j = exp(-y) y^(j+h) / Gamma(j+h+1), each one the
+    one before times y/(j+h):
+
+        Q = sum_{j<k} t_j  (plus erfc(sqrt(y)) for odd dof),
+        P = sum_{j>=k} t_j.
+
+    Below y = a + 1 the series for P converges fast and Q = 1 - P; from
+    there on the finite sum gives Q and P = 1 - Q, so the smaller tail
+    always keeps its full relative accuracy.
+    """
+    if dof > _MAX_GAMMA_DOF:
+        raise InvalidParameterError(
+            f"dof must be at most {_MAX_GAMMA_DOF}, got {dof!r}"
+        )
+    flat = y.reshape(-1)
+    k, odd = divmod(dof, 2)
+    a = dof / 2
+    term = np.exp(-flat)
+    if odd:  # times y^(1/2) / Gamma(3/2)
+        term = term * 2.0 * np.sqrt(flat / math.pi)
+    head = np.zeros_like(flat)
+    for j in range(1, k + 1):
+        head += term
+        term = term * flat / (j + odd / 2)
+    lower_p = np.empty_like(flat)
+    upper_q = np.empty_like(flat)
+    low = flat < a + 1
+    if np.any(low):
+        y_low = flat[low]
+        t = term[low]
+        total = t.copy()
+        step = 0
+        while np.any(t > _EPS * total):
+            step += 1
+            t = t * y_low / (a + step)
+            total += t
+        lower_p[low] = total
+        upper_q[low] = 1.0 - total
+    high = ~low
+    if np.any(high):
+        q = head[high]
+        if odd:
+            q = q + np.array([math.erfc(math.sqrt(v)) for v in flat[high].tolist()])
+        upper_q[high] = q
+        lower_p[high] = 1.0 - q
+    return lower_p.reshape(y.shape), upper_q.reshape(y.shape)
+
+
+def _gamma_quantile(dof, p):
+    """y >= 0 with P(dof/2, y) = p for 0 <= p < 1.
+
+    Newton's method on the logarithm of the smaller tail (Q above the
+    median, P below it) as a function of log(y): both are concave there, so
+    after at most one overshoot the steps approach the root from one side,
+    and the smaller tail's relative accuracy carries to the far tails.
+    Every evaluation shrinks a bracket on the root; a step that leaves the
+    bracket bisects it (geometrically) instead, and one step changes y by
+    at most a factor exp(_MAX_LOG_STEP).  A root below the smallest
+    positive double comes back as 0.
+    """
+    if p == 0.0:
+        return 0.0
+    a = dof / 2
+    upper = p > 0.5
+    target = math.log(1.0 - p if upper else p)
+    lo, hi = 0.0, math.inf
+    y = a
+    for _ in range(_NEWTON_STEPS):
+        lower_p, upper_q = _gamma_tails(dof, np.array([y]))
+        tail = float(upper_q[0] if upper else lower_p[0])
+        excess = math.log(tail) - target if tail > 0.0 else -math.inf
+        if excess == 0.0:
+            return y
+        # log Q falls with y and log P rises
+        if (excess > 0.0) != upper:
+            hi = y
+        else:
+            lo = y
+        # |d log(tail) / d log(y)| = y * density / tail
+        slope = 0.0
+        if tail > 0.0:
+            slope = math.exp(a * math.log(y) - y - math.lgamma(a)) / tail
+        if slope > 0.0:
+            step = min(max(excess / slope, -_MAX_LOG_STEP), _MAX_LOG_STEP)
+            candidate = y * math.exp(step if upper else -step)
+        else:
+            candidate = math.nan
+        if not lo < candidate < hi:
+            if hi == math.inf:
+                candidate = 2.0 * y
+            elif lo == 0.0:
+                candidate = hi * math.exp(-_MAX_LOG_STEP)
+            else:
+                candidate = math.sqrt(lo) * math.sqrt(hi)
+        if candidate == 0.0:
+            return 0.0
+        if abs(candidate - y) <= 2.0 * _EPS * candidate:
+            return candidate
+        y = candidate
+    return y
+
 
 def chi_square_pdf(x, dof):
     """Chi-square density with `dof` degrees of freedom; zero for x <= 0."""
@@ -108,7 +231,7 @@ def chi_square_pdf(x, dof):
             (dof / 2 - 1) * np.log(xp)
             - xp / 2
             - (dof / 2) * math.log(2)
-            - gammaln(dof / 2)
+            - math.lgamma(dof / 2)
         )
         out[pos] = np.exp(log_pdf)
     return _maybe_scalar(out, x)
@@ -118,7 +241,7 @@ def chi_square_cdf(x, dof):
     """Chi-square cumulative distribution."""
     dof = _check_dof(dof)
     arr = _as_array(x, "x")
-    return _maybe_scalar(gammainc(dof / 2, np.maximum(arr, 0.0) / 2), x)
+    return _maybe_scalar(_gamma_tails(dof, np.maximum(arr, 0.0) / 2)[0], x)
 
 
 def chi_square_ppf(p, dof):
@@ -127,7 +250,8 @@ def chi_square_ppf(p, dof):
     arr = _as_array(p, "p")
     if np.any(arr < 0) or np.any(arr >= 1):
         raise InvalidParameterError("p must lie in [0, 1)")
-    return _maybe_scalar(2 * gammaincinv(dof / 2, arr), p)
+    quantiles = [2.0 * _gamma_quantile(dof, value) for value in arr.ravel().tolist()]
+    return _maybe_scalar(np.reshape(quantiles, arr.shape), p)
 
 
 def chi_pdf(x, dof):
@@ -146,7 +270,7 @@ def chi_pdf(x, dof):
             (1 - dof / 2) * math.log(2)
             + (dof - 1) * np.log(xp)
             - xp * xp / 2
-            - gammaln(dof / 2)
+            - math.lgamma(dof / 2)
         )
         out[pos] = np.exp(log_pdf)
     return _maybe_scalar(out, x)
@@ -157,7 +281,7 @@ def chi_cdf(x, dof):
     dof = _check_dof(dof)
     arr = _as_array(x, "x")
     xp = np.maximum(arr, 0.0)
-    return _maybe_scalar(gammainc(dof / 2, xp * xp / 2), x)
+    return _maybe_scalar(_gamma_tails(dof, xp * xp / 2)[0], x)
 
 
 def shifted_chi_pdf(v, dof, shift):
@@ -179,7 +303,7 @@ def shifted_chi_pdf(v, dof, shift):
     if np.any(pos):
         vp = arr[pos]
         q = vp * vp - shift
-        base = (1 - dof / 2) * math.log(2) - q / 2 - gammaln(dof / 2)
+        base = (1 - dof / 2) * math.log(2) - q / 2 - math.lgamma(dof / 2)
         log_pdf = base + np.log(vp) + (dof / 2 - 1) * np.log(q)
         out[pos] = np.exp(log_pdf)
     return _maybe_scalar(out, v)
@@ -192,7 +316,7 @@ def shifted_chi_cdf(v, dof, shift):
         raise InvalidParameterError(f"shift must be >= 0, got {shift!r}")
     arr = _as_array(v, "v")
     q = np.maximum(arr * arr - shift, 0.0)
-    return _maybe_scalar(gammainc(dof / 2, q / 2), v)
+    return _maybe_scalar(_gamma_tails(dof, q / 2)[0], v)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +349,8 @@ def cos_angle_pdf(v, total_dim):
         vi = arr[inside]
         theta = np.arccos(vi)
         shape = np.sin(theta) ** (total_dim - 2) / np.sqrt(1.0 - vi * vi)
-        log_norm = (0.5 * math.log(math.pi) + gammaln((total_dim - 1) / 2)
-                    - gammaln(total_dim / 2))
+        log_norm = (0.5 * math.log(math.pi) + math.lgamma((total_dim - 1) / 2)
+                    - math.lgamma(total_dim / 2))
         out[inside] = shape * math.exp(-log_norm)
     return _maybe_scalar(out, v)
 
@@ -234,15 +358,32 @@ def cos_angle_pdf(v, total_dim):
 def cos_angle_cdf(v, total_dim):
     """Cumulative distribution of the cosine-angle family.
 
-    Uses the equivalent symmetric-beta form: (1+v)/2 follows a
-    Beta(a, a) law with a = (total_dim-1)/2.  The test suite checks this
-    against direct quadrature of :func:`cos_angle_pdf`.
+    For v >= 0 and theta = arccos(v) it is G_(N-2), the share of the sphere's
+    weight sin^k on [theta, pi] with k = total_dim - 2 = N - 2.  Integrating
+    sin^k by parts steps k by two with positive terms,
+
+        G_k = G_(k-2) + sin(theta)^(k-1) v / ((k-1) W_(k-2)),
+        W_k = W_(k-2) (k-1) / k,
+
+    from G_0 = arccos(-v)/pi, W_0 = pi (even N) or G_1 = (1+v)/2, W_1 = 2
+    (odd N), W_k being the integral of sin^k over [0, pi]; the law's
+    symmetry gives 1 - G for v < 0.  This is the regularized incomplete
+    beta I_((1+v)/2)(a, a), a = (N-1)/2, in closed form; the test suite
+    checks it against direct quadrature of :func:`cos_angle_pdf`.
     """
     total_dim = _check_total_dim(total_dim)
     arr = _as_array(v, "v")
-    a = (total_dim - 1) / 2
-    u = np.clip((arr + 1.0) / 2.0, 0.0, 1.0)
-    return _maybe_scalar(betainc(a, a, u), v)
+    c = np.minimum(np.abs(arr), 1.0)
+    sin_sq = (1.0 - c) * (1.0 + c)
+    if total_dim % 2 == 0:
+        share, weight, power = np.arccos(-c) / math.pi, math.pi, np.sqrt(sin_sq)
+    else:
+        share, weight, power = (1.0 + c) / 2.0, 2.0, sin_sq
+    for k in range(2 + total_dim % 2, total_dim - 1, 2):
+        share = share + power * c / ((k - 1) * weight)
+        weight = weight * (k - 1) / k
+        power = power * sin_sq
+    return _maybe_scalar(np.where(arr < 0.0, 1.0 - share, share), v)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,12 @@ The radius integral runs over the chi law of the m random coordinates,
 truncated at its 1 - 1e-10 quantile, as a Gauss-Legendre rule in s with
 r = lo + span*s^2 starting at the kink radius sqrt(offset^2 - shift); the
 quadratic stretch absorbs the square-root behaviour of the angle threshold
-there.  The angle mass at each radius is closed form: (1 + cosine)/2 follows
-a symmetric beta law, so the safe share is a regularized incomplete beta
-(cos_angle_cdf).  A whole sweep is evaluated as one (shifts x nodes) array.
+there.  The angle mass at each radius is closed form: the cosine-angle law
+at integer dimension has a cumulative function that is a finite sum of
+positive terms (cos_angle_cdf).  A whole sweep is evaluated as one
+(shifts x nodes) array.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 import math
@@ -107,6 +107,12 @@ def _gl_rule(nodes):
     return t, w
 
 
+@lru_cache(maxsize=None)
+def _radius_cap(m):
+    """The chi(m) radius at which the integral truncates."""
+    return math.sqrt(chi_square_ppf(1.0 - _TAIL, m))
+
+
 def _broadcast_reliability(reduced, shifts, quad_nodes):
     """Reliabilities at a 1-D array of shifts, one (shifts x nodes) broadcast."""
     offset = reduced.offset
@@ -118,7 +124,7 @@ def _broadcast_reliability(reduced, shifts, quad_nodes):
         # the exact Gaussian tail
         return np.full(shifts.shape, float(normal_cdf(offset)))
 
-    r_max = math.sqrt(chi_square_ppf(1.0 - _TAIL, m))
+    r_max = _radius_cap(m)
     # below the kink radius sqrt(offset^2 - shift) the safe event holds for
     # every angle when offset > 0 and for none when offset < 0; that mass is
     # analytic (chi_square_cdf is zero where there is no kink)
@@ -202,6 +208,9 @@ def reliability_interval(reduced, schedule=None, quad_nodes=64, verify=False,
     shifts = np.array(schedule.shifts)
     parts = min(thread_cap, len(shifts))
     if parts > 1:
+        # imported here so that a single-threaded run does not load it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=parts) as pool:
             values = np.concatenate(list(pool.map(
                 lambda block: reliability_at_shifts(reduced, block, quad_nodes,

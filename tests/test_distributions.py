@@ -99,6 +99,12 @@ class TestChiSquare:
             chi_square_pdf(1.0, 0)
         with pytest.raises(InvalidParameterError):
             chi_square_cdf(1.0, -1)
+        # the closed-form sums start from exp(-x/2), which underflows
+        # beyond the range they cover
+        assert chi_square_cdf(1000.0, 1000) == pytest.approx(0.5, abs=0.01)
+        for law in (chi_square_cdf, chi_square_ppf, chi_cdf):
+            with pytest.raises(InvalidParameterError, match="at most 1000"):
+                law(0.5, 1001)
 
     def test_inverse_roundtrip(self):
         for p in (0.01, 0.5, 0.99):
@@ -249,3 +255,88 @@ class TestLinearUncertain:
             LinearUncertain(4.0, 2.0)
         with pytest.raises(InvalidParameterError):
             linear_unc_inv(1.5, 0.0, 1.0)
+
+
+@pytest.fixture(scope="module")
+def mp():
+    """mpmath at 40 significant digits, an oracle independent of the
+    closed forms under test."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        yield mpmath
+
+
+def _cos_angle_points(rng):
+    near = np.array([1e-15, 1e-12, 1e-9, 1e-6, 1e-3])
+    return np.concatenate([-1.0 + near, 1.0 - near, -near, near,
+                           [-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, 6)])
+
+
+class TestAgainstMpmath:
+    def test_cos_angle_cdf(self, mp):
+        rng = np.random.default_rng(14)
+        for total_dim in range(2, 61):
+            a = mp.mpf(total_dim - 1) / 2
+            points = _cos_angle_points(rng)
+            got = cos_angle_cdf(points, total_dim)
+            for v, value in zip(points.tolist(), got.tolist()):
+                exact = mp.betainc(a, a, 0, (1 + mp.mpf(v)) / 2, regularized=True)
+                assert abs(value - exact) <= 1e-15, (total_dim, v)
+
+    def test_chi_square_family_in_both_tails(self, mp):
+        # lower tail, bulk and upper tail of each law, the last point
+        # reaching Q ~ 1e-16
+        for dof in range(1, 61):
+            a = mp.mpf(dof) / 2
+            q = np.concatenate([[0.0, 1e-12, 1e-6 * dof],
+                                np.linspace(0.05, 1.0, 5) * (dof + 2),
+                                [dof + 2.0], np.linspace(1.5, 4.0, 4) * (dof + 20)])
+            radius = np.sqrt(q)
+            shift = 0.75 * dof
+            shifted = np.sqrt(q + shift)
+            # each law at the chi-square argument it forms in double precision
+            checks = [
+                (chi_square_cdf(q, dof), q / 2),
+                (chi_cdf(radius, dof), radius * radius / 2),
+                (shifted_chi_cdf(shifted, dof, shift),
+                 np.maximum(shifted * shifted - shift, 0.0) / 2),
+            ]
+            for got, args in checks:
+                for value, y in zip(got.tolist(), args.tolist()):
+                    exact = mp.gammainc(a, 0, y, regularized=True)
+                    assert abs(value - exact) <= 4e-15, (dof, y)
+
+    def test_chi_square_cdf_lower_tail_relative_accuracy(self, mp):
+        # below the mean the series keeps the small tail's digits
+        for dof in (1, 2, 7, 30, 60):
+            a = mp.mpf(dof) / 2
+            for x in (1e-30, 1e-8, 1e-3, 0.2 * dof):
+                exact = mp.gammainc(a, 0, mp.mpf(x) / 2, regularized=True)
+                if exact > 1e-290:
+                    assert abs(chi_square_cdf(x, dof) - exact) <= 1e-13 * exact
+
+    def test_chi_square_ppf(self, mp):
+        for dof in range(1, 61):
+            a = mp.mpf(dof) / 2
+            p = 1.0 - 1e-10
+            x = chi_square_ppf(p, dof)
+            # the exact root by Newton steps in mpmath from the value under test
+            y = mp.mpf(x) / 2
+            for _ in range(3):
+                density = y ** (a - 1) * mp.exp(-y) / mp.gamma(a)
+                y -= (mp.gammainc(a, 0, y, regularized=True) - p) / density
+            assert abs(mp.gammainc(a, 0, y, regularized=True) - p) < 1e-35
+            assert abs(x - 2 * y) <= 1e-15 * 2 * y, dof
+
+    def test_chi_square_ppf_round_trip(self):
+        for dof in (1, 2, 3, 10, 41, 60):
+            for p in (1e-300, 1e-10, 0.01, 0.3, 0.5, 0.9, 1 - 1e-10, 1 - 2.0 ** -53):
+                x = chi_square_ppf(p, dof)
+                assert chi_square_cdf(x, dof) == pytest.approx(p, rel=1e-13, abs=4e-16)
+            # the upper tail is ill-conditioned this way round: p keeps only
+            # the leading digits of 1 - p
+            for x in (1e-3, 0.5 * dof, float(dof)):
+                back = chi_square_ppf(chi_square_cdf(x, dof), dof)
+                assert back == pytest.approx(x, rel=1e-12)
+        assert chi_square_ppf(0.0, 4) == 0.0
+        assert chi_square_ppf([0.5, 0.99], 3).shape == (2,)

@@ -515,14 +515,56 @@ class TestDegenerateRandom:
             degenerate_random(problem)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # only degenerate_random's one-dimensional nonlinear branch needs brentq
-    code = "import sys, hybrel; print('scipy.optimize' in sys.modules)"
+def _python(*args):
+    """A fresh interpreter on this checkout's package; its completed run."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, check=True)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only degenerate_random's one-dimensional nonlinear branch needs brentq
+    out = _python("-c", "import sys, hybrel; print('scipy.optimize' in sys.modules)")
+    assert out.stdout.strip() == "False"
+
+
+def test_run_case_leaves_scipy_special_unloaded():
+    # the chi-square and cosine-angle laws are closed forms; only the normal
+    # law imports scipy.special, on its first use
+    code = """
+import sys
+from hybrel import get_case, normal_cdf, reliability_reference, run_case
+for key, params in (("linear", {}), ("crank_slider", {"t": 0.0}),
+                    ("cantilever_tube", {})):
+    run_case(get_case(key, **params))
+print("scipy.special" in sys.modules)
+print(normal_cdf(0.0))
+# linear (2, 0): 1 - (u1 + u2)/2 > 0 has probability Phi(sqrt(2))
+print(reliability_reference(get_case("linear", m=2, n=0).problem))
+print(normal_cdf(2.0 ** 0.5))
+"""
+    lines = _python("-c", code).stdout.split()
+    assert lines[0] == "False"
+    assert float(lines[1]) == 0.5
+    assert float(lines[2]) == pytest.approx(float(lines[3]), abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--case", "linear"),
+    ("run", "--case", "linear", "--format", "json"),
+    ("run", "--case", "crank_slider", "--t", "0"),
+    ("run", "--case", "cantilever_tube", "--format", "json"),
+    ("curve", "--case", "linear"),
+    ("design-point", "--case", "crank_slider"),
+])
+def test_cli_leaves_scipy_special_unloaded(argv):
+    # -X importtime lists every module the process imported, one per line
+    err = _python("-X", "importtime", "-m", "hybrel.cli", *argv).stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()
+                if line.startswith("import time:")}
+    assert "hybrel.benchmarks" in imported
+    assert "scipy.special" not in imported
 
 
 class TestDegenerateUncertain:
