@@ -5,6 +5,12 @@ minimum-norm point of the limit-state surface inside the unit box at fixed
 Gaussian coordinates), then applies one HLRF update to the Gaussian
 coordinates at the fixed box point.  Convergence is declared on the step
 norm of the combined iterate.
+
+The box subproblem is refined by sequential linearization, and each
+linearization is a continuous quadratic knapsack: the minimum-norm delta
+in [-1, 1]^n on a hyperplane.  Its multiplier starts at the closed-form
+breakpoint inverse (Kiwiel 2008) and is settled on the floating-point
+reach in a few evaluations, to the bits a plain 200-step bisection gives.
 """
 
 import logging
@@ -30,8 +36,8 @@ logger = logging.getLogger(__name__)
 
 _UA_GRID = 21  # seed-grid points per axis of the box subproblem (n <= 3)
 _UA_REFINE_ITERATIONS = 50  # linearization passes per box-subproblem seed
-_BOX_SLACK = 4  # c in the box solve's bound on the float reach's error
-_EPS = float(np.finfo(float).eps)
+# |mu| / mu_max from which 200 halvings of (-mu_max, mu_max) reach adjacent floats
+_ADJACENT_WITHIN_200 = 2.0 ** -128
 
 
 @dataclass(frozen=True)
@@ -124,65 +130,86 @@ def _reach_inverse(before, after, level):
     return math.copysign(mu, level)
 
 
+def _halve(grad, goal, lo, hi):
+    """Midpoint bisection of (lo, hi) on _reach(grad, mu) < goal, for at
+    most 200 steps; it stops once the midpoint rounds onto an end."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if _reach(grad, mid) < goal:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _gallop(grad, goal, mu, mu_max):
+    """A bracket (lo, hi) of the float reach's crossing of goal, stepping
+    out from mu in 1, 2, 4, ... ulps; lo compares below the goal, hi does
+    not, and an end left at -mu_max or mu_max is not evaluated."""
+    lo, hi = -mu_max, mu_max
+    step = math.ulp(mu)
+    while lo < mu < hi:
+        if _reach(grad, mu) < goal:
+            lo, mu = mu, mu + step
+        else:
+            hi, mu = mu, mu - step
+        step += step
+    return lo, hi
+
+
 def _solve_box_qp(grad, target):
     """Minimum-norm delta in [-1,1]^n with grad . delta = target (clamped).
 
-    The unconstrained stationary point is a multiple of grad; clamping each
-    coordinate keeps grad . clip(mu*grad) monotone in mu, so the multiplier
-    is found by bisection.  When even the extreme box point cannot reach the
-    target the closest achievable point is returned.  The bisection stops
-    once the midpoint rounds onto an end: from then on (lo, hi) either stays
-    put or collapses onto that end, so 0.5*(lo+hi) is final.
+    The unconstrained stationary point is a multiple of grad, and clamping
+    each coordinate keeps grad . clip(mu*grad) monotone in mu.  When even
+    the extreme box point cannot reach the target the closest achievable
+    point is returned.  The result is bitwise that of a bisection from
+    (-mu_max, mu_max) on P(mu) = _reach(grad, mu) < goal, run for 200
+    steps, without running it.
 
-    Most steps are decided without evaluating the float reach.  Its value
-    lies within slack = c*(n+2)*eps*sum|g| of the exact r(mu) in any
-    summation order, so every mu below r^-1(goal - 2*slack) compares below
-    the goal and every mu above r^-1(goal + 2*slack) does not; the second
-    slack covers the rounding of the inverse.  Where |mu|*min|g| >= 1
-    every coordinate clips, and the float reach is bitwise the one already
-    computed at the end of that sign.  Only the float reach decides a
-    step whose outcome these bounds leave open, so with any bounds that
-    hold, the steps taken, and so the result, are those of the plain
-    bisection.
+    The float reach does not decrease as mu grows: round-to-nearest keeps
+    the order of its inputs through mu*g_i, the clip, each product and
+    each partial sum, in any summation order.  So P is true below one
+    float theta and false from theta on, and once midpoint halving
+    reaches adjacent floats it has reached (pred theta, theta), whatever
+    path it took; its answer is 0.5*(lo+hi) of that pair.  The solve finds
+    the pair by galloping out from the closed-form inverse of the reach
+    (from 1/min|g| when the goal is the top reach) and halving the
+    bracket.  At the bottom goal P is false everywhere and the pair is
+    -mu_max and the float above it.  200 halvings from (-mu_max, mu_max) reach
+    adjacency whenever |theta| >= mu_max * 2^-128 (182 steps at most);
+    nearer zero, or when a square in the inverse under- or overflows, the
+    plain bisection runs instead.
     """
     gnorm_sq = float(grad @ grad)
     if gnorm_sq < 1e-30:
         return np.zeros_like(grad)
 
+    target = float(target)
     # the set-up runs on Python floats: numpy costs more than it saves on
     # the dozen or so entries of a box gradient
     mags = sorted((abs(g) for g in grad.tolist() if g != 0.0), reverse=True)
     gmin = mags[-1]
     mu_max = (1.0 + abs(target)) / gnorm_sq + 1.0 / gmin
-    lo, hi = -mu_max, mu_max
-    top = _reach(grad, hi)
-    bottom = -top  # the reach rounds alike at mu and -mu
-    goal = min(max(target, bottom), top)
+    top = _reach(grad, mu_max)  # the reach rounds alike at mu and -mu
+    goal = min(max(target, -top), top)
+    tiny = mu_max * _ADJACENT_WITHIN_200
 
-    before, after = _breakpoints(mags)
-    below, above = -math.inf, math.inf
-    if 0.0 < after[-1] and after[0] < math.inf:  # no square under- or overflowed
-        total = before[-1] + mags[-1]
-        slack = _BOX_SLACK * (grad.size + 2) * _EPS * total
-        reachable = total * (1.0 - (grad.size + 1) * _EPS)  # <= the exact sum
-        if goal - 2.0 * slack > -reachable:
-            below = _reach_inverse(before, after, goal - 2.0 * slack)
-        if goal + 2.0 * slack < reachable:
-            above = _reach_inverse(before, after, goal + 2.0 * slack)
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if mid < below or (mid * gmin <= -1.0 and bottom < goal):
-            lo = mid
-        elif mid > above or abs(mid) * gmin >= 1.0:
-            hi = mid
-        elif _reach(grad, mid) < goal:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(0.5 * (lo + hi) * grad, -1.0, 1.0)
+    pair = None  # the plain bisection below unless a bracket is found
+    if goal == -top:  # no reach compares below the one at -mu_max
+        pair = -mu_max, math.nextafter(-mu_max, 0.0)
+    else:
+        before, after = _breakpoints(mags)
+        if 0.0 < after[-1] and after[0] < math.inf:
+            mu = 1.0 / gmin if goal == top else _reach_inverse(before, after, goal)
+            if abs(mu) >= tiny:
+                pair = _halve(grad, goal, *_gallop(grad, goal, mu, mu_max))
+    if pair is None or min(abs(pair[0]), abs(pair[1])) < tiny:
+        pair = _halve(grad, goal, -mu_max, mu_max)
+    lo, hi = pair
+    return np.minimum(np.maximum(0.5 * (lo + hi) * grad, -1.0), 1.0)
 
 
 def _ua_refine(std, u_fixed, delta0):

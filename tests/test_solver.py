@@ -141,6 +141,85 @@ class TestSolveBoxQp:
         self._assert_bitwise(grad, [share * abs(entry), abs(entry), -abs(entry)])
 
     @given(grad=st.lists(_GRAD_ENTRY, min_size=1, max_size=12)
+           .filter(lambda g: any(g)),
+           ulps=st.integers(-4, 4), sign=st.sampled_from([-1.0, 1.0]))
+    def test_targets_at_and_within_ulps_of_the_float_reach_at_the_box_corner(
+            self, grad, ulps, sign):
+        # the reach where every coordinate clips: the goal's clamp, and the
+        # solve's one start that is not the breakpoint inverse
+        grad = np.array(grad)
+        target = sign * float(grad @ np.sign(grad))
+        for _ in range(abs(ulps)):
+            target = math.nextafter(target, math.copysign(math.inf, ulps))
+        self._assert_bitwise(grad, [target])
+
+    @given(grad=st.lists(_GRAD_ENTRY, min_size=1, max_size=12))
+    def test_near_zero_targets_where_the_200_step_cap_binds(self, grad):
+        # the reach crosses these goals so near mu = 0 that 200 halvings
+        # from (-mu_max, mu_max) never reach adjacent floats there
+        grad = np.array(grad)
+        self._assert_bitwise(grad, [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300,
+                                    1e-200, -1e-200])
+
+    @given(
+        exponents=st.lists(st.floats(min_value=-150.0, max_value=150.0),
+                           min_size=1, max_size=3),
+        picks=st.lists(st.tuples(st.integers(0, 2), st.booleans()),
+                       min_size=1, max_size=12),
+        share=st.floats(min_value=-1.2, max_value=1.2),
+    )
+    def test_magnitudes_spanning_300_decades_with_ties(self, exponents, picks,
+                                                       share):
+        grad = np.array([(-1.0 if negative else 1.0)
+                         * 10.0 ** exponents[k % len(exponents)]
+                         for k, negative in picks])
+        bound = float(np.abs(grad).sum())
+        self._assert_bitwise(grad, [share * bound, bound, -bound, 0.0,
+                                    0.5 * bound, 1e-200])
+
+    @given(grad=st.lists(_GRAD_ENTRY, min_size=1, max_size=12),
+           share=st.one_of(st.floats(min_value=-1.2, max_value=1.2),
+                           st.sampled_from([0.0, 1e-300, -1e-300])),
+           start=st.one_of(st.floats(min_value=-1e6, max_value=1e6),
+                           st.sampled_from([math.nan, math.inf, -math.inf])))
+    def test_any_start_gives_the_same_bits(self, grad, share, start):
+        # the float reach is monotone, so the search may start anywhere;
+        # from a start far off, a crossing near mu = 0 still falls back
+        grad = np.array(grad)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_reach_inverse", lambda *args: start)
+            self._assert_bitwise(grad, [share * float(np.abs(grad).sum())])
+
+    @pytest.mark.parametrize("grad", [
+        [1.0, 1e-165],  # the smallest square is zero
+        [2.0, -1e-160, 1e-170, 0.5],
+        [1e-160, -3.0],  # subnormal square
+        [1e155, -2e155, 3e160],  # the largest square is inf
+    ])
+    def test_squares_that_under_or_overflow(self, grad):
+        grad = np.array(grad)
+        bound = float(np.abs(grad).sum())
+        with np.errstate(over="ignore"):  # grad . grad may be inf
+            self._assert_bitwise(grad, [share * bound for share in (
+                -1.1, -1.0, -0.5, -1e-12, 0.0, 1e-9, 0.3, 1.0, 2.0)])
+
+    @given(grad=st.lists(_GRAD_ENTRY, min_size=1, max_size=12),
+           exponent=st.floats(min_value=-10.0, max_value=10.0),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_reach_never_decreases_over_consecutive_floats(self, grad, exponent,
+                                                           sign):
+        # the box solve's shortcut to the bisection's answer rests on this
+        grad = np.array(grad)
+        mu = sign * 10.0 ** exponent
+        for _ in range(32):
+            mu = math.nextafter(mu, -math.inf)
+        reaches = []
+        for _ in range(64):
+            reaches.append(_reach(grad, mu))
+            mu = math.nextafter(mu, math.inf)
+        assert reaches == sorted(reaches)
+
+    @given(grad=st.lists(_GRAD_ENTRY, min_size=1, max_size=12)
            .filter(lambda g: any(g)))
     def test_breakpoint_inverse_against_dense_evaluation(self, grad):
         grad = np.array(grad)
@@ -171,7 +250,8 @@ class TestSolveBoxQp:
         assert np.float64(down).tobytes() == np.float64(-up).tobytes()
 
     def test_most_steps_skip_the_float_reach(self, monkeypatch):
-        # the plain bisection evaluates the reach about 60 times per solve
+        # the plain bisection evaluates the reach about 60 times per solve;
+        # the solve starting at the breakpoint inverse about 6
         calls = []
         reach = solver._reach
         monkeypatch.setattr(solver, "_reach",
@@ -182,7 +262,7 @@ class TestSolveBoxQp:
             grad = rng.normal(size=6) * 10.0 ** rng.uniform(-3, 3, size=6)
             target = rng.uniform(-1.2, 1.2) * float(np.abs(grad).sum())
             _solve_box_qp(grad, target)
-        assert len(calls) <= 20 * solves
+        assert len(calls) <= 8 * solves
 
 
 class TestUaStep:
