@@ -16,7 +16,7 @@ documents the choice in its docstring.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -360,6 +360,17 @@ def _resolve(owner, params, defaults):
     return {**defaults, **params}
 
 
+def _build_case(entry, params, randoms, uncertains, key, name, description,
+                reference=()):
+    """The case of `entry`'s limit state on these variables; the limit
+    state serves both the point and the batch contract."""
+    lsf = entry.lsf(len(randoms), len(uncertains), **params)
+    problem = HybridProblem(lsf=lsf, randoms=tuple(randoms), uncertains=tuple(uncertains),
+                            lsf_batch=lsf, name=name)
+    return BenchmarkCase(key=key, problem=problem, description=description,
+                         reference=dict(reference))
+
+
 def get_case(key, **params):
     """Benchmark case by registry key.
 
@@ -370,20 +381,12 @@ def get_case(key, **params):
     values = _resolve(key, params, {**entry.sizes, **entry.params})
     sizes = {name: values[name] for name in entry.sizes}
     randoms, uncertains = entry.variables(**sizes)
-    lsf = entry.lsf(len(randoms), len(uncertains),
-                    **{name: values[name] for name in entry.params})
-    problem = HybridProblem(
-        lsf=lsf,
-        randoms=randoms,
-        uncertains=uncertains,
-        lsf_batch=lsf,
-        name=entry.name.format(**values),
-    )
-    return BenchmarkCase(
+    return _build_case(
+        entry, {name: values[name] for name in entry.params}, randoms, uncertains,
         key=key,
-        problem=problem,
+        name=entry.name.format(**values),
         description=entry.description.format(**values),
-        reference=dict(entry.reference.get(tuple(sizes.values()), {})),
+        reference=entry.reference.get(tuple(sizes.values()), {}),
     )
 
 
@@ -437,18 +440,11 @@ def load_problem(path):
     if lsf_key is None:
         raise InvalidParameterError(f"{path}: missing required key 'lsf'")
     entry = _entry(lsf_key, f"{path}: unknown lsf")
-    lsf = entry.lsf(len(randoms), len(uncertains),
-                    **_resolve(f"{path}: lsf {lsf_key}", params, entry.params))
-    problem = HybridProblem(
-        lsf=lsf,
-        randoms=tuple(randoms),
-        uncertains=tuple(uncertains),
-        lsf_batch=lsf,
-        name=name or lsf_key,
-    )
-    return BenchmarkCase(
+    return _build_case(
+        entry, _resolve(f"{path}: lsf {lsf_key}", params, entry.params),
+        randoms, uncertains,
         key=name or lsf_key,
-        problem=problem,
+        name=name or lsf_key,
         description=f"problem definition from {path}",
     )
 
@@ -536,10 +532,5 @@ def run_case(case, settings=None, mcs_estimate=None, include_timing=False):
         curve=interval.curve,
         converged=design.converged,
         trace=design.trace,
-        settings={
-            "alpha_levels": settings.alpha_levels,
-            "quad_nodes": settings.quad_nodes,
-            "epsilon": settings.epsilon,
-            "fd_step": settings.fd_step,
-        },
+        settings={k: v for k, v in asdict(settings).items() if k != "seed"},
     )

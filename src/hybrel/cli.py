@@ -29,12 +29,15 @@ files passed via --config are read by the same key=value reader as
 problem files, with the keys alpha_levels, quad_nodes, epsilon, fd_step,
 seed.  Every key is parsed and type-checked, but a subcommand ignores the
 keys it does not read (mcs reads seed, design-point epsilon and fd_step),
-so only those are range-checked.  The HRA_THREADS environment variable
-caps worker parallelism.
+so only those are range-checked: alpha_levels below 1, quad_nodes below
+32, a negative seed, and an epsilon or fd_step that is not finite and
+positive (nan and inf included) are usage errors.  The HRA_THREADS
+environment variable caps worker parallelism.
 
-Exit codes: 0 success, 2 usage error, 3 numerical error.  Floats serialize
-with 17 significant digits so that parsing an emitted file recovers every
-value bit-exactly.
+Exit codes: 0 success, 2 usage error, 3 numerical error.  Every subcommand
+writes its floats with 17 significant digits (CSV cells, design-point
+key=value lines and JSON alike), so parsing any emitted file recovers
+every value bit-exactly.
 """
 
 import argparse
@@ -47,34 +50,35 @@ from .config import RunSettings, load_config
 from .errors import HybrelError, InvalidParameterError
 from .mcs import estimate_failure
 
-__all__ = ["main", "run_cli", "CSV_HEADER", "format_float"]
+__all__ = ["main", "run_cli", "CSV_HEADER", "format_cell"]
 
-_ALL_SETTINGS = {field.name for field in fields(RunSettings)}
+_ALL_SETTINGS = tuple(field.name for field in fields(RunSettings))
 
 # the report fields of a CSV row, and the leading keys of the JSON object
 _REPORT_FIELDS = ("case", "m", "n", "beta", "d", "D", "F_lo", "F_hi", "R_lo",
                   "R_hi", "mcs_p", "mcs_ci_lo", "mcs_ci_hi", "runtime_ms", "seed")
 CSV_HEADER = ",".join(_REPORT_FIELDS)
 
+# the estimate fields of an mcs CSV row, after the case
+_MCS_FIELDS = ("p_hat", "ci_lo", "ci_hi", "samples", "confidence", "seed", "failures")
 
-def format_float(value):
-    """17-significant-digit decimal, empty string for missing values."""
+
+def format_cell(value):
+    """str for str, int and bool, 17 significant digits for floats, empty
+    string for missing values."""
     if value is None:
         return ""
+    if isinstance(value, (str, int)):  # bool is an int
+        return str(value)
     return format(float(value), ".17g")
 
 
-def report_to_csv(report):
-    values = [getattr(report, name) for name in _REPORT_FIELDS]
-    # the case name and the integer fields print as they are
-    cells = [str(value) if isinstance(value, (str, int)) else format_float(value)
-             for value in values]
-    return CSV_HEADER + "\n" + ",".join(cells) + "\n"
+def _csv(header, rows):
+    lines = [",".join(header)] + [",".join(map(format_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def report_to_json(report):
-    payload = {name: getattr(report, name) for name in _REPORT_FIELDS}
-    payload.update(converged=report.converged, settings=report.settings)
+def _json(payload):
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -103,18 +107,9 @@ def _settings_from(args):
     """RunSettings from --config and the flags; the settings the subcommand
     does not read keep their defaults."""
     given = load_config(args.config) if args.config else {}
-    given.update({name: getattr(args, name)
-                  for name in ("alpha_levels", "quad_nodes", "seed")
+    given.update({name: getattr(args, name) for name in _ALL_SETTINGS
                   if getattr(args, name, None) is not None})
     return RunSettings(**{k: v for k, v in given.items() if k in args.reads})
-
-
-def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _add_case_arguments(parser):
@@ -137,91 +132,49 @@ def _print_trace(trace):
         )
 
 
-def _cmd_run(args):
-    settings = _settings_from(args)
-    case = _select_case(args)
+def _cmd_run(args, settings, case):
     report = run_case(case, settings, include_timing=args.timing)
     if args.trace:
         _print_trace(report.trace)
-    text = report_to_csv(report) if args.format == "csv" else report_to_json(report)
-    _emit(text, args.out)
-    return 0
+    row = {name: getattr(report, name) for name in _REPORT_FIELDS}
+    if args.format == "json":
+        return _json({**row, "converged": report.converged,
+                      "settings": report.settings})
+    return _csv(_REPORT_FIELDS, [row.values()])
 
 
-def _cmd_mcs(args):
-    settings = _settings_from(args)
-    case = _select_case(args)
+def _cmd_mcs(args, settings, case):
     estimate = estimate_failure(
         case.problem, samples=args.samples, confidence=args.confidence,
         seed=settings.seed,
     )
+    row = {"case": case.key, **{name: getattr(estimate, name) for name in _MCS_FIELDS}}
     if args.format == "json":
-        payload = {
-            "case": case.key,
-            "p_hat": estimate.p_hat,
-            "ci_lo": estimate.ci_lo,
-            "ci_hi": estimate.ci_hi,
-            "samples": estimate.samples,
-            "confidence": estimate.confidence,
-            "seed": estimate.seed,
-            "failures": estimate.failures,
-            "zero_failures": estimate.zero_failures,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = ("case,p_hat,ci_lo,ci_hi,samples,confidence,seed,failures\n"
-                f"{case.key},{format_float(estimate.p_hat)},"
-                f"{format_float(estimate.ci_lo)},{format_float(estimate.ci_hi)},"
-                f"{estimate.samples},{format_float(estimate.confidence)},"
-                f"{estimate.seed},{estimate.failures}\n")
-    _emit(text, args.out)
-    return 0
+        return _json({**row, "zero_failures": estimate.zero_failures})
+    return _csv(row.keys(), [row.values()])
 
 
-def _cmd_design_point(args):
-    settings = _settings_from(args)
-    case = _select_case(args)
+def _cmd_design_point(args, settings, case):
     _, design = design_point(case, settings)
     if args.trace:
         _print_trace(design.trace)
     if args.format == "json":
-        payload = {
-            "case": case.key,
-            "beta": design.beta,
-            "u_star": list(design.u_star),
-            "delta_star": list(design.delta_star),
-            "iterations": design.iterations,
-            "converged": design.converged,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = [f"case={case.key}", f"beta={format_float(design.beta)}"]
-        lines += [f"u{i+1}={format_float(v)}" for i, v in enumerate(design.u_star)]
-        lines += [f"delta{j+1}={format_float(v)}"
-                  for j, v in enumerate(design.delta_star)]
-        lines += [f"iterations={design.iterations}", f"converged={design.converged}"]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
+        return _json({"case": case.key, "beta": design.beta,
+                      "u_star": list(design.u_star), "delta_star": list(design.delta_star),
+                      "iterations": design.iterations, "converged": design.converged})
+    pairs = [("case", case.key), ("beta", design.beta)]
+    pairs += [(f"u{i}", v) for i, v in enumerate(design.u_star, start=1)]
+    pairs += [(f"delta{j}", v) for j, v in enumerate(design.delta_star, start=1)]
+    pairs += [("iterations", design.iterations), ("converged", design.converged)]
+    return "".join(f"{key}={format_cell(value)}\n" for key, value in pairs)
 
 
-def _cmd_curve(args):
-    settings = _settings_from(args)
-    case = _select_case(args)
+def _cmd_curve(args, settings, case):
     report = run_case(case, settings)
     if args.format == "json":
-        payload = {
-            "case": case.key,
-            "curve": [[s, r] for s, r in report.curve],
-            "R_lo": report.R_lo,
-            "R_hi": report.R_hi,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        rows = [f"{format_float(s)},{format_float(r)}" for s, r in report.curve]
-        text = "shift,reliability\n" + "\n".join(rows) + "\n"
-    _emit(text, args.out)
-    return 0
+        return _json({"case": case.key, "curve": [list(row) for row in report.curve],
+                      "R_lo": report.R_lo, "R_hi": report.R_hi})
+    return _csv(("shift", "reliability"), report.curve)
 
 
 def build_parser():
@@ -269,7 +222,15 @@ def run_cli(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        return args.func(args)
+        settings = _settings_from(args)
+        case = _select_case(args)
+        text = args.func(args, settings, case)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0
     except InvalidParameterError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2

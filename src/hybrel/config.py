@@ -1,20 +1,18 @@
 """Run settings, the key=value file reader, config parsing and the thread cap."""
 
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import InvalidParameterError
 
 __all__ = ["RunSettings", "read_key_values", "load_config", "thread_cap"]
 
-_INT_KEYS = {"alpha_levels", "quad_nodes", "seed"}
-_FLOAT_KEYS = {"epsilon", "fd_step"}
-_KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS
-
 
 @dataclass(frozen=True)
 class RunSettings:
-    """Defaults shared by the CLI and the benchmark runner."""
+    """Defaults shared by the CLI and the benchmark runner; the fields are
+    the config keys, each typed as its default."""
 
     alpha_levels: int = 21
     quad_nodes: int = 64
@@ -27,8 +25,11 @@ class RunSettings:
             raise InvalidParameterError("alpha_levels must be >= 1")
         if self.quad_nodes < 32:
             raise InvalidParameterError("quad_nodes must be >= 32")
-        if self.epsilon <= 0 or self.fd_step <= 0:
-            raise InvalidParameterError("epsilon and fd_step must be positive")
+        for name in ("epsilon", "fd_step"):
+            if not 0.0 < getattr(self, name) < math.inf:  # also refuses nan
+                raise InvalidParameterError(f"{name} must be finite and positive")
+        if self.seed < 0:
+            raise InvalidParameterError("seed must be >= 0")
 
 
 def read_key_values(path):
@@ -56,14 +57,15 @@ def load_config(path):
     Returns a dict of typed overrides; unknown keys are rejected so typos
     surface as usage errors instead of silently keeping defaults.
     """
+    types = {field.name: type(field.default) for field in fields(RunSettings)}
     overrides = {}
     for lineno, key, value in read_key_values(path):
-        if key not in _KNOWN_KEYS:
+        if key not in types:
             raise InvalidParameterError(
                 f"{path}:{lineno}: unknown config key {key!r}"
             )
         try:
-            overrides[key] = int(value) if key in _INT_KEYS else float(value)
+            overrides[key] = types[key](value)
         except ValueError as exc:
             raise InvalidParameterError(
                 f"{path}:{lineno}: bad value for {key}: {value!r}"

@@ -71,25 +71,19 @@ def estimate_failure(problem, samples=1_000_000, confidence=0.95, seed=0):
         remaining -= block
 
     p_hat = failures / samples
-    if failures == 0:
-        return MCSEstimate(
-            p_hat=0.0,
-            ci_lo=0.0,
-            ci_hi=min(1.0, 3.0 / samples),
-            samples=samples,
-            seed=seed,
-            confidence=confidence,
-            failures=0,
-            zero_failures=True,
-        )
-    z = normal_inv_cdf((1.0 + confidence) / 2.0)
-    half = z * math.sqrt(p_hat * (1.0 - p_hat) / samples)
+    if failures:
+        z = normal_inv_cdf((1.0 + confidence) / 2.0)
+        half = z * math.sqrt(p_hat * (1.0 - p_hat) / samples)
+        ci_lo, ci_hi = max(0.0, p_hat - half), min(1.0, p_hat + half)
+    else:  # the normal interval collapses; fall back to the rule of three
+        ci_lo, ci_hi = 0.0, min(1.0, 3.0 / samples)
     return MCSEstimate(
         p_hat=p_hat,
-        ci_lo=max(0.0, p_hat - half),
-        ci_hi=min(1.0, p_hat + half),
+        ci_lo=ci_lo,
+        ci_hi=ci_hi,
         samples=samples,
         seed=seed,
         confidence=confidence,
         failures=failures,
+        zero_failures=failures == 0,
     )

@@ -34,6 +34,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+_MAX_ITERATIONS = 100  # outer iterations before the search reports non-convergence
 _UA_GRID = 21  # seed-grid points per axis of the box subproblem (n <= 3)
 _UA_REFINE_ITERATIONS = 50  # linearization passes per box-subproblem seed
 # |mu| / mu_max from which 200 halvings of (-mu_max, mu_max) reach adjacent floats
@@ -48,18 +49,17 @@ class SolverSettings:
     finite-difference floor of the gradient sits near 1e-8, so pushing
     epsilon far below 1e-6 buys nothing.  fd_rel_step is the relative
     central-difference step the search differentiates with; it replaces
-    the standardized problem's own.
+    the standardized problem's own.  Both must be finite and positive.  The
+    search stops after _MAX_ITERATIONS outer iterations.
     """
 
     epsilon: float = 1e-6
-    max_iterations: int = 100
     fd_rel_step: float = 1e-6
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise InvalidParameterError("epsilon must be positive")
-        if self.max_iterations < 1:
-            raise InvalidParameterError("max_iterations must be at least 1")
+        for name in ("epsilon", "fd_rel_step"):
+            if not 0.0 < getattr(self, name) < math.inf:  # also refuses nan
+                raise InvalidParameterError(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -337,7 +337,7 @@ def find_design_point(std, settings=None):
     prev_norm = None
     iterations = 0
 
-    for k in range(1, settings.max_iterations + 1):
+    for k in range(1, _MAX_ITERATIONS + 1):
         iterations = k
         delta_new = ua_step(std, u) if std.n else delta
         u_new, beta_scalar = pa_step(std, u, delta_new, beta_scalar)

@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from hybrel.benchmarks import get_case, run_case
+from hybrel.benchmarks import design_point, get_case, run_case
 from hybrel.cli import CSV_HEADER, run_cli
 from hybrel.errors import AccuracyError
+from hybrel.mcs import estimate_failure
 
 
 def _run(capsys, *argv):
@@ -142,6 +143,22 @@ class TestRunCommand:
         code, _, err = _run(capsys, "run", "--case", "linear", "--config", str(cfg))
         assert code == 2
         assert "quad_nodes must be >= 32" in err
+
+    @pytest.mark.parametrize("case,line", [
+        ("linear", "fd_step = nan"),
+        ("crank_slider", "fd_step = inf"),
+        ("linear", "epsilon = nan"),
+        ("crank_slider", "epsilon = inf"),
+    ])
+    def test_non_finite_config_is_usage_error(self, capsys, tmp_path, case, line):
+        # before, these ran into a numerical error, a 100-iteration
+        # non-converged run, or a one-iteration run with a wrong beta
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = _run(capsys, "run", "--case", case, "--config", str(cfg))
+        key = line.split()[0]
+        assert (code, out) == (2, "")
+        assert err == f"usage error: {key} must be finite and positive\n"
 
     def test_config_unknown_key(self, capsys, tmp_path):
         cfg = tmp_path / "settings.cfg"
@@ -299,6 +316,25 @@ class TestMcsCommand:
         assert payload["samples"] == 10000
         assert payload["seed"] == 3
 
+    @pytest.mark.parametrize("m,n,seed", [(2, 0, 3), (1, 9, 0)])
+    def test_csv_roundtrip_bit_exact(self, capsys, m, n, seed):
+        code, out, _ = _run(capsys, "mcs", "--case", "linear", "--m", str(m),
+                            "--n", str(n), "--samples", "10000", "--seed", str(seed))
+        assert code == 0
+        header, row = out.strip().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        estimate = estimate_failure(get_case("linear", m=m, n=n).problem,
+                                    samples=10000, seed=seed)
+        for name in ("p_hat", "ci_lo", "ci_hi", "confidence"):
+            assert float(cells[name]) == getattr(estimate, name)
+        for name in ("samples", "seed", "failures"):
+            assert int(cells[name]) == getattr(estimate, name)
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = _run(capsys, "mcs", "--case", "linear", "--seed", "-1",
+                              "--samples", "10000")
+        assert (code, out, err) == (2, "", "usage error: seed must be >= 0\n")
+
     def test_bad_samples_is_usage_error(self, capsys):
         code, _, _ = _run(
             capsys, "mcs", "--case", "linear", "--samples", "10"
@@ -328,6 +364,17 @@ class TestDesignPointCommand:
         assert len(payload["delta_star"]) == 1
         assert payload["converged"] is True
 
+    def test_text_roundtrip_bit_exact(self, capsys):
+        code, out, _ = _run(capsys, "design-point", "--case", "crank_slider",
+                            "--t", "20")
+        assert code == 0
+        values = dict(line.split("=") for line in out.strip().splitlines())
+        _, design = design_point(get_case("crank_slider", t=20.0))
+        assert float(values["beta"]) == design.beta
+        assert [float(values[f"u{i}"]) for i in (1, 2, 3)] == list(design.u_star)
+        assert ([float(values[f"delta{j}"]) for j in (1, 2, 3, 4)]
+                == list(design.delta_star))
+        assert int(values["iterations"]) == design.iterations
 
     def test_beta_is_run_case_beta(self, capsys):
         code, out, _ = _run(capsys, "design-point", "--case", "crank_slider",
@@ -347,6 +394,13 @@ class TestCurveCommand:
         values = [float(line.split(",")[1]) for line in lines[1:]]
         # positive offset: reliability is non-increasing along the sweep
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_csv_roundtrip_bit_exact(self, capsys):
+        code, out, _ = _run(capsys, "curve", "--case", "linear", "--m", "2", "--n", "1")
+        assert code == 0
+        rows = [tuple(map(float, line.split(",")))
+                for line in out.strip().splitlines()[1:]]
+        assert rows == [tuple(row) for row in run_case(get_case("linear", m=2, n=1)).curve]
 
     def test_json_curve(self, capsys):
         code, out, _ = _run(

@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 from hybrel.benchmarks import load_problem
 from hybrel.config import RunSettings, load_config, thread_cap
 from hybrel.errors import InvalidParameterError
+from hybrel.solver import SolverSettings
 
 
 class TestRunSettings:
@@ -23,6 +25,20 @@ class TestRunSettings:
             RunSettings(quad_nodes=16)
         with pytest.raises(InvalidParameterError):
             RunSettings(epsilon=-1.0)
+
+
+@pytest.mark.parametrize("settings,key,value", [
+    (settings, key, value)
+    for settings, keys in ((RunSettings, ("epsilon", "fd_step")),
+                           (SolverSettings, ("epsilon", "fd_rel_step")))
+    for key in keys
+    for value in (0.0, -1e-6, math.nan, math.inf, -math.inf)
+] + [(RunSettings, "seed", -1)])
+def test_settings_refuse_non_finite_steps_and_negative_seed(settings, key, value):
+    # nan passes every `<= 0` check, so only an explicit finiteness check
+    # keeps it from reaching the solver
+    with pytest.raises(InvalidParameterError, match=f"^{key} must be"):
+        settings(**{key: value})
 
 
 class TestLoadConfig:

@@ -14,7 +14,6 @@ from hybrel.errors import (
 )
 from hybrel.model import HybridProblem, RandomVariable, UncertainVariable, standardize
 from hybrel.solver import (
-    SolverSettings,
     _breakpoints,
     _corners,
     _reach,
@@ -413,16 +412,18 @@ class TestFindDesignPoint:
         beta_b = find_design_point(std_perm).beta
         assert beta_a == pytest.approx(beta_b, abs=1e-6)
 
-    def test_nonconvergence_reported_honestly(self):
+    def test_nonconvergence_reported_honestly(self, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", 1)
         std = _linear_std([-0.5, -0.5], 1.0, 1, 1)
-        dp = find_design_point(std, SolverSettings(max_iterations=1))
+        dp = find_design_point(std)
         assert not dp.converged
         assert dp.iterations == 1
 
-    def test_nonconvergence_logs_one_warning(self, caplog):
+    def test_nonconvergence_logs_one_warning(self, caplog, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", 1)
         std = _linear_std([-0.5, -0.5], 1.0, 1, 1)
         with caplog.at_level(logging.WARNING, logger="hybrel.solver"):
-            dp = find_design_point(std, SolverSettings(max_iterations=1))
+            dp = find_design_point(std)
         records = [r for r in caplog.records if r.name == "hybrel.solver"]
         assert len(records) == 1
         assert records[0].levelno == logging.WARNING
@@ -494,9 +495,3 @@ class TestFindDesignPoint:
         with caplog.at_level(logging.WARNING):
             dp = find_design_point(std)
         assert dp.converged
-
-    def test_settings_validation(self):
-        with pytest.raises(InvalidParameterError):
-            SolverSettings(epsilon=0.0)
-        with pytest.raises(InvalidParameterError):
-            SolverSettings(max_iterations=0)
