@@ -3,9 +3,16 @@
 Three desk-scale cases: a configurable linear limit state, a crank-slider
 mechanism and a cantilever tube.  The physical limit states unpack their
 inputs through one helper, so the same formula serves both contracts: a
-point (vectors of length m and n) unpacks into Python floats, whose
-arithmetic is much cheaper than numpy scalars' and rounds the same, and a
-Monte Carlo batch ((N, m) and (N, n) arrays) unpacks into columns.
+point (vectors of length m and n) unpacks into Python floats and a Monte
+Carlo batch ((N, m) and (N, n) arrays) into columns.  The helper also hands
+the formula its functions: `math`'s sin, cos and sqrt for a point, which
+cost tens of nanoseconds against about a microsecond for a numpy ufunc on
+a float and round as numpy's do, and numpy's for a batch.  Fourth powers
+stay on np.power for a point too, since the C library's pow differs from
+numpy's loop in the last bit on some inputs.  Python floats raise where
+numpy returns inf or nan (a division by zero, the sine of an infinity);
+a point that raises so is evaluated again as a one-row batch, so it gives
+numpy's value.
 
 Both physical cases carry a stress-calibration constant.  Their source
 parameter tables mix unit conventions (kN-scale loads against MPa-scale
@@ -15,8 +22,10 @@ computed stress, fixed once by matching the reported failure level, and
 documents the choice in its docstring.
 """
 
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +61,8 @@ CRANK_STRESS_SCALE = 0.9028
 # times too large for the printed section and yield strength.
 TUBE_STRESS_SCALE = 0.2557
 
+_RADIANS = math.pi / 180.0  # per degree
+
 
 @dataclass(frozen=True)
 class BenchmarkCase:
@@ -76,10 +87,40 @@ class BenchmarkCase:
         return self.problem.n
 
 
-def _columns(values):
-    """A point's coordinates as Python floats, a batch's as its columns."""
-    values = np.asarray(values, dtype=float)
-    return values.tolist() if values.ndim == 1 else values.T
+class _Ops(NamedTuple):
+    """The functions a limit-state formula applies to its inputs."""
+
+    sin: object
+    cos: object
+    sqrt: object
+    pow4: object  # pow4(a, b): a**4 and b**4 through numpy's power loop
+    any: object   # truth of a comparison: of the point, of any batch row
+
+
+# a point keeps numpy's power loop, whose last bit the C library's pow does
+# not always match
+_POINT_OPS = _Ops(math.sin, math.cos, math.sqrt,
+                  lambda a, b: np.power((a, b), 4).tolist(), bool)
+_BATCH_OPS = _Ops(np.sin, np.cos, np.sqrt,
+                  lambda a, b: (np.power(a, 4), np.power(b, 4)), np.any)
+
+
+def _limit_state(formula):
+    """lsf(x, y) for both contracts from formula(x_columns, y_columns, ops):
+    a point passes its coordinates as Python floats with the point's
+    functions, a batch its columns with numpy's.  A point on which Python
+    floats raise is evaluated as a one-row batch."""
+    def lsf(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim > 1:
+            return formula(x.T, y.T, _BATCH_OPS)
+        try:
+            return formula(x.tolist(), y.tolist(), _POINT_OPS)
+        except (ZeroDivisionError, ValueError):
+            return formula(x[:, None], y[:, None], _BATCH_OPS)[0]
+
+    return lsf
 
 
 # ---------------------------------------------------------------------------
@@ -135,21 +176,20 @@ def case_linear(m=5, n=5):
 # crank-slider mechanism
 # ---------------------------------------------------------------------------
 
-def _crank_stress(d1, d2, a, b, big_p, e, t):
+def _crank_stress(d1, d2, a, b, big_p, e, t, ops):
     """Maximum coupler stress of the crank-slider, MPa-scale before
     calibration.  Forces enter in newtons, lengths in millimetres; the
     friction coefficient grows linearly in time."""
     mu = 0.30 + 0.002 * t
     ba = b - a
     disc = ba * ba - e * e
-    # count_nonzero answers for a scalar several times faster than any
-    if np.count_nonzero(disc <= 0.0):
+    if ops.any(disc <= 0.0):
         raise InvalidGeometryError("coupler shorter than the offset: (b-a)^2 <= e^2")
     section = d2 * d2 - d1 * d1
-    lever = np.sqrt(disc) - mu * e
-    if np.count_nonzero(lever <= 0.0) or np.count_nonzero(section <= 0.0):
+    lever = ops.sqrt(disc) - mu * e
+    if ops.any(lever <= 0.0) or ops.any(section <= 0.0):
         raise InvalidGeometryError("non-physical crank-slider configuration")
-    return 4.0 * big_p * ba / (np.pi * lever * section)
+    return 4.0 * big_p * ba / (math.pi * lever * section)
 
 
 def _crank_lsf(m, n, t):
@@ -161,13 +201,13 @@ def _crank_lsf(m, n, t):
     if not 0.0 <= t <= 40.0:
         raise InvalidParameterError("t must lie in [0, 40]")
 
-    def lsf(x, y):
-        d1, d2, strength = _columns(x)
-        a, b, big_p, e = _columns(y)
-        stress = _crank_stress(d1, d2, a, b, big_p * 1e3, e, t)
+    def formula(x, y, ops):
+        d1, d2, strength = x
+        a, b, big_p, e = y
+        stress = _crank_stress(d1, d2, a, b, big_p * 1e3, e, t, ops)
         return strength * 1e3 - CRANK_STRESS_SCALE * stress
 
-    return lsf
+    return _limit_state(formula)
 
 
 def case_crank_slider(t=0.0):
@@ -190,7 +230,7 @@ def case_crank_slider(t=0.0):
 # cantilever tube
 # ---------------------------------------------------------------------------
 
-def _tube_max_stress(wall, d, length1, length2, th1, th2, f1, f2, p, torque):
+def _tube_max_stress(wall, d, length1, length2, th1, th2, f1, f2, p, torque, ops):
     """Maximum von Mises stress on the tube's top surface at the support.
 
     Forces in newtons, lengths in millimetres, torque in newton-millimetres;
@@ -198,15 +238,14 @@ def _tube_max_stress(wall, d, length1, length2, th1, th2, f1, f2, p, torque):
     diameters, which dimensional consistency of the bending term requires.
     """
     inner = d - 2.0 * wall
-    # ** on a scalar calls the C library's pow, whose last bit can differ
-    # from the array loops; square and power round alike on both
-    area = (np.pi / 4.0) * (d * d - np.square(inner))
-    second = (np.pi / 64.0) * (np.power(d, 4) - np.power(inner, 4))
-    moment = f1 * length1 * np.cos(th1) + f2 * length2 * np.cos(th2)
-    sigma_x = (p + f1 * np.sin(th1) + f2 * np.sin(th2)) / area \
+    d4, inner4 = ops.pow4(d, inner)
+    area = (math.pi / 4.0) * (d * d - inner * inner)
+    second = (math.pi / 64.0) * (d4 - inner4)
+    moment = f1 * length1 * ops.cos(th1) + f2 * length2 * ops.cos(th2)
+    sigma_x = (p + f1 * ops.sin(th1) + f2 * ops.sin(th2)) / area \
         + moment * (d / 2.0) / second
     tau = torque * d / (4.0 * second)
-    return np.sqrt(sigma_x * sigma_x + 3.0 * tau * tau)
+    return ops.sqrt(sigma_x * sigma_x + 3.0 * tau * tau)
 
 
 def _tube_lsf(m, n):
@@ -215,14 +254,15 @@ def _tube_lsf(m, n):
             "the cantilever-tube limit state needs 6 random and 6 uncertain inputs"
         )
 
-    def lsf(x, y):
-        wall, d, l1, l2, strength, noise = _columns(x)
-        th1, th2, f1, f2, p, torque = _columns(y)
-        stress = _tube_max_stress(wall, d, l1, l2, np.deg2rad(th1), np.deg2rad(th2),
-                                  f1 * 1e3, f2 * 1e3, p * 1e3, torque * 1e3)
+    def formula(x, y, ops):
+        wall, d, l1, l2, strength, noise = x
+        th1, th2, f1, f2, p, torque = y
+        # numpy's deg2rad is this product
+        stress = _tube_max_stress(wall, d, l1, l2, th1 * _RADIANS, th2 * _RADIANS,
+                                  f1 * 1e3, f2 * 1e3, p * 1e3, torque * 1e3, ops)
         return strength - TUBE_STRESS_SCALE * stress + noise
 
-    return lsf
+    return _limit_state(formula)
 
 
 def case_cantilever_tube():

@@ -23,8 +23,9 @@ Variable lines are positional: the limit state receives the declared
 randoms and uncertains in file order, so a definition file reruns a
 built-in response surface on shifted means or bounds.
 
-Every subcommand takes --seed and --config; only run and curve, which
-sweep the belief levels, take --alpha-levels and --quad-nodes.  Settings
+Every subcommand takes --config; run, mcs and curve take --seed, and only
+run and curve, which sweep the belief levels, take --alpha-levels and
+--quad-nodes.  Settings
 files passed via --config are read by the same key=value reader as
 problem files, with the keys alpha_levels, quad_nodes, epsilon, fd_step,
 seed.  Every key is parsed and type-checked, but a subcommand ignores the
@@ -118,7 +119,6 @@ def _add_case_arguments(parser):
     parser.add_argument("--m", type=int, help="random inputs (linear case, default 5)")
     parser.add_argument("--n", type=int, help="uncertain inputs (linear case, default 5)")
     parser.add_argument("--t", type=float, help="time (crank_slider case, default 0)")
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--config", help="flat key=value settings file")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", help="write output to this path instead of stdout")
@@ -207,6 +207,8 @@ def build_parser():
     _add_case_arguments(p_curve)
     p_curve.set_defaults(func=_cmd_curve, reads=_ALL_SETTINGS)
 
+    for seeded in (p_run, p_mcs, p_curve):  # design-point does not read it
+        seeded.add_argument("--seed", type=int)
     for sweep in (p_run, p_curve):  # mcs and design-point do not read these
         sweep.add_argument("--alpha-levels", type=int, dest="alpha_levels")
         sweep.add_argument("--quad-nodes", type=int, dest="quad_nodes")

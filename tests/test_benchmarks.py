@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,9 @@ from hybrel.benchmarks import (
     run_case,
 )
 from hybrel.config import RunSettings
-from hybrel.errors import InvalidGeometryError, InvalidParameterError
+from hybrel.errors import InvalidGeometryError, InvalidParameterError, NonFiniteResponseError
 from hybrel.mcs import estimate_failure
+from hybrel.model import standardize
 
 
 class TestRegistry:
@@ -133,7 +136,7 @@ def test_scalar_and_batch_contracts_agree_bit_for_bit(key, params):
     # whether it comes alone or as a row of a batch
     problem = get_case(key, **params).problem
     rng = np.random.default_rng(2024)
-    count = 2000
+    count = 20_000
     means = np.array([rv.mean for rv in problem.randoms])
     stddevs = np.array([rv.stddev for rv in problem.randoms])
     lower = np.array([uv.lower for uv in problem.uncertains])
@@ -146,6 +149,68 @@ def test_scalar_and_batch_contracts_agree_bit_for_bit(key, params):
     one = problem.lsf_batch(x[:1], y[:1])
     assert one.shape == (1,)
     assert one.tobytes() == batch[:1].tobytes()
+
+
+_TUBE_X = [5.0, 42.0, 120.0, 60.0, 185.0, 0.0]
+_TUBE_Y = [5.0, 10.0, 13.0, 13.0, 22.0, 90.0]
+_CRANK_X = [10.0, 20.0, 1.98]
+_CRANK_Y = [100.0, 300.0, 250.0, 125.0]
+
+
+def _bits(value):
+    return struct.pack(">d", value).hex()
+
+
+class TestEdgePoints:
+    """Points where Python-float arithmetic raises or meets a NaN.  A point
+    gives the bits of its one-row batch, and both give the value or the
+    error recorded when a point ran on numpy scalars."""
+
+    @pytest.mark.parametrize("key, x, y, bits", [
+        # zero wall: zero area and zero second moment
+        ("cantilever_tube", [0.0, *_TUBE_X[1:]], _TUBE_Y, "fff0000000000000"),
+        ("cantilever_tube", _TUBE_X, [np.inf, *_TUBE_Y[1:]], "fff8000000000000"),
+        ("cantilever_tube", _TUBE_X, [-np.inf, *_TUBE_Y[1:]], "fff8000000000000"),
+        ("cantilever_tube", [*_TUBE_X[:4], np.nan, 0.0], _TUBE_Y, "7ff8000000000000"),
+        ("crank_slider", [*_CRANK_X[:2], np.nan], _CRANK_Y, "7ff8000000000000"),
+    ])
+    def test_point_gives_the_batch_bits(self, key, x, y, bits):
+        problem = get_case(key).problem
+        x, y = np.array(x), np.array(y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            point = problem.lsf(x, y)
+            row = problem.lsf_batch(x[None, :], y[None, :])
+        assert row.shape == (1,)
+        assert (_bits(point), _bits(row[0])) == (bits, bits)
+
+    @pytest.mark.parametrize("x, y, value", [
+        ([0.0, *_TUBE_X[1:]], _TUBE_Y, "-inf"),
+        (_TUBE_X, [np.inf, *_TUBE_Y[1:]], "nan"),
+    ])
+    def test_standardized_point_names_the_response(self, x, y, value):
+        std = standardize(case_cantilever_tube().problem)
+        u, delta = std.to_standard_random(x), std.to_standard_uncertain(y)
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteResponseError) as info:
+            std.lsf_std(u, delta)
+        physical = f"x={std.to_physical_random(u).tolist()}, " \
+            f"y={std.to_physical_uncertain(delta).tolist()}"
+        assert str(info.value) == f"limit state returned {value} at {physical}"
+
+    @pytest.mark.parametrize("x, y, message", [
+        (_CRANK_X, [100.0, 150.0, 250.0, 125.0],  # b - a = 50 < e
+         "coupler shorter than the offset: (b-a)^2 <= e^2"),
+        ([20.0, 10.0, 1.98], _CRANK_Y,  # inner diameter above the outer
+         "non-physical crank-slider configuration"),
+    ])
+    def test_crank_geometry_violation(self, x, y, message):
+        problem = case_crank_slider(0.0).problem
+        x, y = np.array(x), np.array(y)
+        for call in (lambda: problem.lsf(x, y),
+                     lambda: problem.lsf_batch(x[None, :], y[None, :])):
+            with pytest.raises(InvalidGeometryError) as info:
+                call()
+            assert str(info.value) == message
 
 
 class TestRunCase:

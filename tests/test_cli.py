@@ -120,6 +120,17 @@ class TestRunCommand:
         if not accepted:
             assert "unrecognized arguments" in err
 
+    @pytest.mark.parametrize("command,accepted", [
+        ("run", True), ("curve", True), ("mcs", True), ("design-point", False),
+    ])
+    def test_seed_flag_only_where_read(self, capsys, command, accepted):
+        extra = ["--samples", "10000"] if command == "mcs" else []
+        code, _, err = _run(capsys, command, "--case", "linear", "--m", "2",
+                            "--n", "1", *extra, "--seed", "3")
+        assert code == (0 if accepted else 2)
+        if not accepted:
+            assert "unrecognized arguments" in err
+
     @pytest.mark.parametrize("command,extra", [
         ("mcs", ["--samples", "10000"]), ("design-point", []),
     ])
