@@ -26,7 +26,9 @@ from .chance import (
     belief_sup_grid,
     chance_distribution,
     chance_exceedance,
+    degenerate_random,
     detect_profile,
+    reliability_reference,
 )
 from .config import RunSettings, load_config, thread_cap
 from .distributions import (
@@ -71,9 +73,7 @@ from .model import (
     RandomVariable,
     StandardizedProblem,
     UncertainVariable,
-    degenerate_random,
     fd_gradient,
-    reliability_reference,
     standardize,
 )
 from .polar import PolarFeatures, ReducedLSF, polar_features, reduce_to_polar

@@ -24,7 +24,7 @@ documents the choice in its docstring.
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -526,10 +526,11 @@ class RunReport:
 
 def design_point(case, settings=None):
     """The pipeline's first stages: standardize the case and search its
-    design point, both differentiating with settings.fd_step.  Returns
-    (standardized problem, DesignPoint)."""
+    design point, differentiating with settings.fd_step, which the
+    DesignPoint records for the polar reduction.  Returns (standardized
+    problem, DesignPoint)."""
     settings = settings or RunSettings()
-    std = replace(standardize(case.problem), fd_rel_step=settings.fd_step)
+    std = standardize(case.problem)
     solver_settings = SolverSettings(
         epsilon=settings.epsilon, fd_rel_step=settings.fd_step
     )

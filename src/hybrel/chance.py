@@ -1,4 +1,4 @@
-"""Operational law for the chance measure.
+"""The chance measure as defined: the reference oracle for the polar method.
 
 Given a limit-state callable over fixed random inputs and monotone uncertain
 inputs, the belief degree of the exceedance event {f > x} is the root of a
@@ -10,8 +10,12 @@ random inputs with a Gaussian-measure tensor quadrature.  Only the
 exceedance orientation is computed: the chance measure is self-dual, so the
 chance distribution Ch{f <= x} is one minus the exceedance.
 
-User limit states are evaluated on arrays of points only through the checked
-`_rows`; the private functions take such a rows callable.
+`reliability_reference` applies that integral to a `HybridProblem`; a
+purely random problem goes to `degenerate_random`, which tries the exact
+affine closed form and one-dimensional root bracketing first.  User limit
+states are evaluated on arrays of points only through `model._rows`, the
+checked evaluator of the run pipeline; the private functions take such a
+rows callable.  Nothing in the run pipeline imports this module.
 """
 
 import math
@@ -25,9 +29,9 @@ from .errors import (
     AccuracyError,
     AmbiguousRootError,
     InvalidParameterError,
-    NonFiniteResponseError,
     UnsupportedDimensionError,
 )
+from .model import _rows, evaluate_rows, standardize
 
 __all__ = [
     "MonotonicityProfile",
@@ -38,6 +42,8 @@ __all__ = [
     "chance_distribution",
     "chance_exceedance",
     "gaussian_nodes",
+    "reliability_reference",
+    "degenerate_random",
 ]
 
 _SIGNS = ("increasing", "decreasing", "unknown")
@@ -47,54 +53,8 @@ _ROOT_TOL = 1e-10  # |h(alpha)| accepted as the belief root
 _PRESCAN = 11  # belief levels scanned for a monotonicity violation
 _BLOCK = 1 << 14  # quadrature nodes per pass of the belief bisection
 _GRID = 201  # grid points per uncertain variable of the grid supremum
-
-
-def _point(x, y):
-    return f"x={np.asarray(x).tolist()}, y={np.asarray(y).tolist()}"
-
-
-def _non_finite(source, value, x, y):
-    return NonFiniteResponseError(f"{source} returned {value} at {_point(x, y)}")
-
-
-def _response(value, x, y):
-    """One limit-state response at the physical point (x, y) as a float: a
-    non-scalar raises InvalidParameterError naming its shape, NaN or an
-    infinity NonFiniteResponseError; both name the point."""
-    # numpy's float64 is a float; anything else takes the full check
-    if isinstance(value, float) and math.isfinite(value):
-        return value
-    if np.shape(value) != ():
-        raise InvalidParameterError(
-            f"limit state returned shape {np.shape(value)}, not a scalar, "
-            f"at {_point(x, y)}"
-        )
-    value = float(value)
-    if not math.isfinite(value):
-        raise _non_finite("limit state", value, x, y)
-    return value
-
-
-def _rows(lsf, lsf_batch, x, y):
-    """Checked responses at the rows of x (N, m) and y (N, n): one
-    `lsf_batch` call, whose result must have shape (N,), when lsf_batch is
-    not None, a per-row `lsf` loop through `_response` otherwise.  A result
-    of the wrong shape raises InvalidParameterError, the first NaN or
-    infinite response NonFiniteResponseError; both name a physical point."""
-    if lsf_batch is None:
-        return np.fromiter((_response(lsf(xi, yi), xi, yi)
-                            for xi, yi in zip(x, y)), float, len(x))
-    values = np.asarray(lsf_batch(x, y), dtype=float)
-    if values.shape != (len(x),):
-        raise InvalidParameterError(
-            f"limit-state batch returned shape {values.shape} for "
-            f"{len(x)} rows, the first at {_point(x[0], y[0])}"
-        )
-    finite = np.isfinite(values)
-    if not finite.all():
-        i = np.flatnonzero(~finite)[0]
-        raise _non_finite("limit state", float(values[i]), x[i], y[i])
-    return values
+_AFFINE_RTOL = 1e-8  # superposition error of _detect_affine, relative to scale
+_PURE_RANDOM_NODES = 200  # quadrature nodes of degenerate_random's m = 2, 3 route
 
 
 @dataclass(frozen=True)
@@ -252,8 +212,7 @@ def _belief_rows(rows, etas, unc_dists, signs, x):
 def belief_at_limit_state(f, fixed_randoms, unc_dists, profile):
     """Belief degree of {f(fixed_randoms, tau) > 0} over the uncertain inputs.
 
-    Requires a fully classified profile (no "unknown" entries) and regular
-    uncertainty distributions.  Returns a :class:`BeliefRoot`; the endpoint
+    Requires a fully classified profile (no "unknown" entries).  Returns a :class:`BeliefRoot`; the endpoint
     conventions apply when the limit state does not change sign over the
     support.
     """
@@ -263,9 +222,6 @@ def belief_at_limit_state(f, fixed_randoms, unc_dists, profile):
         )
     if len(profile) != len(unc_dists):
         raise InvalidParameterError("profile length must match unc_dists")
-    for dist in unc_dists:
-        if not dist.regular:
-            raise InvalidParameterError("root finding requires regular distributions")
     fixed = np.array(fixed_randoms, dtype=float, ndmin=2)
     value, status = _belief_rows(partial(_rows, f, None), fixed, unc_dists,
                                  profile.signs, 0.0)
@@ -441,3 +397,103 @@ def chance_distribution(f, prob_dists, unc_dists, x, quad_nodes=64,
     by self-duality is one minus :func:`chance_exceedance` at x."""
     return 1.0 - chance_exceedance(f, prob_dists, unc_dists, x, quad_nodes,
                                    profile, verify)
+
+
+# ---------------------------------------------------------------------------
+# reference reliability of a hybrid problem
+# ---------------------------------------------------------------------------
+
+def _detect_affine(func, dim):
+    """Return (constant, coefficient vector) when func is affine, else None.
+
+    Probes the unit directions and checks superposition at three fixed
+    interior points; the tolerance is relative to the response scale.
+    """
+    origin = np.zeros(dim)
+    c = func(origin)
+    coeffs = np.empty(dim)
+    for i in range(dim):
+        e = np.zeros(dim)
+        e[i] = 1.0
+        fp = func(e)
+        fm = func(-e)
+        coeffs[i] = (fp - fm) / 2
+        if abs(fp + fm - 2 * c) > _AFFINE_RTOL * max(1.0, abs(c), abs(fp)):
+            return None
+    probes = [np.full(dim, 0.37), np.linspace(-1.3, 0.9, dim),
+              np.full(dim, -2.1)]
+    for p in probes:
+        predicted = c + coeffs @ p
+        actual = func(p)
+        if abs(actual - predicted) > _AFFINE_RTOL * max(1.0, abs(actual),
+                                                        abs(predicted)):
+            return None
+    return c, coeffs
+
+
+def degenerate_random(problem):
+    """Reliability of a purely random problem: Pr{f(x) > 0}.
+
+    Affine limit states (detected by probing) are evaluated in closed form
+    as normal_cdf(c / |a|) in standardized coordinates, which is exact.  A
+    one-dimensional nonlinear limit state is decomposed into sign intervals
+    by root bracketing on [-10, 10].  Higher-dimensional nonlinear problems
+    (m <= 3) fall back to the chance integral with no uncertain inputs, a
+    tensor quadrature of the safe-set indicator over `evaluate_rows` at a
+    fixed 200 nodes, whose accuracy is limited by the discontinuity; treat
+    that path as a smoke check rather than a precision oracle.
+    """
+    if problem.n != 0:
+        raise InvalidParameterError("degenerate_random requires n = 0")
+    std = standardize(problem)
+    m = problem.m
+    func = lambda u: std.lsf_std(u, np.empty(0))
+
+    affine = _detect_affine(func, m)
+    if affine is not None:
+        c, a = affine
+        norm_a = float(np.linalg.norm(a))
+        if norm_a < 1e-300:
+            return 1.0 if c > 0 else 0.0
+        return float(normal_cdf(c / norm_a))
+
+    if m == 1:
+        # imported here so that `import hybrel` does not load scipy.optimize
+        from scipy.optimize import brentq
+
+        f1 = lambda t: func(np.array([t]))
+        grid = np.linspace(-10.0, 10.0, 2001)
+        vals = np.array([f1(t) for t in grid])
+        roots = []
+        for i in range(len(grid) - 1):
+            if np.sign(vals[i]) != np.sign(vals[i + 1]) and vals[i] != vals[i + 1]:
+                roots.append(brentq(f1, grid[i], grid[i + 1], xtol=1e-13))
+        edges = [-np.inf] + sorted(roots) + [np.inf]
+        total = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            mid = np.clip(0.5 * (max(lo, -12.0) + min(hi, 12.0)), -12.0, 12.0)
+            if f1(mid) > 0:
+                cdf_hi = 1.0 if hi == np.inf else float(normal_cdf(hi))
+                cdf_lo = 0.0 if lo == -np.inf else float(normal_cdf(lo))
+                total += cdf_hi - cdf_lo
+        return min(max(total, 0.0), 1.0)
+
+    return _exceedance(partial(evaluate_rows, problem), problem.random_dists(),
+                       [], 0.0, _PURE_RANDOM_NODES, None, False)
+
+
+def reliability_reference(problem, quad_nodes=64, verify=False):
+    """Reference hybrid reliability: the chance measure of {f > 0}.
+
+    Runs the tensor-quadrature chance integral (m <= 3), whose belief
+    bisection makes one `evaluate_rows` call per step over its open nodes.
+    A purely random problem goes to `degenerate_random` instead, which
+    ignores quad_nodes and verify: its m = 2, 3 route runs a fixed 200-node
+    rule.  The production path for benchmark-sized problems is the polar
+    pipeline; this evaluator exists to cross-check it at small dimension.
+    """
+    if problem.n == 0:
+        return degenerate_random(problem)
+    return _exceedance(partial(evaluate_rows, problem), problem.random_dists(),
+                       problem.uncertain_dists(), 0.0, quad_nodes, None,
+                       verify)

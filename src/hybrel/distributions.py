@@ -456,10 +456,6 @@ class LinearUncertain:
     def __post_init__(self):
         _check_bounds(self.lower, self.upper)
 
-    @property
-    def regular(self):
-        return True
-
     def cdf(self, x):
         return linear_unc_cdf(x, self.lower, self.upper)
 

@@ -1,23 +1,25 @@
-"""Hybrid problem definition, standardization and reference evaluators.
+"""Hybrid problem definition, the checked limit-state contract, and
+standardization.
 
 A hybrid problem couples Gaussian random inputs with bounded uncertain
-inputs through a limit-state function; positive response means safe.  The
+inputs through a limit-state function; positive response means safe.  Every
+response a user limit state returns is checked here, whether one point
+(`_response`) or the rows of an array (`_rows`, `evaluate_rows`): NaN or an
+infinity raises NonFiniteResponseError, a non-scalar response or a batch of
+the wrong shape InvalidParameterError, each naming the physical point.  The
 standardization maps random inputs to standard normals and uncertain inputs
 to the symmetric unit box, sharing one arithmetic path with the original
-limit state.  The reference evaluator computes the reliability metric by
-the chance integral of `chance.py` (small dimension only); a purely random
-problem first tries the exact affine closed form and the one-dimensional
-root bracketing of `degenerate_random`.
+limit state.
 """
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .chance import _exceedance, _non_finite, _response, _rows
-from .distributions import LinearUncertain, Normal, normal_cdf
-from .errors import InvalidParameterError
+from .distributions import LinearUncertain, Normal
+from .errors import InvalidParameterError, NonFiniteResponseError
 
 __all__ = [
     "RandomVariable",
@@ -27,11 +29,55 @@ __all__ = [
     "standardize",
     "evaluate_rows",
     "fd_gradient",
-    "reliability_reference",
-    "degenerate_random",
 ]
 
-_AFFINE_RTOL = 1e-8  # superposition error of _detect_affine, relative to scale
+
+def _point(x, y):
+    return f"x={np.asarray(x).tolist()}, y={np.asarray(y).tolist()}"
+
+
+def _non_finite(source, value, x, y):
+    return NonFiniteResponseError(f"{source} returned {value} at {_point(x, y)}")
+
+
+def _response(value, x, y):
+    """One limit-state response at the physical point (x, y) as a float: a
+    non-scalar raises InvalidParameterError naming its shape, NaN or an
+    infinity NonFiniteResponseError; both name the point."""
+    # numpy's float64 is a float; anything else takes the full check
+    if isinstance(value, float) and math.isfinite(value):
+        return value
+    if np.shape(value) != ():
+        raise InvalidParameterError(
+            f"limit state returned shape {np.shape(value)}, not a scalar, "
+            f"at {_point(x, y)}"
+        )
+    value = float(value)
+    if not math.isfinite(value):
+        raise _non_finite("limit state", value, x, y)
+    return value
+
+
+def _rows(lsf, lsf_batch, x, y):
+    """Checked responses at the rows of x (N, m) and y (N, n): one
+    `lsf_batch` call, whose result must have shape (N,), when lsf_batch is
+    not None, a per-row `lsf` loop through `_response` otherwise.  A result
+    of the wrong shape raises InvalidParameterError, the first NaN or
+    infinite response NonFiniteResponseError; both name a physical point."""
+    if lsf_batch is None:
+        return np.fromiter((_response(lsf(xi, yi), xi, yi)
+                            for xi, yi in zip(x, y)), float, len(x))
+    values = np.asarray(lsf_batch(x, y), dtype=float)
+    if values.shape != (len(x),):
+        raise InvalidParameterError(
+            f"limit-state batch returned shape {values.shape} for "
+            f"{len(x)} rows, the first at {_point(x[0], y[0])}"
+        )
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = np.flatnonzero(~finite)[0]
+        raise _non_finite("limit state", float(values[i]), x[i], y[i])
+    return values
 
 
 @dataclass(frozen=True)
@@ -83,8 +129,8 @@ class HybridProblem:
     and the chance-measure reference use it when present.  Every response
     is checked as in `evaluate_rows`.
 
-    User callables must tolerate concurrent invocation; the problem itself
-    is immutable.
+    User callables are called from one thread, in order; the problem
+    itself is immutable.
     """
 
     lsf: object
@@ -251,107 +297,3 @@ def standardize(problem):
         centers=(lowers + uppers) / 2,
         half_widths=(uppers - lowers) / 2,
     )
-
-
-# ---------------------------------------------------------------------------
-# degenerate evaluators
-# ---------------------------------------------------------------------------
-
-def _detect_affine(func, dim):
-    """Return (constant, coefficient vector) when func is affine, else None.
-
-    Probes the unit directions and checks superposition at three fixed
-    interior points; the tolerance is relative to the response scale.
-    """
-    origin = np.zeros(dim)
-    c = func(origin)
-    coeffs = np.empty(dim)
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        fp = func(e)
-        fm = func(-e)
-        coeffs[i] = (fp - fm) / 2
-        if abs(fp + fm - 2 * c) > _AFFINE_RTOL * max(1.0, abs(c), abs(fp)):
-            return None
-    probes = [np.full(dim, 0.37), np.linspace(-1.3, 0.9, dim),
-              np.full(dim, -2.1)]
-    for p in probes:
-        predicted = c + coeffs @ p
-        actual = func(p)
-        if abs(actual - predicted) > _AFFINE_RTOL * max(1.0, abs(actual),
-                                                        abs(predicted)):
-            return None
-    return c, coeffs
-
-
-def degenerate_random(problem, quad_nodes=200):
-    """Reliability of a purely random problem: Pr{f(x) > 0}.
-
-    Affine limit states (detected by probing) are evaluated in closed form
-    as normal_cdf(c / |a|) in standardized coordinates, which is exact.  A
-    one-dimensional nonlinear limit state is decomposed into sign intervals
-    by root bracketing on [-10, 10].  Higher-dimensional nonlinear problems
-    (m <= 3) fall back to the chance integral with no uncertain inputs, a
-    tensor quadrature of the safe-set indicator over `evaluate_rows`, whose
-    accuracy is limited by the discontinuity; treat that path as a smoke
-    check rather than a precision oracle.
-    """
-    if problem.n != 0:
-        raise InvalidParameterError("degenerate_random requires n = 0")
-    std = standardize(problem)
-    m = problem.m
-    func = lambda u: std.lsf_std(u, np.empty(0))
-
-    affine = _detect_affine(func, m)
-    if affine is not None:
-        c, a = affine
-        norm_a = float(np.linalg.norm(a))
-        if norm_a < 1e-300:
-            return 1.0 if c > 0 else 0.0
-        return float(normal_cdf(c / norm_a))
-
-    if m == 1:
-        # imported here so that `import hybrel` does not load scipy.optimize
-        from scipy.optimize import brentq
-
-        f1 = lambda t: func(np.array([t]))
-        grid = np.linspace(-10.0, 10.0, 2001)
-        vals = np.array([f1(t) for t in grid])
-        roots = []
-        for i in range(len(grid) - 1):
-            if np.sign(vals[i]) != np.sign(vals[i + 1]) and vals[i] != vals[i + 1]:
-                roots.append(brentq(f1, grid[i], grid[i + 1], xtol=1e-13))
-        edges = [-np.inf] + sorted(roots) + [np.inf]
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid = np.clip(0.5 * (max(lo, -12.0) + min(hi, 12.0)), -12.0, 12.0)
-            if f1(mid) > 0:
-                cdf_hi = 1.0 if hi == np.inf else float(normal_cdf(hi))
-                cdf_lo = 0.0 if lo == -np.inf else float(normal_cdf(lo))
-                total += cdf_hi - cdf_lo
-        return min(max(total, 0.0), 1.0)
-
-    return _exceedance(partial(evaluate_rows, problem), problem.random_dists(),
-                       [], 0.0, quad_nodes, None, False)
-
-
-def reliability_reference(problem, quad_nodes=64, threshold=0.0, verify=False):
-    """Reference hybrid reliability: the chance measure of {f > threshold}.
-
-    Routes purely random problems to `degenerate_random` and otherwise runs
-    the tensor-quadrature chance integral (m <= 3), whose belief bisection
-    makes one `evaluate_rows` call per step over its open nodes.  The
-    production path for benchmark-sized problems is the polar pipeline;
-    this evaluator exists to cross-check it at small dimension.
-    """
-    if problem.n == 0:
-        if threshold != 0.0:
-            lsf, batch = problem.lsf, problem.lsf_batch
-            shifted = lambda x, y: np.subtract(batch(x, y), threshold)
-            problem = replace(problem, lsf=lambda x, y: lsf(x, y) - threshold,
-                              lsf_batch=None if batch is None else shifted)
-        return degenerate_random(problem)
-    return _exceedance(partial(evaluate_rows, problem), problem.random_dists(),
-                       problem.uncertain_dists(), threshold, quad_nodes, None,
-                       verify)

@@ -13,7 +13,7 @@ offset + sqrt(q_rand+q_unc)*cosine, since grad_norm > 0.
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -96,10 +96,6 @@ class ReducedLSF:
             self.offset + np.sqrt(random_sq + uncertain_sq) * cosine
         )
 
-    def safe_margin(self, random_sq, uncertain_sq, cosine):
-        """Sign-equivalent normalized margin; > 0 is safe."""
-        return self.offset + np.sqrt(random_sq + uncertain_sq) * cosine
-
     def at_point(self, omega):
         """Surrogate evaluated at the polar features of a concrete point."""
         feats = polar_features(omega, self.direction, self.m, self.n)
@@ -110,18 +106,20 @@ def reduce_to_polar(std_problem, design_point):
     """Reduce a standardized problem to its polar surrogate at a design point.
 
     offset = (f(w*) - grad(w*).w*) / |grad(w*)| and grad_norm = |grad(w*)|,
-    with the expansion direction taken as the normalized gradient.  At a
-    converged design point the Gaussian subvector is collinear (up to sign)
-    with the Gaussian part of the gradient; that alignment is the
-    convergence diagnostic checked here, and a deviation beyond 1e-3
-    radians is logged as a warning, not raised.
+    with the expansion direction taken as the normalized gradient; without
+    an analytic gradient it differentiates with the design point's
+    fd_rel_step, the step of the search that found it.  At a converged
+    design point the Gaussian subvector is collinear (up to sign) with the
+    Gaussian part of the gradient; that alignment is the convergence
+    diagnostic checked here, and a deviation beyond 1e-3 radians is logged
+    as a warning, not raised.
     (Box-pinned uncertain coordinates carry bound multipliers and interior
     ones their own subproblem multiplier, so full-vector collinearity is
     not available as a diagnostic for mixed problems.)
     """
-    u_star = np.asarray(design_point.u_star, dtype=float)
-    delta_star = np.asarray(design_point.delta_star, dtype=float)
-    omega = np.concatenate([u_star, delta_star])
+    std_problem = replace(std_problem, fd_rel_step=design_point.fd_rel_step)
+    omega = design_point.omega()
+    u_star = omega[: std_problem.m]
     grad = std_problem.gradient_omega(omega)
     grad_norm = float(np.linalg.norm(grad))
     if grad_norm < 1e-12:

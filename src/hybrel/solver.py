@@ -77,7 +77,9 @@ class DesignPoint:
     """Converged (or best-effort) minimizer of the norm on the failure surface.
 
     beta equals the Euclidean norm of (u_star, delta_star); `converged`
-    reports honestly whether the step tolerance was met.
+    reports honestly whether the step tolerance was met.  fd_rel_step is
+    the relative finite-difference step the search differentiated with,
+    which the polar reduction reuses.
     """
 
     u_star: np.ndarray = field(repr=False)
@@ -86,6 +88,7 @@ class DesignPoint:
     iterations: int = 0
     converged: bool = False
     trace: tuple = ()
+    fd_rel_step: float = SolverSettings.fd_rel_step
 
     def omega(self):
         return np.concatenate([self.u_star, self.delta_star])
@@ -255,7 +258,8 @@ def ua_step(std, u_fixed):
     For n <= 3 a dense grid of 21 points per axis, evaluated in one
     `lsf_rows` call, seeds the refinement; beyond that the refinement runs
     from the box center and from the best corner, keeping whichever lands
-    better.  The corners are scalar calls through `lsf_std_rows`.
+    better.  The corners are scalar calls through `lsf_std_rows`.  With
+    n = 0 the box point is empty.
     """
     u_fixed = np.asarray(u_fixed, dtype=float)
     n = std.n
@@ -287,7 +291,7 @@ def ua_step(std, u_fixed):
                float(np.linalg.norm(delta)))
         if best_key is None or key < best_key:
             best, best_key = delta, key
-    return np.clip(best, -1.0, 1.0)
+    return best
 
 
 def pa_step(std, u_prev, delta_fixed, beta_prev):
@@ -335,11 +339,9 @@ def find_design_point(std, settings=None):
     converged = False
     feasible_seen = False
     prev_norm = None
-    iterations = 0
 
     for k in range(1, _MAX_ITERATIONS + 1):
-        iterations = k
-        delta_new = ua_step(std, u) if std.n else delta
+        delta_new = ua_step(std, u)
         u_new, beta_scalar = pa_step(std, u, delta_new, beta_scalar)
         step = float(np.linalg.norm(np.concatenate([u_new - u, delta_new - delta])))
         u, delta = u_new, delta_new
@@ -362,14 +364,15 @@ def find_design_point(std, settings=None):
     if not converged:
         logger.warning(
             "design point did not converge in %d iterations; last step norm %.6g",
-            iterations, step,
+            len(trace), step,
         )
 
     return DesignPoint(
         u_star=u,
         delta_star=delta,
-        beta=float(np.linalg.norm(np.concatenate([u, delta]))),
-        iterations=iterations,
+        beta=trace[-1].beta,
+        iterations=len(trace),
         converged=converged,
         trace=tuple(trace),
+        fd_rel_step=settings.fd_rel_step,
     )

@@ -262,6 +262,24 @@ class TestRunCase:
         assert coarse.beta == pytest.approx(default.beta, abs=1e-6)
         assert coarse.settings["fd_step"] == 1e-3
 
+    def test_composed_stages_reuse_the_search_step(self):
+        # the public stages, composed by hand, differentiate the polar
+        # reduction with the step the search was given, as run_case does
+        from hybrel.integrator import ShiftSchedule, reliability_interval
+        from hybrel.polar import reduce_to_polar
+        from hybrel.solver import SolverSettings, find_design_point
+        case = case_crank_slider(10.0)
+        settings = RunSettings(fd_step=1e-3)
+        std = standardize(case.problem)
+        design = find_design_point(std, SolverSettings(fd_rel_step=1e-3))
+        reduced = reduce_to_polar(std, design)
+        interval = reliability_interval(
+            reduced, ShiftSchedule.uniform(case.n, levels=settings.alpha_levels),
+            quad_nodes=settings.quad_nodes)
+        report = run_case(case, settings)
+        assert (reduced.offset, interval.f_hi) == (report.d, report.F_hi)
+        assert design.fd_rel_step == 1e-3
+
     def test_design_point_stays_in_box(self):
         from hybrel.model import standardize
         from hybrel.solver import find_design_point

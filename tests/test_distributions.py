@@ -230,7 +230,6 @@ class TestLinearUncertain:
         dist = LinearUncertain(-3.0, 7.0)
         assert dist.inv(0.0) == -3.0
         assert dist.inv(1.0) == 7.0
-        assert dist.regular
 
     @given(
         st.floats(0, 1),

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from hybrel.chance import degenerate_random
 from hybrel.distributions import normal_cdf
 from hybrel.errors import InvalidParameterError
 from hybrel.mcs import estimate_failure
-from hybrel.model import HybridProblem, RandomVariable, UncertainVariable, degenerate_random
+from hybrel.model import HybridProblem, RandomVariable, UncertainVariable
 
 
 def _linear_problem(m, n):

@@ -17,7 +17,13 @@ from hybrel.benchmarks import (
     case_crank_slider,
     run_case,
 )
-from hybrel.chance import belief_sup_grid, chance_exceedance, detect_profile
+from hybrel.chance import (
+    belief_sup_grid,
+    chance_exceedance,
+    degenerate_random,
+    detect_profile,
+    reliability_reference,
+)
 from hybrel.errors import (
     AmbiguousRootError,
     InvalidParameterError,
@@ -28,9 +34,7 @@ from hybrel.model import (
     HybridProblem,
     RandomVariable,
     UncertainVariable,
-    degenerate_random,
     fd_gradient,
-    reliability_reference,
     standardize,
 )
 from hybrel.solver import find_design_point
@@ -684,10 +688,12 @@ class TestReliabilityReference:
         assert calls == {"scalar": 0, "rows": scalar_calls["scalar"]}
         assert value == pytest.approx(0.8532997719453629, abs=1e-12)
 
-    def test_threshold_keeps_lsf_batch(self):
+    def test_nonlinear_pure_random_goes_through_lsf_batch(self):
         # 3 - x0^2/2 - x1 is not affine, so it takes the m = 2 indicator
-        # quadrature; shifting both callables keeps that quadrature batched.
-        # Oracle: the scalar path of the shifted limit state
+        # quadrature, whose 200 x 200 nodes are batch rows. Oracles: the
+        # scalar path, and Pr{x1 < 3 - x0^2/2} = E[Phi((2.5 - x0^2/2)/1.2)]
+        # by quad, within the indicator rule's first-order error
+        from hybrel.distributions import normal_cdf
         g = lambda x, y: 3.0 - x[..., 0] ** 2 / 2 - x[..., 1]
         problem = HybridProblem(
             lsf=lambda x, y: float(g(x, y)),
@@ -695,20 +701,13 @@ class TestReliabilityReference:
             lsf_batch=g,
         )
         batched, calls = _counted(problem)
-        value = reliability_reference(batched, threshold=0.4)
+        value = reliability_reference(batched)
         assert calls["scalar"] <= 3 and calls["rows"] == 40_000
-        shifted = replace(problem, lsf=lambda x, y: float(g(x, y)) - 0.4,
-                          lsf_batch=None)
-        assert value == reliability_reference(shifted)
-        assert value == pytest.approx(0.8806025815702306, abs=1e-12)
-
-    def test_threshold_parameter(self):
-        problem = _pure_random(lambda x, y: -x[0])
-        from hybrel.distributions import normal_cdf
-        # Ch{-u > 1} = Pr{u < -1}
-        assert reliability_reference(problem, threshold=1.0) == pytest.approx(
-            normal_cdf(-1.0), abs=1e-9
-        )
+        assert value == reliability_reference(replace(problem, lsf_batch=None))
+        exact, err = quad(lambda t: math.exp(-t * t / 2) / math.sqrt(2 * math.pi)
+                          * float(normal_cdf((2.5 - t * t / 2) / 1.2)), -12, 12)
+        assert err < 1e-9
+        assert value == pytest.approx(exact, abs=2e-4)
 
     def test_non_monotone_uncertain_input_is_ambiguous(self):
         # d/dy0 = -2 (y0 - 0.3) changes sign inside [-1, 1] at every random

@@ -185,7 +185,6 @@ class TestReduce:
         assert reduced.surrogate(4.0, 0.0, -0.5) == pytest.approx(
             0.5 * (2.0 + 2.0 * -0.5)
         )
-        assert reduced.safe_margin(4.0, 0.0, -0.5) == pytest.approx(1.0)
 
     def test_true_design_point_is_collinear(self, caplog):
         # a converged solve does not warn
