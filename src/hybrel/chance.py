@@ -212,9 +212,9 @@ def _belief_rows(rows, etas, unc_dists, signs, x):
 def belief_at_limit_state(f, fixed_randoms, unc_dists, profile):
     """Belief degree of {f(fixed_randoms, tau) > 0} over the uncertain inputs.
 
-    Requires a fully classified profile (no "unknown" entries).  Returns a :class:`BeliefRoot`; the endpoint
-    conventions apply when the limit state does not change sign over the
-    support.
+    Requires a fully classified profile (no "unknown" entries).  Returns a
+    :class:`BeliefRoot`; the endpoint conventions apply when the limit
+    state does not change sign over the support.
     """
     if profile.has_unknown:
         raise InvalidParameterError(

@@ -211,7 +211,6 @@ class StandardizedProblem:
     stddevs: np.ndarray = field(repr=False)
     centers: np.ndarray = field(repr=False)
     half_widths: np.ndarray = field(repr=False)
-    fd_rel_step: float = 1e-6
 
     # cached: the limit-state path reads m on every call
     @cached_property
@@ -260,14 +259,15 @@ class StandardizedProblem:
         m = self.m
         return self.lsf_std(omega[:m], omega[m:])
 
-    def gradient_omega(self, omega):
+    def gradient_omega(self, omega, fd_rel_step):
         """Gradient of the standardized limit state at omega = (u, delta).
 
         Chain rule through the affine maps when an analytic physical
-        gradient is available, central differences otherwise: the stencil
-        rows of `fd_gradient`, in its order, through `lsf_std_rows`.  A NaN
-        or infinite analytic gradient raises NonFiniteResponseError naming
-        the gradient and the physical point.
+        gradient is available, central differences with relative step
+        fd_rel_step otherwise: the stencil rows of `fd_gradient`, in its
+        order, through `lsf_std_rows`.  A NaN or infinite analytic gradient
+        raises NonFiniteResponseError naming the gradient and the physical
+        point.
         """
         omega = np.asarray(omega, dtype=float)
         if self.problem.gradient is not None:
@@ -281,7 +281,7 @@ class StandardizedProblem:
         m = self.m
         return _central_differences(
             lambda rows: self.lsf_std_rows(rows[:, :m], rows[:, m:]),
-            omega, self.fd_rel_step)
+            omega, fd_rel_step)
 
 
 def standardize(problem):

@@ -13,7 +13,7 @@ offset + sqrt(q_rand+q_unc)*cosine, since grad_norm > 0.
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,10 +117,9 @@ def reduce_to_polar(std_problem, design_point):
     ones their own subproblem multiplier, so full-vector collinearity is
     not available as a diagnostic for mixed problems.)
     """
-    std_problem = replace(std_problem, fd_rel_step=design_point.fd_rel_step)
     omega = design_point.omega()
     u_star = omega[: std_problem.m]
-    grad = std_problem.gradient_omega(omega)
+    grad = std_problem.gradient_omega(omega, design_point.fd_rel_step)
     grad_norm = float(np.linalg.norm(grad))
     if grad_norm < 1e-12:
         raise DegenerateGradientError(

@@ -15,7 +15,7 @@ reach in a few evaluations, to the bits a plain 200-step bisection gives.
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 
@@ -48,9 +48,9 @@ class SolverSettings:
     epsilon is the convergence tolerance on the combined step norm; the
     finite-difference floor of the gradient sits near 1e-8, so pushing
     epsilon far below 1e-6 buys nothing.  fd_rel_step is the relative
-    central-difference step the search differentiates with; it replaces
-    the standardized problem's own.  Both must be finite and positive.  The
-    search stops after _MAX_ITERATIONS outer iterations.
+    central-difference step the search differentiates with, which the
+    DesignPoint records.  Both must be finite and positive.  The search
+    stops after _MAX_ITERATIONS outer iterations.
     """
 
     epsilon: float = 1e-6
@@ -94,9 +94,9 @@ class DesignPoint:
         return np.concatenate([self.u_star, self.delta_star])
 
 
-def _delta_gradient(std, u_fixed, delta):
+def _delta_gradient(std, u_fixed, delta, fd_rel_step):
     omega = np.concatenate([u_fixed, delta])
-    return std.gradient_omega(omega)[std.m:]
+    return std.gradient_omega(omega, fd_rel_step)[std.m:]
 
 
 def _reach(grad, mu):
@@ -215,7 +215,7 @@ def _solve_box_qp(grad, target):
     return np.minimum(np.maximum(0.5 * (lo + hi) * grad, -1.0), 1.0)
 
 
-def _ua_refine(std, u_fixed, delta0):
+def _ua_refine(std, u_fixed, delta0, fd_rel_step):
     """Sequential linearization of the box-constrained minimum-norm problem.
 
     Each pass linearizes f at the current delta and solves the resulting
@@ -226,7 +226,7 @@ def _ua_refine(std, u_fixed, delta0):
     delta = np.asarray(delta0, dtype=float)
     for _ in range(_UA_REFINE_ITERATIONS):
         value = std.lsf_std(u_fixed, delta)
-        grad = _delta_gradient(std, u_fixed, delta)
+        grad = _delta_gradient(std, u_fixed, delta, fd_rel_step)
         target = float(grad @ delta) - value
         new = _solve_box_qp(grad, target)
         if np.linalg.norm(new - delta) < 1e-11:
@@ -250,7 +250,7 @@ def _corners(n):
     return corners
 
 
-def ua_step(std, u_fixed):
+def ua_step(std, u_fixed, fd_rel_step=SolverSettings.fd_rel_step):
     """Uncertain-variable design point at fixed Gaussian coordinates.
 
     Minimizes the combined norm subject to f(u_fixed, delta) = 0 over the
@@ -259,7 +259,8 @@ def ua_step(std, u_fixed):
     `lsf_rows` call, seeds the refinement; beyond that the refinement runs
     from the box center and from the best corner, keeping whichever lands
     better.  The corners are scalar calls through `lsf_std_rows`.  With
-    n = 0 the box point is empty.
+    n = 0 the box point is empty.  Gradients without an analytic one are
+    central differences with relative step fd_rel_step.
     """
     u_fixed = np.asarray(u_fixed, dtype=float)
     n = std.n
@@ -284,7 +285,7 @@ def ua_step(std, u_fixed):
     best = None
     best_key = None
     for seed in candidates:
-        delta = _ua_refine(std, u_fixed, seed)
+        delta = _ua_refine(std, u_fixed, seed, fd_rel_step)
         residual = abs(std.lsf_std(u_fixed, delta))
         # feasible solutions rank before infeasible ones, then by norm
         key = (residual > 1e-8, residual if residual > 1e-8 else 0.0,
@@ -294,16 +295,18 @@ def ua_step(std, u_fixed):
     return best
 
 
-def pa_step(std, u_prev, delta_fixed, beta_prev):
+def pa_step(std, u_prev, delta_fixed, beta_prev,
+            fd_rel_step=SolverSettings.fd_rel_step):
     """One HLRF update of the Gaussian coordinates at a fixed box point.
 
     beta_next = beta_prev + f / |grad_u f| and u_next along the negative
     normalized u-gradient; exact in one step for limit states affine in u.
+    Without an analytic gradient it differentiates with fd_rel_step.
     """
     u_prev = np.asarray(u_prev, dtype=float)
     delta_fixed = np.asarray(delta_fixed, dtype=float)
     omega = np.concatenate([u_prev, delta_fixed])
-    grad_u = std.gradient_omega(omega)[: std.m]
+    grad_u = std.gradient_omega(omega, fd_rel_step)[: std.m]
     grad_norm = float(np.linalg.norm(grad_u))
     if grad_norm < 1e-12:
         raise DegenerateGradientError("u-gradient vanished in the HLRF update")
@@ -331,7 +334,6 @@ def find_design_point(std, settings=None):
             "the design-point search needs at least one random variable; "
             "purely uncertain problems bypass it"
         )
-    std = replace(std, fd_rel_step=settings.fd_rel_step)
     u = np.zeros(std.m)
     delta = np.zeros(std.n)
     beta_scalar = 0.0
@@ -341,8 +343,9 @@ def find_design_point(std, settings=None):
     prev_norm = None
 
     for k in range(1, _MAX_ITERATIONS + 1):
-        delta_new = ua_step(std, u)
-        u_new, beta_scalar = pa_step(std, u, delta_new, beta_scalar)
+        delta_new = ua_step(std, u, settings.fd_rel_step)
+        u_new, beta_scalar = pa_step(std, u, delta_new, beta_scalar,
+                                     settings.fd_rel_step)
         step = float(np.linalg.norm(np.concatenate([u_new - u, delta_new - delta])))
         u, delta = u_new, delta_new
         omega_norm = float(np.linalg.norm(np.concatenate([u, delta])))

@@ -40,6 +40,7 @@ from hybrel.model import (
 from hybrel.solver import find_design_point
 
 STD_NORMAL = RandomVariable("u", 0.0, 1.0)
+FD_STEP = 1e-6  # the search's default relative step
 
 
 def _pure_random(lsf, m=1):
@@ -147,7 +148,7 @@ class TestStandardize:
         )
         std = standardize(problem)
         omega = np.array([0.5, 0.5])
-        grad = std.gradient_omega(omega)
+        grad = std.gradient_omega(omega, FD_STEP)
         # df/du = df/dx * stddev, df/ddelta = df/dy * half-width
         x0 = 1.0 + 2.0 * 0.5
         assert grad[0] == pytest.approx(2 * x0 * 2.0, rel=1e-12)
@@ -177,7 +178,7 @@ def _fd_oracle(std, omega):
     m = std.m
     physical = lambda w: std.problem.lsf(std.means + std.stddevs * w[:m],
                                          std.centers + std.half_widths * w[m:])
-    return fd_gradient(physical, omega, std.fd_rel_step)
+    return fd_gradient(physical, omega, FD_STEP)
 
 
 class TestGradientOmegaWithoutAnalyticGradient:
@@ -211,7 +212,7 @@ class TestGradientOmegaWithoutAnalyticGradient:
         std = standardize(problem)
         omega = np.concatenate([rng.normal(size=m) * 2.0,
                                 rng.uniform(-1.0, 1.0, size=n)])
-        got = std.gradient_omega(omega)
+        got = std.gradient_omega(omega, FD_STEP)
         assert got.tobytes() == _fd_oracle(std, omega).tobytes()
 
 
@@ -237,10 +238,10 @@ def _assert_stencil_is_fd_gradients(problem, omega):
     its order, never lsf_batch, and returns the same bytes."""
     std, record = _recorded(problem)
     std = standardize(std)
-    got = std.gradient_omega(omega)
+    got = std.gradient_omega(omega, FD_STEP)
     stencil = record["points"][:]
     record["points"].clear()
-    want = fd_gradient(std.lsf_omega, omega, std.fd_rel_step)
+    want = fd_gradient(std.lsf_omega, omega, FD_STEP)
     assert len(stencil) == 2 * omega.size
     assert stencil == record["points"]
     assert got.tobytes() == want.tobytes()
@@ -321,7 +322,7 @@ class TestStencilRows:
         std = standardize(replace(base, lsf=lsf))
         error = InvalidParameterError if bad == "shape" else NonFiniteResponseError
         with pytest.raises(error) as from_stencil:
-            std.gradient_omega(omega)
+            std.gradient_omega(omega, FD_STEP)
         with pytest.raises(error) as from_point:
             std.lsf_std(u, delta)
         assert str(from_stencil.value) == str(from_point.value)
@@ -708,6 +709,7 @@ class TestReliabilityReference:
                           * float(normal_cdf((2.5 - t * t / 2) / 1.2)), -12, 12)
         assert err < 1e-9
         assert value == pytest.approx(exact, abs=2e-4)
+        assert value == 0.9241538498037234  # the 200-node rule's bits
 
     def test_non_monotone_uncertain_input_is_ambiguous(self):
         # d/dy0 = -2 (y0 - 0.3) changes sign inside [-1, 1] at every random
