@@ -1,16 +1,19 @@
 """Time one limit-state call of each built-in case, in microseconds.
 
 For each case, two figures at the nominal point (random means, uncertain
-box centres):
+box centres) and one over seeded points:
 
   point   problem.lsf(x, y) on the physical point, the call the
           design-point search makes through lsf_std
   row     one row of a central-difference stencil through
           StandardizedProblem.lsf_std_rows (the 2(m+n) rows of one
           gradient, the per-row mapping and response check included)
+  batch   one row of a 10,000-row problem.lsf_batch call, the call Monte
+          Carlo makes, at points drawn as it draws them (randoms from their
+          normals, uncertains uniformly from their intervals; seed 0)
 
 Each figure is the best of --repeat timeit runs of --number calls, or of
-whole stencils totalling about --number rows, per call or row.
+whole stencils or batches totalling about --number rows, per call or row.
 
     python scripts/lsf_call_us.py [--number 20000] [--repeat 5]
 """
@@ -21,6 +24,8 @@ import timeit
 import numpy as np
 
 from hybrel import CASE_KEYS, get_case, standardize
+
+BATCH_ROWS = 10_000
 
 
 def best_us(call, calls, repeat):
@@ -35,7 +40,8 @@ def main():
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
 
-    print(f"{'case':<18} {'point_us':>9} {'row_us':>9}")
+    print(f"{'case':<18} {'point_us':>9} {'row_us':>9} {'batch_us':>9}")
+    rng = np.random.default_rng(0)
     for key in CASE_KEYS:
         problem = get_case(key).problem
         std = standardize(problem)
@@ -48,7 +54,12 @@ def main():
         stencils = max(1, args.number // (2 * k))
         row = best_us(lambda: std.lsf_std_rows(u_rows, delta_rows),
                       stencils, args.repeat) / (2 * k)
-        print(f"{problem.name:<18} {point:9.2f} {row:9.2f}")
+        x_rows = x + std.stddevs * rng.standard_normal((BATCH_ROWS, problem.m))
+        y_rows = rng.uniform(std.centers - std.half_widths,
+                             std.centers + std.half_widths, (BATCH_ROWS, problem.n))
+        batch = best_us(lambda: problem.lsf_batch(x_rows, y_rows),
+                        max(1, args.number // BATCH_ROWS), args.repeat) / BATCH_ROWS
+        print(f"{problem.name:<18} {point:9.2f} {row:9.2f} {batch:9.3f}")
 
 
 if __name__ == "__main__":

@@ -7,12 +7,11 @@ point (vectors of length m and n) unpacks into Python floats and a Monte
 Carlo batch ((N, m) and (N, n) arrays) into columns.  The helper also hands
 the formula its functions: `math`'s sin, cos and sqrt for a point, which
 cost tens of nanoseconds against about a microsecond for a numpy ufunc on
-a float and round as numpy's do, and numpy's for a batch.  Fourth powers
-stay on np.power for a point too, since the C library's pow differs from
-numpy's loop in the last bit on some inputs.  Python floats raise where
-numpy returns inf or nan (a division by zero, the sine of an infinity);
-a point that raises so is evaluated again as a one-row batch, so it gives
-numpy's value.
+a float and round as numpy's do, and numpy's for a batch.  Powers are
+written as products, which round the same on both.  Python floats raise
+where numpy returns inf or nan (a division by zero, the sine of an
+infinity); a point that raises so is evaluated again as a one-row batch,
+so it gives numpy's value.
 
 Both physical cases carry a stress-calibration constant.  Their source
 parameter tables mix unit conventions (kN-scale loads against MPa-scale
@@ -93,16 +92,11 @@ class _Ops(NamedTuple):
     sin: object
     cos: object
     sqrt: object
-    pow4: object  # pow4(a, b): a**4 and b**4 through numpy's power loop
     any: object   # truth of a comparison: of the point, of any batch row
 
 
-# a point keeps numpy's power loop, whose last bit the C library's pow does
-# not always match
-_POINT_OPS = _Ops(math.sin, math.cos, math.sqrt,
-                  lambda a, b: np.power((a, b), 4).tolist(), bool)
-_BATCH_OPS = _Ops(np.sin, np.cos, np.sqrt,
-                  lambda a, b: (np.power(a, 4), np.power(b, 4)), np.any)
+_POINT_OPS = _Ops(math.sin, math.cos, math.sqrt, bool)
+_BATCH_OPS = _Ops(np.sin, np.cos, np.sqrt, np.any)
 
 
 def _limit_state(formula):
@@ -238,8 +232,11 @@ def _tube_max_stress(wall, d, length1, length2, th1, th2, f1, f2, p, torque, ops
     diameters, which dimensional consistency of the bending term requires.
     """
     inner = d - 2.0 * wall
-    d4, inner4 = ops.pow4(d, inner)
-    area = (math.pi / 4.0) * (d * d - inner * inner)
+    d2 = d * d
+    d4 = d2 * d2
+    inner2 = inner * inner
+    inner4 = inner2 * inner2
+    area = (math.pi / 4.0) * (d2 - inner2)
     second = (math.pi / 64.0) * (d4 - inner4)
     moment = f1 * length1 * ops.cos(th1) + f2 * length2 * ops.cos(th2)
     sigma_x = (p + f1 * ops.sin(th1) + f2 * ops.sin(th2)) / area \

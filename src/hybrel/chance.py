@@ -437,7 +437,9 @@ def degenerate_random(problem):
     Affine limit states (detected by probing) are evaluated in closed form
     as normal_cdf(c / |a|) in standardized coordinates, which is exact.  A
     one-dimensional nonlinear limit state is decomposed into sign intervals
-    by root bracketing on [-10, 10].  Higher-dimensional nonlinear problems
+    by root bracketing on [-10, 10]: one `evaluate_rows` call over a
+    2,001-point grid finds the sign changes, and brentq refines each one
+    with scalar calls.  Higher-dimensional nonlinear problems
     (m <= 3) fall back to the chance integral with no uncertain inputs, a
     tensor quadrature of the safe-set indicator over `evaluate_rows` at a
     fixed 200 nodes, whose accuracy is limited by the discontinuity; treat
@@ -463,11 +465,11 @@ def degenerate_random(problem):
 
         f1 = lambda t: func(np.array([t]))
         grid = np.linspace(-10.0, 10.0, 2001)
-        vals = np.array([f1(t) for t in grid])
-        roots = []
-        for i in range(len(grid) - 1):
-            if np.sign(vals[i]) != np.sign(vals[i + 1]) and vals[i] != vals[i + 1]:
-                roots.append(brentq(f1, grid[i], grid[i + 1], xtol=1e-13))
+        vals = evaluate_rows(problem, std.to_physical_random(grid[:, None]),
+                             np.empty((grid.size, 0)))
+        signs = np.sign(vals)
+        crossings = np.flatnonzero((signs[:-1] != signs[1:]) & (vals[:-1] != vals[1:]))
+        roots = [brentq(f1, grid[i], grid[i + 1], xtol=1e-13) for i in crossings]
         edges = [-np.inf] + sorted(roots) + [np.inf]
         total = 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):

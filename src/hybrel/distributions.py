@@ -19,6 +19,7 @@ after construction and every function is pure, so concurrent use is safe.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -254,6 +255,18 @@ def chi_square_ppf(p, dof):
     return _maybe_scalar(np.reshape(quantiles, arr.shape), p)
 
 
+def _chi_pdf_positive(x, dof):
+    """chi(dof) density at an array of radii that are all positive."""
+    out = np.log(x, out=np.empty_like(x))
+    out *= dof - 1
+    out += (1 - dof / 2) * math.log(2)
+    half_sq = x * x
+    half_sq /= 2
+    out -= half_sq
+    out -= math.lgamma(dof / 2)
+    return np.exp(out, out=out)
+
+
 def chi_pdf(x, dof):
     """Density of the norm of a `dof`-dimensional standard Gaussian vector.
 
@@ -262,17 +275,12 @@ def chi_pdf(x, dof):
     """
     dof = _check_dof(dof)
     arr = _as_array(x, "x")
-    out = np.zeros_like(arr)
     pos = arr > 0
+    if np.all(pos):
+        return _maybe_scalar(_chi_pdf_positive(arr, dof), x)
+    out = np.zeros_like(arr)
     if np.any(pos):
-        xp = arr[pos]
-        log_pdf = (
-            (1 - dof / 2) * math.log(2)
-            + (dof - 1) * np.log(xp)
-            - xp * xp / 2
-            - math.lgamma(dof / 2)
-        )
-        out[pos] = np.exp(log_pdf)
+        out[pos] = _chi_pdf_positive(arr[pos], dof)
     return _maybe_scalar(out, x)
 
 
@@ -355,6 +363,44 @@ def cos_angle_pdf(v, total_dim):
     return _maybe_scalar(out, v)
 
 
+@lru_cache(maxsize=None)
+def _cos_angle_coefficients(total_dim):
+    """The coefficients 1/((k-1) W_(k-2)) of cos_angle_cdf's positive
+    terms, k = 2 or 3, ..., total_dim - 2 in steps of two, the last first."""
+    weight = 2.0 if total_dim % 2 else math.pi
+    coefficients = []
+    for k in range(2 + total_dim % 2, total_dim - 1, 2):
+        coefficients.append(1.0 / ((k - 1) * weight))
+        weight = weight * (k - 1) / k
+    return tuple(reversed(coefficients))
+
+
+def _cos_angle_upper(c, total_dim):
+    """cos_angle_cdf at an array of cosines c in [0, 1], as a new array."""
+    if total_dim % 2 == 0:
+        share = np.negative(c)
+        np.arccos(share, out=share)
+        share /= math.pi
+    else:
+        share = c + 1.0
+        share /= 2.0
+    coefficients = _cos_angle_coefficients(total_dim)
+    if coefficients:
+        sin_sq = 1.0 - c
+        sin_sq *= 1.0 + c
+        # sum_j a_j sin^(2j) by Horner, times c and the first term's power
+        # of sin: sin for even N, sin^2 for odd N
+        poly = np.full_like(c, coefficients[0])
+        for a in coefficients[1:]:
+            poly *= sin_sq
+            poly += a
+        lead = np.sqrt(sin_sq, out=sin_sq) if total_dim % 2 == 0 else sin_sq
+        lead *= c
+        poly *= lead
+        share += poly
+    return share
+
+
 def cos_angle_cdf(v, total_dim):
     """Cumulative distribution of the cosine-angle family.
 
@@ -366,24 +412,20 @@ def cos_angle_cdf(v, total_dim):
         W_k = W_(k-2) (k-1) / k,
 
     from G_0 = arccos(-v)/pi, W_0 = pi (even N) or G_1 = (1+v)/2, W_1 = 2
-    (odd N), W_k being the integral of sin^k over [0, pi]; the law's
-    symmetry gives 1 - G for v < 0.  This is the regularized incomplete
-    beta I_((1+v)/2)(a, a), a = (N-1)/2, in closed form; the test suite
-    checks it against direct quadrature of :func:`cos_angle_pdf`.
+    (odd N), W_k being the integral of sin^k over [0, pi].  The terms past
+    the first form a polynomial in sin(theta)^2 times v sin(theta) (even N)
+    or v sin(theta)^2 (odd N), evaluated by Horner's rule with the
+    coefficients 1/((k-1) W_(k-2)) cached per dimension; the law's symmetry
+    gives 1 - G for v < 0.  This is the regularized incomplete beta
+    I_((1+v)/2)(a, a), a = (N-1)/2, in closed form; the test suite checks it
+    against direct quadrature of :func:`cos_angle_pdf` and against mpmath.
     """
     total_dim = _check_total_dim(total_dim)
     arr = _as_array(v, "v")
-    c = np.minimum(np.abs(arr), 1.0)
-    sin_sq = (1.0 - c) * (1.0 + c)
-    if total_dim % 2 == 0:
-        share, weight, power = np.arccos(-c) / math.pi, math.pi, np.sqrt(sin_sq)
-    else:
-        share, weight, power = (1.0 + c) / 2.0, 2.0, sin_sq
-    for k in range(2 + total_dim % 2, total_dim - 1, 2):
-        share = share + power * c / ((k - 1) * weight)
-        weight = weight * (k - 1) / k
-        power = power * sin_sq
-    return _maybe_scalar(np.where(arr < 0.0, 1.0 - share, share), v)
+    flat = arr.reshape(-1)
+    share = _cos_angle_upper(np.minimum(np.abs(flat), 1.0), total_dim)
+    share = np.where(flat < 0.0, 1.0 - share, share)
+    return _maybe_scalar(share.reshape(arr.shape), v)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,12 @@ r = lo + span*s^2 starting at the kink radius sqrt(offset^2 - shift); the
 quadratic stretch absorbs the square-root behaviour of the angle threshold
 there.  The angle mass at each radius is closed form: the cosine-angle law
 at integer dimension has a cumulative function that is a finite sum of
-positive terms (cos_angle_cdf).  A whole sweep is evaluated as one
-(shifts x nodes) array.
+positive terms, a polynomial in sin^2 evaluated by Horner's rule
+(cos_angle_cdf).  The offset's sign is the same at every node, so the sweep
+evaluates the law's upper half at |offset|/v and reflects it once when the
+offset is negative.  A whole sweep is evaluated as one (shifts x nodes)
+array, updated in place: a handful of such arrays are allocated per sweep,
+whatever the dimension.
 """
 
 from dataclasses import dataclass
@@ -25,10 +29,10 @@ import numpy as np
 
 from .distributions import (
     LinearUncertain,
-    chi_pdf,
+    _chi_pdf_positive,
+    _cos_angle_upper,
     chi_square_cdf,
     chi_square_ppf,
-    cos_angle_cdf,
     normal_cdf,
 )
 from .errors import AccuracyError, InvalidParameterError
@@ -73,7 +77,8 @@ class ShiftSchedule:
             raise InvalidParameterError("levels must be >= 2 when n > 0")
         alphas = np.linspace(0.0, 1.0, levels)
         dist = LinearUncertain(0.0, float(n_uncertain))
-        return cls(levels=tuple(alphas), shifts=tuple(dist.inv(alphas)))
+        return cls(levels=tuple(alphas.tolist()),
+                   shifts=tuple(dist.inv(alphas).tolist()))
 
 
 @dataclass(frozen=True)
@@ -102,9 +107,12 @@ class ReliabilityInterval:
 
 
 @lru_cache(maxsize=None)
-def _gl_rule(nodes):
+def _radius_rule(nodes):
+    """Gauss-Legendre rule in s on [0, 1]: the squared nodes s^2 and the
+    weights times 2s, the stretch's dr/ds apart from its factor span."""
     t, w = np.polynomial.legendre.leggauss(nodes)
-    return t, w
+    s = (t + 1.0) / 2.0
+    return s * s, w * s
 
 
 @lru_cache(maxsize=None)
@@ -130,21 +138,32 @@ def _broadcast_reliability(reduced, shifts, quad_nodes):
     # analytic (chi_square_cdf is zero where there is no kink)
     kink_sq = offset * offset - shifts
     base = chi_square_cdf(kink_sq, m) if offset > 0.0 else 0.0
-    lo = np.minimum(np.sqrt(np.maximum(kink_sq, 0.0)), r_max)[:, None]
+    lo = np.minimum(np.sqrt(np.maximum(kink_sq, 0.0)), r_max)
     span = r_max - lo
 
     # quadratic stretch r = lo + span*s^2 absorbs the square-root behaviour
-    # of the angle threshold at the kink radius, keeping the integrand smooth
-    t, w = _gl_rule(quad_nodes)
-    s = (t + 1.0) / 2.0
-    ws = w / 2.0
-    r = lo + span * s * s
-    jacobian = 2.0 * span * s
-    v = np.sqrt(r * r + shifts[:, None])
-    # P(cosine > -offset/v) = P(cosine < offset/v) by the law's symmetry
-    safe_mass = cos_angle_cdf(offset / v, total_dim)
-    integral = np.sum(ws * chi_pdf(r, m) * safe_mass * jacobian, axis=1)
-    return np.clip(base + integral, 0.0, 1.0)
+    # of the angle threshold at the kink radius, keeping the integrand
+    # smooth; r > 0 on every node
+    s_sq, weights = _radius_rule(quad_nodes)
+    r = np.multiply.outer(span, s_sq)
+    r += lo[:, None]
+    # P(cosine > -offset/v) = P(cosine < offset/v) by the law's symmetry,
+    # with v = sqrt(r^2 + shift): the law's upper half at |offset|/v,
+    # reflected when offset < 0
+    threshold = r * r
+    threshold += shifts[:, None]
+    np.sqrt(threshold, out=threshold)
+    np.divide(abs(offset), threshold, out=threshold)
+    np.minimum(threshold, 1.0, out=threshold)
+    integrand = _cos_angle_upper(threshold, total_dim)
+    if offset < 0.0:
+        np.subtract(1.0, integrand, out=integrand)
+    integrand *= _chi_pdf_positive(r, m)
+    integrand *= weights
+    integral = integrand.sum(axis=1)
+    integral *= span
+    integral += base
+    return np.clip(integral, 0.0, 1.0, out=integral)
 
 
 def reliability_at_shifts(reduced, shifts, quad_nodes=64, verify=False):

@@ -108,7 +108,9 @@ def reduce_to_polar(std_problem, design_point):
     offset = (f(w*) - grad(w*).w*) / |grad(w*)| and grad_norm = |grad(w*)|,
     with the expansion direction taken as the normalized gradient; without
     an analytic gradient it differentiates with the design point's
-    fd_rel_step, the step of the search that found it.  At a converged
+    fd_rel_step, the step of the search that found it.  f(w*) is the last
+    trace record's value, which the search computed at w*; a design point
+    with an empty trace is evaluated here.  At a converged
     design point the Gaussian subvector is collinear (up to sign) with the
     Gaussian part of the gradient; that alignment is the convergence
     diagnostic checked here, and a deviation beyond 1e-3 radians is logged
@@ -137,7 +139,12 @@ def reduce_to_polar(std_problem, design_point):
                 "direction by %.2e rad; the design point may not be converged",
                 math.asin(min(1.0, angle_gap)),
             )
-    offset = (std_problem.lsf_omega(omega) - float(grad @ omega)) / grad_norm
+    if design_point.trace:
+        # the search's last iteration evaluated f at this point
+        value = design_point.trace[-1].lsf_value
+    else:
+        value = std_problem.lsf_omega(omega)
+    offset = (value - float(grad @ omega)) / grad_norm
     return ReducedLSF(
         offset=float(offset),
         grad_norm=grad_norm,

@@ -5,6 +5,9 @@ import pytest
 
 from hybrel.benchmarks import (
     CASE_KEYS,
+    _POINT_OPS,
+    _RADIANS,
+    _tube_max_stress,
     case_cantilever_tube,
     case_crank_slider,
     case_linear,
@@ -122,6 +125,37 @@ class TestCantileverTube:
         scalar = case.problem.lsf(x, y)
         batch = case.problem.lsf_batch(np.tile(x, (3, 1)), np.tile(y, (3, 1)))
         assert np.allclose(batch, scalar)
+
+    def test_stress_against_mpmath(self):
+        # the stress on Python floats, fourth powers by squaring included,
+        # against the same expression at 30 digits
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(19)
+        means = np.array([5.0, 42.0, 120.0, 60.0])
+        stddevs = np.array([0.1, 0.5, 1.2, 0.6])
+        lower = np.array([0.0, 5.0, 12.7, 12.7, 21.0, 85.0])
+        upper = np.array([10.0, 15.0, 13.3, 13.3, 23.0, 95.0])
+        # degrees to radians, kN to N, N m to N mm, as the limit state does
+        units = np.array([_RADIANS, _RADIANS, 1e3, 1e3, 1e3, 1e3])
+        with mp.workdps(30):
+            for _ in range(200):
+                geometry = means + stddevs * rng.uniform(-3.0, 3.0, 4)
+                loads = rng.uniform(lower, upper) * units
+                args = np.concatenate([geometry, loads]).tolist()
+                got = _tube_max_stress(*args, _POINT_OPS)
+                exact = _mp_tube_stress(mp, *(mp.mpf(a) for a in args))
+                assert abs(got - exact) <= 1e-13 * exact, args
+
+
+def _mp_tube_stress(mp, wall, d, length1, length2, th1, th2, f1, f2, p, torque):
+    inner = d - 2 * wall
+    area = mp.pi / 4 * (d ** 2 - inner ** 2)
+    second = mp.pi / 64 * (d ** 4 - inner ** 4)
+    moment = f1 * length1 * mp.cos(th1) + f2 * length2 * mp.cos(th2)
+    sigma_x = (p + f1 * mp.sin(th1) + f2 * mp.sin(th2)) / area \
+        + moment * (d / 2) / second
+    tau = torque * d / (4 * second)
+    return mp.sqrt(sigma_x ** 2 + 3 * tau ** 2)
 
 
 @pytest.mark.parametrize("key, params", [

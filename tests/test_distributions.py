@@ -280,7 +280,7 @@ class TestAgainstMpmath:
             got = cos_angle_cdf(points, total_dim)
             for v, value in zip(points.tolist(), got.tolist()):
                 exact = mp.betainc(a, a, 0, (1 + mp.mpf(v)) / 2, regularized=True)
-                assert abs(value - exact) <= 1e-15, (total_dim, v)
+                assert abs(value - exact) <= 5e-16, (total_dim, v)
 
     def test_chi_square_family_in_both_tails(self, mp):
         # lower tail, bulk and upper tail of each law, the last point

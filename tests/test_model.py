@@ -510,6 +510,23 @@ class TestDegenerateRandom:
         expected = normal_cdf(2.0) - normal_cdf(-2.0)
         assert degenerate_random(problem) == pytest.approx(expected, abs=1e-9)
 
+    def test_sign_grid_is_one_batch_call(self):
+        # the 2,001-point sign grid goes through lsf_batch in one call; only
+        # the affine probes, brentq and the interval midpoints call lsf
+        batches = []
+
+        def lsf_batch(x, y):
+            batches.append(len(x))
+            return 4.0 - x[:, 0] ** 2
+
+        problem = replace(_pure_random(lambda x, y: 4.0 - x[0] ** 2),
+                          lsf_batch=lsf_batch)
+        from hybrel.distributions import normal_cdf
+        assert degenerate_random(problem) == pytest.approx(
+            2.0 * normal_cdf(2.0) - 1.0, abs=1e-12
+        )
+        assert batches == [2001]
+
     def test_requires_no_uncertains(self):
         problem = HybridProblem(
             lsf=lambda x, y: x[0] + y[0],

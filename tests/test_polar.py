@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hybrel.benchmarks import get_case
 from hybrel.errors import (
     DegenerateGradientError,
     InvalidParameterError,
@@ -194,3 +196,47 @@ class TestReduce:
             reduced = reduce_to_polar(std, design)
         assert not caplog.records
         assert reduced.offset == pytest.approx(2.0, abs=1e-6)
+
+
+def _counting(problem):
+    """problem standardized with an lsf that counts its calls, and the count."""
+    calls = [0]
+
+    def lsf(x, y):
+        calls[0] += 1
+        return problem.lsf(x, y)
+
+    return standardize(replace(problem, lsf=lsf)), calls
+
+
+def _same_reduction(a, b):
+    return ((a.offset, a.grad_norm, a.m, a.n) == (b.offset, b.grad_norm, b.m, b.n)
+            and np.array_equal(a.direction, b.direction))
+
+
+class TestDesignPointValue:
+    def test_one_call_fewer_with_a_trace(self):
+        # the search's last iteration evaluated f at w*, so only the
+        # gradient stencil's 2(m+n) rows are left to call
+        std, calls = _counting(get_case("crank_slider", t=10.0).problem)
+        design = find_design_point(std)
+        calls[0] = 0
+        traced = reduce_to_polar(std, design)
+        assert calls[0] == 2 * (std.m + std.n)
+        calls[0] = 0
+        untraced = reduce_to_polar(std, replace(design, trace=()))
+        assert calls[0] == 2 * (std.m + std.n) + 1
+        assert _same_reduction(traced, untraced)
+
+    @pytest.mark.parametrize("key, params", [
+        ("linear", {"m": m, "n": 10 - m}) for m in (1, 3, 5, 7, 9)
+    ] + [("crank_slider", {"t": t}) for t in (0.0, 10.0, 20.0, 30.0, 40.0)]
+      + [("cantilever_tube", {})])
+    def test_trace_value_is_the_value_at_the_point(self, key, params):
+        # on the paper's rows the trace's f(w*) has the bits of a fresh
+        # call, so the reduction keeps its bits
+        std = standardize(get_case(key, **params).problem)
+        design = find_design_point(std)
+        assert design.trace[-1].lsf_value == std.lsf_omega(design.omega())
+        assert _same_reduction(reduce_to_polar(std, design),
+                               reduce_to_polar(std, replace(design, trace=())))
