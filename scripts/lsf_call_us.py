@@ -10,7 +10,9 @@ box centres) and one over seeded points:
           gradient, the per-row mapping and response check included)
   batch   one row of a 10,000-row problem.lsf_batch call, the call Monte
           Carlo makes, at points drawn as it draws them (randoms from their
-          normals, uncertains uniformly from their intervals; seed 0)
+          normals, uncertains uniformly from their intervals; seed 0), timed
+          in a fresh interpreter per case so that the heap the point and
+          stencil loops leave behind does not move it
 
 Each figure is the best of --repeat timeit runs of --number calls, or of
 whole stencils or batches totalling about --number rows, per call or row.
@@ -19,6 +21,8 @@ whole stencils or batches totalling about --number rows, per call or row.
 """
 
 import argparse
+import subprocess
+import sys
 import timeit
 
 import numpy as np
@@ -33,15 +37,31 @@ def best_us(call, calls, repeat):
     return min(timeit.repeat(call, number=calls, repeat=repeat)) / calls * 1e6
 
 
+def batch_row_us(key, number, repeat):
+    """us per row of a BATCH_ROWS-row lsf_batch call of case `key`."""
+    problem = get_case(key).problem
+    std = standardize(problem)
+    rng = np.random.default_rng(0)
+    x_rows = std.means + std.stddevs * rng.standard_normal((BATCH_ROWS, problem.m))
+    y_rows = rng.uniform(std.centers - std.half_widths,
+                         std.centers + std.half_widths, (BATCH_ROWS, problem.n))
+    return best_us(lambda: problem.lsf_batch(x_rows, y_rows),
+                   max(1, number // BATCH_ROWS), repeat) / BATCH_ROWS
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--number", type=int, default=20_000)
     parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--batch-case", choices=CASE_KEYS,
+                        help="print only the batch figure of this case")
     args = parser.parse_args()
+    if args.batch_case is not None:
+        print(batch_row_us(args.batch_case, args.number, args.repeat))
+        return
 
     print(f"{'case':<18} {'point_us':>9} {'row_us':>9} {'batch_us':>9}")
-    rng = np.random.default_rng(0)
     for key in CASE_KEYS:
         problem = get_case(key).problem
         std = standardize(problem)
@@ -54,11 +74,10 @@ def main():
         stencils = max(1, args.number // (2 * k))
         row = best_us(lambda: std.lsf_std_rows(u_rows, delta_rows),
                       stencils, args.repeat) / (2 * k)
-        x_rows = x + std.stddevs * rng.standard_normal((BATCH_ROWS, problem.m))
-        y_rows = rng.uniform(std.centers - std.half_widths,
-                             std.centers + std.half_widths, (BATCH_ROWS, problem.n))
-        batch = best_us(lambda: problem.lsf_batch(x_rows, y_rows),
-                        max(1, args.number // BATCH_ROWS), args.repeat) / BATCH_ROWS
+        batch = float(subprocess.run(
+            [sys.executable, __file__, "--batch-case", key,
+             "--number", str(args.number), "--repeat", str(args.repeat)],
+            capture_output=True, text=True, check=True).stdout)
         print(f"{problem.name:<18} {point:9.2f} {row:9.2f} {batch:9.3f}")
 
 

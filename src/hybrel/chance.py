@@ -439,7 +439,9 @@ def degenerate_random(problem):
     one-dimensional nonlinear limit state is decomposed into sign intervals
     by root bracketing on [-10, 10]: one `evaluate_rows` call over a
     2,001-point grid finds the sign changes, and brentq refines each one
-    with scalar calls.  Higher-dimensional nonlinear problems
+    with scalar calls.  Where lsf_batch and lsf differ in the last bit at a
+    grid-point root, so that the scalar values at a bracket's ends share a
+    sign, the end with the smaller |f| is taken as the root.  Higher-dimensional nonlinear problems
     (m <= 3) fall back to the chance integral with no uncertain inputs, a
     tensor quadrature of the safe-set indicator over `evaluate_rows` at a
     fixed 200 nodes, whose accuracy is limited by the discontinuity; treat
@@ -469,7 +471,16 @@ def degenerate_random(problem):
                              np.empty((grid.size, 0)))
         signs = np.sign(vals)
         crossings = np.flatnonzero((signs[:-1] != signs[1:]) & (vals[:-1] != vals[1:]))
-        roots = [brentq(f1, grid[i], grid[i + 1], xtol=1e-13) for i in crossings]
+        roots = []
+        for i in crossings:
+            a, b = grid[i], grid[i + 1]
+            f_a, f_b = f1(a), f1(b)
+            if np.sign(f_a) * np.sign(f_b) > 0:
+                # the batch's sign differs from the scalar's in the last
+                # bit at an end: the root is that end, up to rounding
+                roots.append(a if abs(f_a) <= abs(f_b) else b)
+            else:
+                roots.append(brentq(f1, a, b, xtol=1e-13))
         edges = [-np.inf] + sorted(roots) + [np.inf]
         total = 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):

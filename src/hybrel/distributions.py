@@ -276,8 +276,6 @@ def chi_pdf(x, dof):
     dof = _check_dof(dof)
     arr = _as_array(x, "x")
     pos = arr > 0
-    if np.all(pos):
-        return _maybe_scalar(_chi_pdf_positive(arr, dof), x)
     out = np.zeros_like(arr)
     if np.any(pos):
         out[pos] = _chi_pdf_positive(arr[pos], dof)
@@ -401,6 +399,20 @@ def _cos_angle_upper(c, total_dim):
     return share
 
 
+def _cos_angle_signed(magnitude, total_dim, negative):
+    """cos_angle_cdf at the cosines of the given magnitudes and signs, as a
+    new array.
+
+    magnitude is a float array >= 0, clamped to 1 in place; negative is a
+    bool or a boolean array of its shape, true where the cosine is
+    negative, which the law's symmetry turns into 1 - G.
+    """
+    np.minimum(magnitude, 1.0, out=magnitude)
+    share = _cos_angle_upper(magnitude, total_dim)
+    np.subtract(1.0, share, out=share, where=negative)
+    return share
+
+
 def cos_angle_cdf(v, total_dim):
     """Cumulative distribution of the cosine-angle family.
 
@@ -423,8 +435,7 @@ def cos_angle_cdf(v, total_dim):
     total_dim = _check_total_dim(total_dim)
     arr = _as_array(v, "v")
     flat = arr.reshape(-1)
-    share = _cos_angle_upper(np.minimum(np.abs(flat), 1.0), total_dim)
-    share = np.where(flat < 0.0, 1.0 - share, share)
+    share = _cos_angle_signed(np.abs(flat), total_dim, flat < 0.0)
     return _maybe_scalar(share.reshape(arr.shape), v)
 
 

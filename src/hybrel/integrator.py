@@ -30,7 +30,7 @@ import numpy as np
 from .distributions import (
     LinearUncertain,
     _chi_pdf_positive,
-    _cos_angle_upper,
+    _cos_angle_signed,
     chi_square_cdf,
     chi_square_ppf,
     normal_cdf,
@@ -154,10 +154,7 @@ def _broadcast_reliability(reduced, shifts, quad_nodes):
     threshold += shifts[:, None]
     np.sqrt(threshold, out=threshold)
     np.divide(abs(offset), threshold, out=threshold)
-    np.minimum(threshold, 1.0, out=threshold)
-    integrand = _cos_angle_upper(threshold, total_dim)
-    if offset < 0.0:
-        np.subtract(1.0, integrand, out=integrand)
+    integrand = _cos_angle_signed(threshold, total_dim, offset < 0.0)
     integrand *= _chi_pdf_positive(r, m)
     integrand *= weights
     integral = integrand.sum(axis=1)

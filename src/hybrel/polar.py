@@ -109,8 +109,11 @@ def reduce_to_polar(std_problem, design_point):
     with the expansion direction taken as the normalized gradient; without
     an analytic gradient it differentiates with the design point's
     fd_rel_step, the step of the search that found it.  f(w*) is the last
-    trace record's value, which the search computed at w*; a design point
-    with an empty trace is evaluated here.  At a converged
+    trace record's value, which the search computed at w* on this same
+    std_problem; nothing checks that, so a design point whose coordinates
+    were changed, or which was found on another problem, must have its
+    trace cleared, and a design point with an empty trace is evaluated
+    here.  At a converged
     design point the Gaussian subvector is collinear (up to sign) with the
     Gaussian part of the gradient; that alignment is the convergence
     diagnostic checked here, and a deviation beyond 1e-3 radians is logged

@@ -79,7 +79,11 @@ class DesignPoint:
     beta equals the Euclidean norm of (u_star, delta_star); `converged`
     reports honestly whether the step tolerance was met.  fd_rel_step is
     the relative finite-difference step the search differentiated with,
-    which the polar reduction reuses.
+    which the polar reduction reuses.  trace[-1].lsf_value is the
+    response at (u_star, delta_star) of the standardized problem that was
+    searched, and the polar reduction takes f(w*) from it; a point built
+    with other coordinates, or for another problem, must carry an empty
+    trace (e.g. ``replace(point, u_star=..., trace=())``).
     """
 
     u_star: np.ndarray = field(repr=False)

@@ -527,6 +527,19 @@ class TestDegenerateRandom:
         )
         assert batches == [2001]
 
+    def test_batch_last_bit_off_at_grid_root(self):
+        # safe iff |u| > g for a point g of the sign grid; lsf is one ulp
+        # above zero at g and lsf_batch one ulp below, so the batch's sign
+        # change (g, g + 0.01) has scalar ends of one sign
+        g = float(np.linspace(-10.0, 10.0, 2001)[1150])
+        below, above = np.nextafter(g * g, -np.inf), np.nextafter(g * g, np.inf)
+        problem = replace(_pure_random(lambda x, y: x[0] * x[0] - below),
+                          lsf_batch=lambda x, y: x[:, 0] * x[:, 0] - above)
+        from hybrel.distributions import normal_cdf
+        assert degenerate_random(problem) == pytest.approx(
+            2.0 * normal_cdf(-g), abs=1e-12
+        )
+
     def test_requires_no_uncertains(self):
         problem = HybridProblem(
             lsf=lambda x, y: x[0] + y[0],
