@@ -64,7 +64,6 @@ from .integrator import (
     ReliabilityInterval,
     ShiftSchedule,
     reliability_at_shift,
-    reliability_at_shifts,
     reliability_interval,
 )
 from .mcs import MCSEstimate, estimate_failure

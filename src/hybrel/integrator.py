@@ -4,21 +4,23 @@ At a frozen squared-uncertain-radius value ("shift"), the radius variable
 follows the shifted chi law with the random dimension's degrees of freedom
 and the angle cosine follows the cosine-angle law of the total dimension;
 the safe event is offset + radius*cosine > 0 on radius > sqrt(shift).
-Sweeping the shift over its uncertainty distribution yields the reliability
-envelope.
+Sweeping the shift over its uncertainty distribution, on [0, n] for n
+uncertain inputs, yields the reliability envelope.
 
-The radius integral runs over the chi law of the m random coordinates,
-truncated at its 1 - 1e-10 quantile, as a Gauss-Legendre rule in s with
-r = lo + span*s^2 starting at the kink radius sqrt(offset^2 - shift); the
-quadratic stretch absorbs the square-root behaviour of the angle threshold
-there.  The angle mass at each radius is closed form: the cosine-angle law
-at integer dimension has a cumulative function that is a finite sum of
-positive terms, a polynomial in sin^2 evaluated by Horner's rule
-(cos_angle_cdf).  The offset's sign is the same at every node, so the sweep
-evaluates the law's upper half at |offset|/v and reflects it once when the
-offset is negative.  A whole sweep is evaluated as one (shifts x nodes)
-array, updated in place: a handful of such arrays are allocated per sweep,
-whatever the dimension.
+With no uncertain inputs (n = 0) the only shift is 0 and the safe set is a
+Gaussian half-space, so the reliability is exactly Phi(offset), evaluated
+in closed form with math.erfc.  Otherwise the radius integral runs over the
+chi law of the m random coordinates, truncated at its 1 - 1e-10 quantile,
+as a Gauss-Legendre rule in s with r = lo + span*s^2 starting at the kink
+radius sqrt(offset^2 - shift); the quadratic stretch absorbs the
+square-root behaviour of the angle threshold there.  The angle mass at
+each radius is closed form: the cosine-angle law at integer dimension has
+a cumulative function that is a finite sum of positive terms, a polynomial
+in sin^2 evaluated by Horner's rule (cos_angle_cdf).  The offset's sign is
+the same at every node, so the sweep evaluates the law's upper half at
+|offset|/v and reflects it once when the offset is negative.  A whole
+sweep is evaluated as one (shifts x nodes) array, updated in place: a
+handful of such arrays are allocated per sweep, whatever the dimension.
 """
 
 from dataclasses import dataclass
@@ -33,12 +35,11 @@ from .distributions import (
     _cos_angle_signed,
     chi_square_cdf,
     chi_square_ppf,
-    normal_cdf,
 )
 from .errors import AccuracyError, InvalidParameterError
 
 __all__ = ["ShiftSchedule", "ReliabilityInterval", "reliability_at_shift",
-           "reliability_at_shifts", "reliability_interval"]
+           "reliability_interval"]
 
 _TAIL = 1e-10  # truncation mass of the radius variable
 _BLOCK = 4096  # shifts per broadcast, bounding the (shifts x nodes) arrays
@@ -46,23 +47,21 @@ _BLOCK = 4096  # shifts per broadcast, bounding the (shifts x nodes) arrays
 
 @dataclass(frozen=True)
 class ShiftSchedule:
-    """Belief levels and the shift values they map to.
+    """The non-decreasing shift values a sweep visits, stored as floats.
 
-    shifts are the inverse uncertainty distribution of the squared uncertain
-    radius evaluated at the levels; for the default linear family on [0, n]
-    the endpoints are exactly 0 and n.
+    uniform() maps belief levels through the inverse uncertainty
+    distribution of the squared uncertain radius; for the default linear
+    family on [0, n] the endpoints are exactly 0 and n.
     """
 
-    levels: tuple
     shifts: tuple
 
     def __post_init__(self):
-        if len(self.levels) != len(self.shifts) or len(self.levels) == 0:
-            raise InvalidParameterError("schedule must pair levels with shifts")
-        if any(b < a for a, b in zip(self.shifts, self.shifts[1:])):
-            raise InvalidParameterError("shift values must be non-decreasing")
-        object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
-        object.__setattr__(self, "shifts", tuple(float(v) for v in self.shifts))
+        shifts = np.asarray(self.shifts, dtype=float).reshape(-1)
+        if shifts.size == 0 or np.any(shifts[1:] < shifts[:-1]):
+            raise InvalidParameterError(
+                "shift values must be non-empty and non-decreasing")
+        object.__setattr__(self, "shifts", tuple(shifts.tolist()))
 
     @classmethod
     def uniform(cls, n_uncertain, levels=21):
@@ -72,13 +71,11 @@ class ShiftSchedule:
         if n_uncertain < 0:
             raise InvalidParameterError("n_uncertain must be >= 0")
         if n_uncertain == 0:
-            return cls(levels=(0.0,), shifts=(0.0,))
+            return cls((0.0,))
         if levels < 2:
             raise InvalidParameterError("levels must be >= 2 when n > 0")
-        alphas = np.linspace(0.0, 1.0, levels)
         dist = LinearUncertain(0.0, float(n_uncertain))
-        return cls(levels=tuple(alphas.tolist()),
-                   shifts=tuple(dist.inv(alphas).tolist()))
+        return cls(dist.inv(np.linspace(0.0, 1.0, levels)))
 
 
 @dataclass(frozen=True)
@@ -125,13 +122,12 @@ def _broadcast_reliability(reduced, shifts, quad_nodes):
     """Reliabilities at a 1-D array of shifts, one (shifts x nodes) broadcast."""
     offset = reduced.offset
     m, n = reduced.m, reduced.n
-    total_dim = m + n
-    if total_dim < 2:
-        # one-dimensional standardized space: the angle degenerates to a
-        # coin flip over the two directions and the integral collapses to
-        # the exact Gaussian tail
-        return np.full(shifts.shape, float(normal_cdf(offset)))
+    if n == 0:
+        # every shift is 0 and the safe set is the half-space
+        # {offset + u.e > 0} of a standard Gaussian: its mass is Phi(offset)
+        return np.full(shifts.shape, 0.5 * math.erfc(-offset / math.sqrt(2)))
 
+    total_dim = m + n
     r_max = _radius_cap(m)
     # below the kink radius sqrt(offset^2 - shift) the safe event holds for
     # every angle when offset > 0 and for none when offset < 0; that mass is
@@ -163,23 +159,23 @@ def _broadcast_reliability(reduced, shifts, quad_nodes):
     return np.clip(integral, 0.0, 1.0, out=integral)
 
 
-def reliability_at_shifts(reduced, shifts, quad_nodes=64, verify=False):
+def _reliability_at_shifts(reduced, shifts, quad_nodes, verify):
     """Reliabilities of the reduced limit state at every shift of an array.
 
     Probability mass of {offset + radius*cosine > 0} with the radius
-    following the shifted chi law (dof = m, each shift as given) truncated
-    at the 1 - 1e-10 quantile, and the cosine following the cosine-angle law
-    of dimension m + n.  The shifts are evaluated together as one
-    (shifts x quad_nodes) array, at most 4096 shifts at a time, and every
-    entry equals the one-element call with that shift.  verify=True
-    re-evaluates at doubled quad_nodes and raises AccuracyError if any value
-    moves by more than 1e-6.
+    following the shifted chi law (dof = m, each shift as given, in [0, n])
+    truncated at the 1 - 1e-10 quantile, and the cosine following the
+    cosine-angle law of dimension m + n; Phi(offset) exactly when n = 0.
+    The shifts are evaluated together as one (shifts x quad_nodes) array,
+    at most 4096 shifts at a time, and every entry equals the one-element
+    call with that shift.  verify=True re-evaluates at doubled quad_nodes
+    and raises AccuracyError if any value moves by more than 1e-6.
     """
     if reduced.m < 1:
         raise InvalidParameterError("the integrator requires m >= 1")
     shifts = np.asarray(shifts, dtype=float).reshape(-1)
-    if not np.all(shifts >= 0):
-        raise InvalidParameterError("shift must be >= 0")
+    if not np.all((shifts >= 0) & (shifts <= reduced.n)):
+        raise InvalidParameterError(f"shift must lie in [0, n] = [0, {reduced.n}]")
     if quad_nodes < 32:
         raise InvalidParameterError("quad_nodes must be at least 32")
     blocks = np.array_split(shifts, max(1, -(-len(shifts) // _BLOCK)))
@@ -204,20 +200,20 @@ def reliability_at_shifts(reduced, shifts, quad_nodes=64, verify=False):
 def reliability_at_shift(reduced, shift, quad_nodes=64, verify=False):
     """Reliability of the reduced limit state at one frozen shift value.
 
-    The one-element call of :func:`reliability_at_shifts`, so it equals the
-    matching curve entry of :func:`reliability_interval` bit for bit.
+    The one-element call of the sweep's kernel, so it equals the matching
+    curve entry of :func:`reliability_interval` bit for bit.
     """
-    return float(reliability_at_shifts(reduced, [shift], quad_nodes, verify)[0])
+    return float(_reliability_at_shifts(reduced, [shift], quad_nodes, verify)[0])
 
 
 def reliability_interval(reduced, schedule=None, quad_nodes=64, verify=False,
                          thread_cap=1):
     """Reliability envelope over a shift schedule.
 
-    Evaluates :func:`reliability_at_shifts` over the scheduled shifts and
-    returns the min/max envelope with the full curve.  thread_cap > 1 splits
-    the shifts into that many contiguous blocks, one broadcast each, on a
-    thread pool; the result is the same as with thread_cap = 1.
+    Evaluates the reliability at every scheduled shift and returns the
+    min/max envelope with the full curve.  thread_cap > 1 splits the shifts
+    into that many contiguous blocks, one broadcast each, on a thread pool;
+    the result is the same as with thread_cap = 1.
     """
     if schedule is None:
         schedule = ShiftSchedule.uniform(reduced.n)
@@ -229,12 +225,12 @@ def reliability_interval(reduced, schedule=None, quad_nodes=64, verify=False,
 
         with ThreadPoolExecutor(max_workers=parts) as pool:
             values = np.concatenate(list(pool.map(
-                lambda block: reliability_at_shifts(reduced, block, quad_nodes,
-                                                    verify),
+                lambda block: _reliability_at_shifts(reduced, block,
+                                                     quad_nodes, verify),
                 np.array_split(shifts, parts),
             )))
     else:
-        values = reliability_at_shifts(reduced, shifts, quad_nodes, verify)
+        values = _reliability_at_shifts(reduced, shifts, quad_nodes, verify)
     values = values.tolist()
     return ReliabilityInterval(
         r_lo=min(values),

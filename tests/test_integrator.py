@@ -1,8 +1,10 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import chi, chi2
 
 from hybrel import integrator
@@ -43,22 +45,30 @@ class TestShiftSchedule:
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
-            ShiftSchedule(levels=(0.0, 1.0), shifts=(1.0,))
+            ShiftSchedule(())
         with pytest.raises(InvalidParameterError):
-            ShiftSchedule(levels=(0.0, 1.0), shifts=(2.0, 1.0))
+            ShiftSchedule((0.0, 2.0, 1.0))
         with pytest.raises(InvalidParameterError):
             ShiftSchedule.uniform(-1)
+        # a numpy array is stored as Python floats, so curves and pickled
+        # reports carry the same bytes as from a tuple of floats
+        from_array = ShiftSchedule(np.array([0.0, 0.5, 1.0]))
+        assert all(type(v) is float for v in from_array.shifts)
+        assert (pickle.dumps(from_array)
+                == pickle.dumps(ShiftSchedule((0.0, 0.5, 1.0))))
 
 
 class TestReliabilityAtShift:
     def test_gaussian_tail_exactness(self):
         # rotational symmetry of the standard Gaussian makes the linear
-        # pure-random case exact: the mass equals normal_cdf(offset)
-        for m in (2, 5, 10):
-            for offset in (1.0, 2.0, 3.0):
-                value = reliability_at_shift(_reduced(offset, m, 0), 0.0)
-                assert value == pytest.approx(normal_cdf(offset), abs=1e-3)
-                assert value == pytest.approx(normal_cdf(offset), abs=1e-8)
+        # pure-random case exact: the failure mass is Phi(-offset), to the
+        # rounding of 1 - R near one and in relative terms far out the tail
+        for m in (1, 2, 3, 5, 8, 10, 12):
+            for offset in np.arange(1, 17) * 0.5:
+                failure = 1.0 - reliability_at_shift(_reduced(offset, m, 0), 0.0)
+                exact = float(ndtr(-offset))
+                assert abs(failure - exact) <= 2.3e-16 + 1e-13 * exact, (
+                    m, offset, failure, exact)
 
     def test_zero_offset_is_half(self):
         # exact up to the 1e-10 radius truncation
@@ -117,6 +127,11 @@ class TestReliabilityAtShift:
             reliability_at_shift(_reduced(1.0, 2, 0), 0.0, quad_nodes=16)
         with pytest.raises(InvalidParameterError):
             reliability_at_shift(_reduced(1.0, 0, 2), 0.0)
+        # the squared uncertain radius lies in [0, n]
+        with pytest.raises(InvalidParameterError):
+            reliability_at_shift(_reduced(1.0, 2, 3), 3.5)
+        with pytest.raises(InvalidParameterError):
+            reliability_at_shift(_reduced(1.0, 2, 0), 0.5)
 
 
 class TestReliabilityInterval:
@@ -197,7 +212,7 @@ class TestReliabilityInterval:
             return share / full
 
         shifts = (0.0, n / 2, float(n))
-        schedule = ShiftSchedule(levels=(0.0, 0.5, 1.0), shifts=shifts)
+        schedule = ShiftSchedule(shifts)
         for beta in (1.0, 2.0, 3.0):
             interval = reliability_interval(_reduced(beta, m, n), schedule)
             for shift, value in interval.curve:

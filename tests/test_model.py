@@ -592,8 +592,13 @@ print(normal_cdf(2.0 ** 0.5))
     ("run", "--case", "cantilever_tube", "--format", "json"),
     ("curve", "--case", "linear"),
     ("design-point", "--case", "crank_slider"),
+    # m = 1, n = 0: the sweep's closed form Phi(offset) needs no scipy
+    ("run", "--problem", "{tmp}/one_random.cfg"),
 ])
-def test_cli_leaves_scipy_special_unloaded(argv):
+def test_cli_leaves_scipy_special_unloaded(argv, tmp_path):
+    (tmp_path / "one_random.cfg").write_text(
+        "lsf = linear\nrandom = u1 0.0 1.0\n", encoding="utf-8")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     # -X importtime lists every module the process imported, one per line
     err = _python("-X", "importtime", "-m", "hybrel.cli", *argv).stderr
     imported = {line.rsplit("|", 1)[-1].strip() for line in err.splitlines()
