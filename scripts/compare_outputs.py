@@ -1,0 +1,191 @@
+"""Compare hybrel's outputs at a git revision with this tree's, field by field.
+
+    python scripts/compare_outputs.py --against REV [--limit N]
+
+REV is extracted with `git archive REV | tar -x` into a temporary
+directory.  One fixed manifest then runs in a fresh interpreter per side,
+with that side's `src` first on the path:
+
+  paper rows    report_values of the paper table's 11 rows (run_case with
+                RunSettings()), with the limit-state calls and lsf_batch
+                rows each run makes
+  belief rows   the same for the 192 seeded affine rows of the
+                belief_curve benchmark (seeds 1 and 1001, 201 belief levels)
+  cli           stdout, stderr and exit code of `hybrel run` (csv and
+                json), `curve` and `design-point` on linear, crank_slider
+                t=40 and cantilever_tube, and of `hybrel mcs` on the tube
+
+Both sides take the manifest's inputs from this tree's
+perfbench/workloads.py.  --limit N keeps the manifest's first N entries,
+in the order above.  The script prints "identical" per group, or per
+field the largest relative change and the entry where it occurs, and exits
+1 when any entry differs.
+"""
+
+import argparse
+import dataclasses
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BELIEF_SEEDS = (1, 1001)
+CLI_CASES = (("linear", ("--case", "linear")),
+             ("crank_slider_t40", ("--case", "crank_slider", "--t", "40")),
+             ("cantilever_tube", ("--case", "cantilever_tube")))
+CLI_COMMANDS = (("run",), ("run", "--format", "json"), ("curve",),
+                ("design-point",))
+
+
+def _manifest():
+    """(group, name, thunk) per entry, each thunk giving a JSON-able dict."""
+    from hybrel import RunSettings, get_case, run_case
+
+    import workloads as wl
+
+    def report(case, settings):
+        counts = {"lsf_calls": 0, "lsf_batch_rows": 0}
+        problem = case.problem
+
+        def lsf(x, y):
+            counts["lsf_calls"] += 1
+            return problem.lsf(x, y)
+
+        def lsf_batch(x, y):
+            counts["lsf_batch_rows"] += len(x)
+            return problem.lsf_batch(x, y)
+
+        counted = dataclasses.replace(problem, lsf=lsf, lsf_batch=(
+            None if problem.lsf_batch is None else lsf_batch))
+        values = wl.report_values(run_case(
+            dataclasses.replace(case, problem=counted), settings))
+        names = ("beta", "d", "D", "F_lo", "F_hi", "R_lo", "R_hi", "curve",
+                 "converged", "trace")
+        out = dict(zip(names, values))
+        out["trace"] = [dataclasses.astuple(record) for record in out["trace"]]
+        return {**out, **counts}
+
+    def cli(args):
+        proc = subprocess.run([sys.executable, "-m", "hybrel.cli", *args],
+                              capture_output=True, text=True)
+        return {"stdout": proc.stdout, "stderr": proc.stderr,
+                "exit_code": proc.returncode}
+
+    entries = [("paper rows", name,
+                lambda key=key, params=params: report(get_case(key, **params),
+                                                      RunSettings()))
+               for name, key, params in wl.PAPER_ROWS]
+    belief = RunSettings(alpha_levels=wl.BELIEF_LEVELS)
+    for seed in BELIEF_SEEDS:
+        entries += [("belief rows", f"seed {seed} row {i}",
+                     lambda row=row: report(wl.affine_case(row), belief))
+                    for i, row in enumerate(wl.belief_rows(seed))]
+    entries += [("cli", f"{' '.join(command)} {name}",
+                 lambda args=(*command, *case_args): cli(args))
+                for name, case_args in CLI_CASES for command in CLI_COMMANDS]
+    entries.append(("cli", "mcs cantilever_tube",
+                    lambda: cli(("mcs", "--case", "cantilever_tube"))))
+    return entries
+
+
+def emit(limit):
+    """Print the manifest's outputs, as JSON, for the hybrel on sys.path."""
+    outputs = [[group, name, thunk()] for group, name, thunk in _manifest()[:limit]]
+    json.dump(outputs, sys.stdout)
+
+
+def side_outputs(src, limit):
+    """The manifest's outputs with `src` first on the path, from a fresh
+    interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), str(ROOT / "perfbench")]))
+    limit_args = () if limit is None else ("--limit", str(limit))
+    proc = subprocess.run([sys.executable, __file__, "--emit", *limit_args],
+                          stdout=subprocess.PIPE, text=True, env=env, check=True)
+    return json.loads(proc.stdout)
+
+
+def _flat(value):
+    if isinstance(value, (list, tuple)):
+        return [x for item in value for x in _flat(item)]
+    return [value]
+
+
+def _number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def relative_change(old, new):
+    """|new - old| / max(|old|, |new|) of two numbers, 0.0 when they are
+    the same number (-0.0 is not 0.0), inf when they differ otherwise or
+    are not both numbers and differ."""
+    if not (_number(old) and _number(new)):
+        return 0.0 if old == new and type(old) is type(new) else math.inf
+    old, new = float(old), float(new)
+    if math.copysign(1.0, old) == math.copysign(1.0, new) and (
+            old == new or (math.isnan(old) and math.isnan(new))):
+        return 0.0
+    if math.isfinite(old) and math.isfinite(new):
+        return abs(new - old) / max(abs(old), abs(new))
+    return math.inf
+
+
+def compare(before, after):
+    """Lines saying, per group, "identical" or each differing field's
+    largest relative change and the entry where it occurs."""
+    worst = {}  # (group, field) -> (change, entry name)
+    groups = []
+    for (group, name, old), (_, _, new) in zip(before, after):
+        if group not in groups:
+            groups.append(group)
+        for field in old:
+            olds, news = _flat(old[field]), _flat(new[field])
+            if len(olds) != len(news):
+                change = math.inf
+            else:
+                change = max(map(relative_change, olds, news), default=0.0)
+            if change > worst.get((group, field), (0.0,))[0]:
+                worst[group, field] = change, name
+    lines = []
+    for group in groups:
+        fields = [(field, change, name)
+                  for (g, field), (change, name) in worst.items() if g == group]
+        if not fields:
+            lines.append(f"{group}: identical")
+        for field, change, name in fields:
+            what = "differs" if change == math.inf else \
+                f"largest relative change {change:.3g}"
+            lines.append(f"{group}: {field}: {what} ({name})")
+    return lines
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--against", default="HEAD", help="git revision (default HEAD)")
+    parser.add_argument("--limit", type=int, default=None,
+                        help="keep the manifest's first N entries")
+    parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.emit:
+        emit(args.limit)
+        return 0
+
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.against],
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        before = side_outputs(Path(tmp) / "src", args.limit)
+    after = side_outputs(ROOT / "src", args.limit)
+    print(f"against {args.against}: {len(after)} manifest entries")
+    lines = compare(before, after)
+    print("\n".join(lines))
+    return 0 if all(line.endswith(": identical") for line in lines) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

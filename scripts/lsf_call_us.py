@@ -6,7 +6,7 @@ box centres) and one over seeded points:
   point   problem.lsf(x, y) on the physical point, the call the
           design-point search makes through lsf_std
   row     one row of a central-difference stencil through
-          StandardizedProblem.lsf_std_rows (the 2(m+n) rows of one
+          StandardizedProblem.lsf_omega_rows (the 2(m+n) rows of one
           gradient, the per-row mapping and response check included)
   batch   one row of a 10,000-row problem.lsf_batch call, the call Monte
           Carlo makes, at points drawn as it draws them (randoms from their
@@ -14,8 +14,19 @@ box centres) and one over seeded points:
           in a fresh interpreter per case so that the heap the point and
           stencil loops leave behind does not move it
 
+A second table replays the box solves (the continuous quadratic knapsack
+of each refinement pass) that the design-point searches of the tube and of
+crank_slider t=40 make:
+
+  solve_us    one box solve, on the recorded gradients and targets
+  reach_calls float-reach evaluations per solve, one float or a window of
+              consecutive floats each
+  reach_rows  floats at which the reach is evaluated per solve, every float
+              of a window included
+
 Each figure is the best of --repeat timeit runs of --number calls, or of
-whole stencils or batches totalling about --number rows, per call or row.
+whole stencils, batches or solve replays totalling about --number rows or
+solves, per call, row or solve.
 
     python scripts/lsf_call_us.py [--number 20000] [--repeat 5]
 """
@@ -24,12 +35,15 @@ import argparse
 import subprocess
 import sys
 import timeit
+from unittest import mock
 
 import numpy as np
 
-from hybrel import CASE_KEYS, get_case, standardize
+from hybrel import CASE_KEYS, find_design_point, get_case, solver, standardize
 
 BATCH_ROWS = 10_000
+# (case key, parameters) of the searches whose box solves are replayed
+SEARCHES = (("cantilever_tube", {}), ("crank_slider", {"t": 40.0}))
 
 
 def best_us(call, calls, repeat):
@@ -47,6 +61,25 @@ def batch_row_us(key, number, repeat):
                          std.centers + std.half_widths, (BATCH_ROWS, problem.n))
     return best_us(lambda: problem.lsf_batch(x_rows, y_rows),
                    max(1, number // BATCH_ROWS), repeat) / BATCH_ROWS
+
+
+def box_solves(key, params):
+    """(problem name, [(grad, target)] of every box solve its search makes)."""
+    problem = get_case(key, **params).problem
+    with mock.patch.object(solver, "_solve_box_qp",
+                           wraps=solver._solve_box_qp) as solve:
+        find_design_point(standardize(problem))
+    return problem.name, [call.args for call in solve.call_args_list]
+
+
+def reach_counts(solves):
+    """(float-reach evaluations, floats evaluated) over one replay of solves."""
+    with mock.patch.object(solver, "_reach", wraps=solver._reach) as one, \
+            mock.patch.object(solver, "_reaches", wraps=solver._reaches) as window:
+        for args in solves:
+            solver._solve_box_qp(*args)
+    rows = sum(len(call.args[1]) for call in window.call_args_list)
+    return one.call_count + window.call_count, one.call_count + rows
 
 
 def main():
@@ -69,16 +102,26 @@ def main():
         k = problem.m + problem.n
         # rows 2i and 2i + 1 step coordinate i of the origin by +h and -h
         stencil = np.repeat(np.eye(k), 2, axis=0) * np.tile([1e-6, -1e-6], k)[:, None]
-        u_rows, delta_rows = stencil[:, :problem.m], stencil[:, problem.m:]
         point = best_us(lambda: problem.lsf(x, y), args.number, args.repeat)
         stencils = max(1, args.number // (2 * k))
-        row = best_us(lambda: std.lsf_std_rows(u_rows, delta_rows),
+        row = best_us(lambda: std.lsf_omega_rows(stencil),
                       stencils, args.repeat) / (2 * k)
         batch = float(subprocess.run(
             [sys.executable, __file__, "--batch-case", key,
              "--number", str(args.number), "--repeat", str(args.repeat)],
             capture_output=True, text=True, check=True).stdout)
         print(f"{problem.name:<18} {point:9.2f} {row:9.2f} {batch:9.3f}")
+
+    print(f"\n{'search':<18} {'solves':>9} {'solve_us':>9} {'reach_calls':>11} "
+          f"{'reach_rows':>10}")
+    for key, params in SEARCHES:
+        name, solves = box_solves(key, params)
+        replays = max(1, args.number // len(solves))
+        solve_us = best_us(lambda: [solver._solve_box_qp(*a) for a in solves],
+                           replays, args.repeat) / len(solves)
+        calls, rows = reach_counts(solves)
+        print(f"{name:<18} {len(solves):9d} {solve_us:9.2f} "
+              f"{calls / len(solves):11.2f} {rows / len(solves):10.2f}")
 
 
 if __name__ == "__main__":

@@ -58,6 +58,11 @@ class ShiftSchedule:
 
     def __post_init__(self):
         shifts = np.asarray(self.shifts, dtype=float).reshape(-1)
+        finite = np.isfinite(shifts)
+        if not finite.all():
+            # an order check passes NaN, since every comparison with it is false
+            raise InvalidParameterError(
+                f"shift values must be finite, got {shifts[~finite][0]}")
         if shifts.size == 0 or np.any(shifts[1:] < shifts[:-1]):
             raise InvalidParameterError(
                 "shift values must be non-empty and non-decreasing")

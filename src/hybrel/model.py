@@ -169,21 +169,25 @@ def evaluate_rows(problem, x, y):
     return _rows(problem.lsf, problem.lsf_batch, x, y)
 
 
-def _central_differences(evaluate, point, rel_step):
+def _central_differences(evaluate, point, rel_step, with_point=False):
     """Central-difference gradient at point from evaluate(rows), the values
     at the 2k rows of the stencil: row 2i is point + h_i e_i, row 2i + 1 is
-    point - h_i e_i, with h = rel_step * max(1, |point|)."""
+    point - h_i e_i, with h = rel_step * max(1, |point|).  with_point puts
+    the point itself first, as row 0 of one block of 2k + 1 rows, and
+    returns (value at the point, gradient)."""
     k = point.size
+    lead = int(with_point)
     # fmax, like max(1.0, nan), steps a NaN coordinate by rel_step
     h = rel_step * np.fmax(1.0, np.abs(point))
-    rows = np.repeat(point[None, :], 2 * k, axis=0)
-    # entry i of rows 2i and 2i + 1 sits at i*(2k + 1) and k + i*(2k + 1)
-    # of the flat array
+    rows = np.repeat(point[None, :], 2 * k + lead, axis=0)
+    # entry i of stencil rows 2i and 2i + 1 sits at i*(2k + 1) and
+    # k + i*(2k + 1) of the flat array, after the lead rows' lead*k entries
     flat = rows.reshape(-1)
-    flat[::2 * k + 1] += h
-    flat[k::2 * k + 1] -= h
+    flat[lead * k::2 * k + 1] += h
+    flat[lead * k + k::2 * k + 1] -= h
     values = evaluate(rows)
-    return (values[0::2] - values[1::2]) / (2 * h)
+    gradient = (values[lead::2] - values[lead + 1::2]) / (2 * h)
+    return (float(values[0]), gradient) if with_point else gradient
 
 
 def fd_gradient(func, point, rel_step=1e-6):
@@ -221,6 +225,14 @@ class StandardizedProblem:
     def n(self):
         return self.problem.n
 
+    @cached_property
+    def _shift(self):
+        return np.concatenate([self.means, self.centers])
+
+    @cached_property
+    def _scale(self):
+        return np.concatenate([self.stddevs, self.half_widths])
+
     def to_physical_random(self, u):
         return self.means + self.stddevs * np.asarray(u, dtype=float)
 
@@ -239,14 +251,14 @@ class StandardizedProblem:
         y = self.centers + self.half_widths * delta
         return _response(self.problem.lsf(x, y), x, y)
 
-    def lsf_std_rows(self, u, delta):
-        """Responses at the rows of standardized u (N, m) and delta (N, n):
-        both are mapped to physical coordinates at once, then `lsf` is
-        called once per row, in row order, never `lsf_batch`; each response
-        is checked as `lsf_std` checks it."""
-        x = self.means + self.stddevs * u
-        y = self.centers + self.half_widths * delta
-        return _rows(self.problem.lsf, None, x, y)
+    def lsf_omega_rows(self, omegas):
+        """Responses at the rows of standardized omegas (N, m + n): all are
+        mapped to physical coordinates in one pass, then `lsf` is called
+        once per row, in row order, never `lsf_batch`; each response is
+        checked as `lsf_std` checks it."""
+        phys = self._shift + self._scale * omegas
+        m = self.m
+        return _rows(self.problem.lsf, None, phys[:, :m], phys[:, m:])
 
     def lsf_rows(self, u, deltas):
         """Responses at fixed u for each row of deltas (N, n), through
@@ -265,7 +277,7 @@ class StandardizedProblem:
         Chain rule through the affine maps when an analytic physical
         gradient is available, central differences with relative step
         fd_rel_step otherwise: the stencil rows of `fd_gradient`, in its
-        order, through `lsf_std_rows`.  A NaN or infinite analytic gradient
+        order, through `lsf_omega_rows`.  A NaN or infinite analytic gradient
         raises NonFiniteResponseError naming the gradient and the physical
         point.
         """
@@ -276,12 +288,19 @@ class StandardizedProblem:
             phys = np.asarray(self.problem.gradient(x, y), dtype=float)
             if not np.isfinite(phys).all():
                 raise _non_finite("gradient", phys.tolist(), x, y)
-            scale = np.concatenate([self.stddevs, self.half_widths])
-            return phys * scale
-        m = self.m
-        return _central_differences(
-            lambda rows: self.lsf_std_rows(rows[:, :m], rows[:, m:]),
-            omega, fd_rel_step)
+            return phys * self._scale
+        return _central_differences(self.lsf_omega_rows, omega, fd_rel_step)
+
+    def lsf_and_gradient(self, omega, fd_rel_step):
+        """(f, gradient) at omega = (u, delta), with the calls `lsf_omega`
+        and then `gradient_omega` make, in their order.  Without an analytic
+        gradient they are one block through `lsf_omega_rows`: the point,
+        then its stencil."""
+        omega = np.asarray(omega, dtype=float)
+        if self.problem.gradient is not None:
+            return self.lsf_omega(omega), self.gradient_omega(omega, fd_rel_step)
+        return _central_differences(self.lsf_omega_rows, omega, fd_rel_step,
+                                    with_point=True)
 
 
 def standardize(problem):

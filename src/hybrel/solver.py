@@ -6,11 +6,15 @@ Gaussian coordinates), then applies one HLRF update to the Gaussian
 coordinates at the fixed box point.  Convergence is declared on the step
 norm of the combined iterate.
 
-The box subproblem is refined by sequential linearization, and each
-linearization is a continuous quadratic knapsack: the minimum-norm delta
-in [-1, 1]^n on a hyperplane.  Its multiplier starts at the closed-form
-breakpoint inverse (Kiwiel 2008) and is settled on the floating-point
-reach in a few evaluations, to the bits a plain 200-step bisection gives.
+The box subproblem is refined by sequential linearization.  A pass takes
+f and its central-difference gradient from one block of limit-state rows,
+the point first and its stencil after, and solves one continuous quadratic
+knapsack: the minimum-norm delta in [-1, 1]^n on a hyperplane.  Its
+multiplier starts at the closed-form breakpoint inverse (Kiwiel 2008) and
+is settled on the floating-point reach, to the bits a plain 200-step
+bisection gives.  On the solves of the paper rows and the belief rows
+that takes one evaluation of the reach, at a window of 33 consecutive
+floats around the inverse or, near the clamp, at the box corner.
 """
 
 import logging
@@ -39,6 +43,11 @@ _UA_GRID = 21  # seed-grid points per axis of the box subproblem (n <= 3)
 _UA_REFINE_ITERATIONS = 50  # linearization passes per box-subproblem seed
 # |mu| / mu_max from which 200 halvings of (-mu_max, mu_max) reach adjacent floats
 _ADJACENT_WITHIN_200 = 2.0 ** -128
+# steps in ulps, from the breakpoint inverse, of the consecutive floats at
+# which the box solve evaluates the reach at once: over the solves of the
+# paper rows and the belief rows the float crossing lies 23 below to 7
+# above the inverse
+_WINDOW = np.arange(-24, 9)
 
 
 @dataclass(frozen=True)
@@ -74,10 +83,15 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class DesignPoint:
-    """Converged (or best-effort) minimizer of the norm on the failure surface.
+    """Converged (or best-effort) fixed point of the search's alternation.
 
-    beta equals the Euclidean norm of (u_star, delta_star); `converged`
-    reports honestly whether the step tolerance was met.  fd_rel_step is
+    (u_star, delta_star) is block-wise stationary: delta_star is the
+    minimum-norm box point on the failure surface at u_star, and u_star
+    the HLRF point at delta_star.  It need not minimize the norm over
+    the failure surface jointly: on crank_slider t=0 beta is 2.0295
+    where the joint minimum is 1.4053.  beta equals the Euclidean norm
+    of (u_star, delta_star); `converged` reports honestly whether the
+    step tolerance was met.  fd_rel_step is
     the relative finite-difference step the search differentiated with,
     which the polar reduction reuses.  trace[-1].lsf_value is the
     response at (u_star, delta_star) of the standardized problem that was
@@ -98,9 +112,10 @@ class DesignPoint:
         return np.concatenate([self.u_star, self.delta_star])
 
 
-def _delta_gradient(std, u_fixed, delta, fd_rel_step):
-    omega = np.concatenate([u_fixed, delta])
-    return std.gradient_omega(omega, fd_rel_step)[std.m:]
+def _norm(v):
+    """np.linalg.norm of a 1-D float array, bit for bit: it takes the
+    square root of v.dot(v) too."""
+    return math.sqrt(v.dot(v))
 
 
 def _reach(grad, mu):
@@ -108,6 +123,14 @@ def _reach(grad, mu):
     compares it with its goal."""
     # minimum/maximum give np.clip's values without its dispatch cost
     return float(grad @ np.minimum(np.maximum(mu * grad, -1.0), 1.0))
+
+
+def _reaches(grad, mus):
+    """_reach(grad, mu) at each of the floats mus, bit for bit, in one
+    pass: np.vecdot takes each row's product with the same dot as
+    grad @ v."""
+    return np.vecdot(np.minimum(np.maximum(np.multiply.outer(mus, grad), -1.0),
+                                1.0), grad)
 
 
 def _breakpoints(mags):
@@ -151,6 +174,24 @@ def _halve(grad, goal, lo, hi):
     return lo, hi
 
 
+def _window(grad, goal, mu, mu_max):
+    """The adjacent floats (pred theta, theta) of the float reach's
+    crossing of goal when both lie in the window of consecutive floats
+    around mu (steps _WINDOW in ulps) and inside (-mu_max, mu_max); None
+    otherwise, a window that a float bound or zero cuts included."""
+    bits = np.array(mu).view(np.int64)
+    # on a negative float, a larger integer is a larger magnitude
+    mus = (bits + _WINDOW if mu > 0.0 else bits - _WINDOW).view(float)
+    if not (-mu_max < mus[0] and mus[-1] < mu_max):
+        return None
+    # the float reach does not decrease with mu, so the floats below theta
+    # are the leading run of the window
+    below = np.count_nonzero(_reaches(grad, mus) < goal)
+    if below == 0 or below == mus.size:
+        return None
+    return float(mus[below - 1]), float(mus[below])
+
+
 def _gallop(grad, goal, mu, mu_max):
     """A bracket (lo, hi) of the float reach's crossing of goal, stepping
     out from mu in 1, 2, 4, ... ulps; lo compares below the goal, hi does
@@ -181,16 +222,19 @@ def _solve_box_qp(grad, target):
     each partial sum, in any summation order.  So P is true below one
     float theta and false from theta on, and once midpoint halving
     reaches adjacent floats it has reached (pred theta, theta), whatever
-    path it took; its answer is 0.5*(lo+hi) of that pair.  The solve finds
-    the pair by galloping out from the closed-form inverse of the reach
-    (from 1/min|g| when the goal is the top reach) and halving the
+    path it took; its answer is 0.5*(lo+hi) of that pair.  The solve
+    evaluates the reach at once at the window of consecutive floats
+    around the closed-form inverse of the reach, and reads the pair off
+    where it holds both; otherwise, and when the goal is the top reach
+    (starting from 1/min|g|), it gallops out from there and halves the
     bracket.  At the bottom goal P is false everywhere and the pair is
-    -mu_max and the float above it.  200 halvings from (-mu_max, mu_max) reach
-    adjacency whenever |theta| >= mu_max * 2^-128 (182 steps at most);
-    nearer zero, or when a square in the inverse under- or overflows, the
-    plain bisection runs instead.
+    -mu_max and the float above it.  A target well inside sum |g| is its
+    own goal, so the top reach is evaluated only near the clamp.  200
+    halvings from (-mu_max, mu_max) reach adjacency whenever |theta| >=
+    mu_max * 2^-128 (182 steps at most); nearer zero, or when a square in
+    the inverse under- or overflows, the plain bisection runs instead.
     """
-    gnorm_sq = float(grad @ grad)
+    gnorm_sq = float(grad.dot(grad))
     if gnorm_sq < 1e-30:
         return np.zeros_like(grad)
 
@@ -200,9 +244,14 @@ def _solve_box_qp(grad, target):
     mags = sorted((abs(g) for g in grad.tolist() if g != 0.0), reverse=True)
     gmin = mags[-1]
     mu_max = (1.0 + abs(target)) / gnorm_sq + 1.0 / gmin
-    top = _reach(grad, mu_max)  # the reach rounds alike at mu and -mu
-    goal = min(max(target, -top), top)
     tiny = mu_max * _ADJACENT_WITHIN_200
+    # the top reach is sum |g| to within n + 2 roundings of either sum, so
+    # a target this far inside sum(mags) is its own goal
+    if abs(target) < sum(mags) * (1.0 - 4 * (grad.size + 2) * 2.0 ** -53) < math.inf:
+        goal, top = target, math.inf
+    else:
+        top = _reach(grad, mu_max)  # the reach rounds alike at mu and -mu
+        goal = min(max(target, -top), top)
 
     pair = None  # the plain bisection below unless a bracket is found
     if goal == -top:  # no reach compares below the one at -mu_max
@@ -212,7 +261,10 @@ def _solve_box_qp(grad, target):
         if 0.0 < after[-1] and after[0] < math.inf:
             mu = 1.0 / gmin if goal == top else _reach_inverse(before, after, goal)
             if abs(mu) >= tiny:
-                pair = _halve(grad, goal, *_gallop(grad, goal, mu, mu_max))
+                # the reach meets the top goal well below 1/min|g|, mostly
+                # outside the window
+                pair = None if goal == top else _window(grad, goal, mu, mu_max)
+                pair = pair or _halve(grad, goal, *_gallop(grad, goal, mu, mu_max))
     if pair is None or min(abs(pair[0]), abs(pair[1])) < tiny:
         pair = _halve(grad, goal, -mu_max, mu_max)
     lo, hi = pair
@@ -228,12 +280,14 @@ def _ua_refine(std, u_fixed, delta0, fd_rel_step):
     point minimizing the linearized |f|, which is the documented fallback.
     """
     delta = np.asarray(delta0, dtype=float)
+    m = std.m
     for _ in range(_UA_REFINE_ITERATIONS):
-        value = std.lsf_std(u_fixed, delta)
-        grad = _delta_gradient(std, u_fixed, delta, fd_rel_step)
-        target = float(grad @ delta) - value
+        value, grad = std.lsf_and_gradient(np.concatenate([u_fixed, delta]),
+                                           fd_rel_step)
+        grad = grad[m:]
+        target = float(grad.dot(delta)) - value
         new = _solve_box_qp(grad, target)
-        if np.linalg.norm(new - delta) < 1e-11:
+        if _norm(new - delta) < 1e-11:
             return new
         delta = new
     return delta
@@ -262,7 +316,7 @@ def ua_step(std, u_fixed, fd_rel_step=SolverSettings.fd_rel_step):
     For n <= 3 a dense grid of 21 points per axis, evaluated in one
     `lsf_rows` call, seeds the refinement; beyond that the refinement runs
     from the box center and from the best corner, keeping whichever lands
-    better.  The corners are scalar calls through `lsf_std_rows`.  With
+    better.  The corners are scalar calls through `lsf_omega_rows`.  With
     n = 0 the box point is empty.  Gradients without an analytic one are
     central differences with relative step fd_rel_step.
     """
@@ -279,11 +333,11 @@ def ua_step(std, u_fixed, fd_rel_step=SolverSettings.fd_rel_step):
         values = std.lsf_rows(u_fixed, points)
         # the shortest of the grid points nearest the zero set
         nearest = points[np.argsort(np.abs(values))[:_UA_GRID]]
-        candidates.append(min(nearest, key=np.linalg.norm))
+        candidates.append(min(nearest, key=_norm))
     else:
         corner_pts = _corners(n)
         us = np.broadcast_to(u_fixed, (len(corner_pts), u_fixed.size))
-        corner_vals = std.lsf_std_rows(us, corner_pts)
+        corner_vals = std.lsf_omega_rows(np.hstack([us, corner_pts]))
         candidates.append(corner_pts[int(np.argmin(np.abs(corner_vals)))])
 
     best = None
@@ -293,7 +347,7 @@ def ua_step(std, u_fixed, fd_rel_step=SolverSettings.fd_rel_step):
         residual = abs(std.lsf_std(u_fixed, delta))
         # feasible solutions rank before infeasible ones, then by norm
         key = (residual > 1e-8, residual if residual > 1e-8 else 0.0,
-               float(np.linalg.norm(delta)))
+               _norm(delta))
         if best_key is None or key < best_key:
             best, best_key = delta, key
     return best
@@ -311,7 +365,7 @@ def pa_step(std, u_prev, delta_fixed, beta_prev,
     delta_fixed = np.asarray(delta_fixed, dtype=float)
     omega = np.concatenate([u_prev, delta_fixed])
     grad_u = std.gradient_omega(omega, fd_rel_step)[: std.m]
-    grad_norm = float(np.linalg.norm(grad_u))
+    grad_norm = _norm(grad_u)
     if grad_norm < 1e-12:
         raise DegenerateGradientError("u-gradient vanished in the HLRF update")
     value = std.lsf_std(u_prev, delta_fixed)
@@ -350,9 +404,9 @@ def find_design_point(std, settings=None):
         delta_new = ua_step(std, u, settings.fd_rel_step)
         u_new, beta_scalar = pa_step(std, u, delta_new, beta_scalar,
                                      settings.fd_rel_step)
-        step = float(np.linalg.norm(np.concatenate([u_new - u, delta_new - delta])))
+        step = _norm(np.concatenate([u_new - u, delta_new - delta]))
         u, delta = u_new, delta_new
-        omega_norm = float(np.linalg.norm(np.concatenate([u, delta])))
+        omega_norm = _norm(np.concatenate([u, delta]))
         value = std.lsf_std(u, delta)
         trace.append(IterationRecord(k, omega_norm, step, float(value)))
         growth_floor = 1e-7 * max(1.0, prev_norm if prev_norm is not None else 0.0)

@@ -50,6 +50,11 @@ class TestShiftSchedule:
             ShiftSchedule((0.0, 2.0, 1.0))
         with pytest.raises(InvalidParameterError):
             ShiftSchedule.uniform(-1)
+        # NaN passes any order check; the error names the value, not a range
+        for bad, name in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")):
+            with pytest.raises(InvalidParameterError,
+                               match=f"shift values must be finite, got {name}$"):
+                ShiftSchedule((0.0, bad, 1.0))
         # a numpy array is stored as Python floats, so curves and pickled
         # reports carry the same bytes as from a tuple of floats
         from_array = ShiftSchedule(np.array([0.0, 0.5, 1.0]))

@@ -155,6 +155,11 @@ class TestStandardize:
         assert grad[1] == pytest.approx(3.0 * 2.0, rel=1e-12)
         fd = fd_gradient(std.lsf_omega, omega)
         assert grad == pytest.approx(fd, rel=1e-5)
+        # with an analytic gradient the pair is one lsf call and one
+        # gradient call
+        value, fused = std.lsf_and_gradient(omega, FD_STEP)
+        assert value == std.lsf_omega(omega)
+        assert fused.tobytes() == grad.tobytes()
 
     def test_empty_problem_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -235,7 +240,9 @@ def _recorded(problem):
 
 def _assert_stencil_is_fd_gradients(problem, omega):
     """gradient_omega calls lsf at fd_gradient's points over lsf_omega, in
-    its order, never lsf_batch, and returns the same bytes."""
+    its order, never lsf_batch, and returns the same bytes; so does
+    lsf_and_gradient after one call at omega itself, whose value is
+    lsf_omega's."""
     std, record = _recorded(problem)
     std = standardize(std)
     got = std.gradient_omega(omega, FD_STEP)
@@ -245,6 +252,14 @@ def _assert_stencil_is_fd_gradients(problem, omega):
     assert len(stencil) == 2 * omega.size
     assert stencil == record["points"]
     assert got.tobytes() == want.tobytes()
+    record["points"].clear()
+    value = std.lsf_omega(omega)
+    calls = record["points"] + stencil
+    record["points"].clear()
+    fused_value, fused = std.lsf_and_gradient(omega, FD_STEP)
+    assert record["points"] == calls
+    assert np.float64(fused_value).tobytes() == np.float64(value).tobytes()
+    assert fused.tobytes() == want.tobytes()
     assert record["rows"] == 0
 
 

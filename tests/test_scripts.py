@@ -1,9 +1,12 @@
 """Smoke runs of the example scripts, so they cannot rot unnoticed."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -48,12 +51,27 @@ def test_cantilever_report():
     assert any(line.strip().startswith("shift=") for line in lines)
 
 
-
 def test_lsf_call_us():
     lines = _run_script("lsf_call_us.py", "--number", "200", "--repeat", "1")
     assert lines[0].split() == ["case", "point_us", "row_us", "batch_us"]
-    rows = [line.split() for line in lines[1:]]
+    rows = [line.split() for line in lines[1:4]]
     assert [row[0] for row in rows] == ["linear(m=5,n=5)", "crank_slider(t=0)",
                                         "cantilever_tube"]
     assert all(len(row) == 4 for row in rows)
     assert all(float(value) > 0.0 for row in rows for value in row[1:])
+
+    assert lines[4] == ""
+    assert lines[5].split() == ["search", "solves", "solve_us", "reach_calls",
+                                "reach_rows"]
+    solves = [line.split() for line in lines[6:]]
+    assert [row[0] for row in solves] == ["cantilever_tube", "crank_slider(t=40)"]
+    for _, count, solve_us, calls, rows in solves:
+        assert int(count) > 0 and float(solve_us) > 0.0
+        assert 1.0 <= float(calls) <= float(rows)
+
+
+@pytest.mark.skipif(shutil.which("git") is None or not (ROOT / ".git").exists(),
+                    reason="needs a git checkout")
+def test_compare_outputs_against_head():
+    lines = _run_script("compare_outputs.py", "--against", "HEAD", "--limit", "2")
+    assert lines == ["against HEAD: 2 manifest entries", "paper rows: identical"]

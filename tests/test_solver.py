@@ -104,6 +104,24 @@ class TestSolveBoxQp:
         inside = bound * (1.0 - 1e-15)
         self._assert_bitwise(grad, [bound, -bound, inside, -inside])
 
+    @given(grad=st.lists(_GRAD_ENTRY, min_size=1, max_size=12)
+           .filter(lambda g: any(g)),
+           ulps=st.integers(0, 200), sign=st.sampled_from([-1.0, 1.0]))
+    def test_targets_around_the_unclamped_bound(self, grad, ulps, sign):
+        # below sum|g| * (1 - 4(n+2) 2^-53) the solve takes the target as
+        # its goal without evaluating the reach at the box corner
+        grad = np.array(grad)
+        bound = math.fsum(np.abs(grad)) * (1.0 - ulps * 2.0 ** -53)
+        self._assert_bitwise(grad, [sign * bound])
+
+    def test_sums_of_the_magnitudes_that_round_apart(self):
+        # summed from the largest, each 0.6-ulp term rounds the sum up a
+        # whole ulp: sum(mags) reads 1 + 10 ulps where the reach at the
+        # box corner reads 1 + 6, so a target between them still clamps
+        grad = np.array([0.6 * 2.0 ** -52] * 10 + [1.0])
+        self._assert_bitwise(grad, [sign * (1.0 + k * 2.0 ** -52)
+                                    for k in range(13) for sign in (-1.0, 1.0)])
+
     @given(grad=st.lists(_GRAD_ENTRY, min_size=1, max_size=12),
            ulps=st.integers(-4, 4), sign=st.sampled_from([-1.0, 1.0]))
     def test_goals_within_ulps_of_a_kink(self, grad, ulps, sign):
@@ -249,19 +267,41 @@ class TestSolveBoxQp:
         assert np.float64(down).tobytes() == np.float64(-up).tobytes()
 
     def test_most_steps_skip_the_float_reach(self, monkeypatch):
-        # the plain bisection evaluates the reach about 60 times per solve;
-        # the solve starting at the breakpoint inverse about 6
-        calls = []
-        reach = solver._reach
+        # the plain bisection evaluates the reach about 60 times per solve,
+        # one float each; the solve starting at the breakpoint inverse
+        # about 3.6 times, mostly at one window of floats (5.1 times when
+        # it gallops from there without the window)
+        calls, rows = [], []
+        reach, reaches = solver._reach, solver._reaches
+
+        def count(grad, mus):
+            calls.append(mus)
+            rows.extend(np.atleast_1d(mus))
+
         monkeypatch.setattr(solver, "_reach",
-                            lambda grad, mu: calls.append(mu) or reach(grad, mu))
+                            lambda grad, mu: count(grad, mu) or reach(grad, mu))
+        monkeypatch.setattr(solver, "_reaches",
+                            lambda grad, mus: count(grad, mus) or reaches(grad, mus))
         rng = np.random.default_rng(7)
         solves = 200
         for _ in range(solves):
             grad = rng.normal(size=6) * 10.0 ** rng.uniform(-3, 3, size=6)
             target = rng.uniform(-1.2, 1.2) * float(np.abs(grad).sum())
             _solve_box_qp(grad, target)
-        assert len(calls) <= 8 * solves
+        assert len(calls) <= 4 * solves
+        # every float the reach is evaluated at counts, the window's included
+        assert len(rows) <= (len(solver._WINDOW) + 8) * solves
+
+    @given(grad=st.lists(_GRAD_ENTRY, min_size=1, max_size=12),
+           exponent=st.floats(min_value=-10.0, max_value=10.0),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_window_reaches_match_the_single_reach(self, grad, exponent, sign):
+        grad = np.array(grad)
+        bits = np.array(sign * 10.0 ** exponent).view(np.int64)
+        mus = (bits + solver._WINDOW).view(float)
+        got = solver._reaches(grad, mus)
+        want = np.array([_reach(grad, mu) for mu in mus.tolist()])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestUaStep:
