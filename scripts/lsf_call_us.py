@@ -1,6 +1,6 @@
 """Time one limit-state call of each built-in case, in microseconds.
 
-For each case, two figures at the nominal point (random means, uncertain
+For each case, three figures at the nominal point (random means, uncertain
 box centres) and one over seeded points:
 
   point   problem.lsf(x, y) on the physical point, the call the
@@ -8,6 +8,11 @@ box centres) and one over seeded points:
   row     one row of a central-difference stencil through
           StandardizedProblem.lsf_omega_rows (the 2(m+n) rows of one
           gradient, the per-row mapping and response check included)
+  stencil one finite-difference pass of model._central_differences at
+          the case's dimension, with the point as row 0 as a refinement
+          pass of the design-point search takes it, on an evaluator that
+          returns zeros: the pass's own set-up and arithmetic, no
+          limit-state call
   batch   one row of a 10,000-row problem.lsf_batch call, the call Monte
           Carlo makes, at points drawn as it draws them (randoms from their
           normals, uncertains uniformly from their intervals; seed 0), timed
@@ -40,6 +45,7 @@ from unittest import mock
 import numpy as np
 
 from hybrel import CASE_KEYS, find_design_point, get_case, solver, standardize
+from hybrel.model import _central_differences
 
 BATCH_ROWS = 10_000
 # (case key, parameters) of the searches whose box solves are replayed
@@ -94,7 +100,8 @@ def main():
         print(batch_row_us(args.batch_case, args.number, args.repeat))
         return
 
-    print(f"{'case':<18} {'point_us':>9} {'row_us':>9} {'batch_us':>9}")
+    print(f"{'case':<18} {'point_us':>9} {'row_us':>9} {'stencil_us':>10} "
+          f"{'batch_us':>9}")
     for key in CASE_KEYS:
         problem = get_case(key).problem
         std = standardize(problem)
@@ -106,11 +113,17 @@ def main():
         stencils = max(1, args.number // (2 * k))
         row = best_us(lambda: std.lsf_omega_rows(stencil),
                       stencils, args.repeat) / (2 * k)
+        zeros = np.zeros(2 * k + 1)
+        omega = np.zeros(k)
+        fd_pass = best_us(lambda: _central_differences(lambda rows: zeros, omega,
+                                                       1e-6, with_point=True),
+                          stencils, args.repeat)
         batch = float(subprocess.run(
             [sys.executable, __file__, "--batch-case", key,
              "--number", str(args.number), "--repeat", str(args.repeat)],
             capture_output=True, text=True, check=True).stdout)
-        print(f"{problem.name:<18} {point:9.2f} {row:9.2f} {batch:9.3f}")
+        print(f"{problem.name:<18} {point:9.2f} {row:9.2f} {fd_pass:10.2f} "
+              f"{batch:9.3f}")
 
     print(f"\n{'search':<18} {'solves':>9} {'solve_us':>9} {'reach_calls':>11} "
           f"{'reach_rows':>10}")

@@ -53,6 +53,7 @@ from .errors import (
     AccuracyError,
     AmbiguousRootError,
     DegenerateGradientError,
+    DivergedDesignPointError,
     HybrelError,
     InvalidGeometryError,
     InvalidParameterError,

@@ -431,7 +431,7 @@ def _detect_affine(func, dim):
     return c, coeffs
 
 
-def degenerate_random(problem):
+def degenerate_random(problem, verify=False):
     """Reliability of a purely random problem: Pr{f(x) > 0}.
 
     Affine limit states (detected by probing) are evaluated in closed form
@@ -445,7 +445,11 @@ def degenerate_random(problem):
     (m <= 3) fall back to the chance integral with no uncertain inputs, a
     tensor quadrature of the safe-set indicator over `evaluate_rows` at a
     fixed 200 nodes, whose accuracy is limited by the discontinuity; treat
-    that path as a smoke check rather than a precision oracle.
+    that path as a smoke check rather than a precision oracle.  With
+    verify=True that path is recomputed at 400 nodes and raises
+    AccuracyError when the value moves by more than 1e-6 relative; the
+    affine closed form and the bracketed one-dimensional route are exact
+    and skip the check.
     """
     if problem.n != 0:
         raise InvalidParameterError("degenerate_random requires n = 0")
@@ -492,7 +496,7 @@ def degenerate_random(problem):
         return min(max(total, 0.0), 1.0)
 
     return _exceedance(partial(evaluate_rows, problem), problem.random_dists(),
-                       [], 0.0, _PURE_RANDOM_NODES, None, False)
+                       [], 0.0, _PURE_RANDOM_NODES, None, verify)
 
 
 def reliability_reference(problem, quad_nodes=64, verify=False):
@@ -501,12 +505,14 @@ def reliability_reference(problem, quad_nodes=64, verify=False):
     Runs the tensor-quadrature chance integral (m <= 3), whose belief
     bisection makes one `evaluate_rows` call per step over its open nodes.
     A purely random problem goes to `degenerate_random` instead, which
-    ignores quad_nodes and verify: its m = 2, 3 route runs a fixed 200-node
-    rule.  The production path for benchmark-sized problems is the polar
-    pipeline; this evaluator exists to cross-check it at small dimension.
+    ignores quad_nodes: its m = 2, 3 route runs a fixed 200-node rule, and
+    verify doubles it to 400 nodes; its affine and m = 1 routes are exact
+    and skip the check.  The production path for benchmark-sized problems
+    is the polar pipeline; this evaluator exists to cross-check it at
+    small dimension.
     """
     if problem.n == 0:
-        return degenerate_random(problem)
+        return degenerate_random(problem, verify)
     return _exceedance(partial(evaluate_rows, problem), problem.random_dists(),
                        problem.uncertain_dists(), 0.0, quad_nodes, None,
                        verify)

@@ -29,6 +29,10 @@ class AccuracyError(HybrelError):
     """A quadrature failed its convergence check under node doubling."""
 
 
+class DivergedDesignPointError(HybrelError):
+    """The design-point search ended off the limit-state surface."""
+
+
 class DegenerateGradientError(HybrelError):
     """The limit-state gradient vanished where a direction is required."""
 

@@ -65,8 +65,11 @@ def _rows(lsf, lsf_batch, x, y):
     of the wrong shape raises InvalidParameterError, the first NaN or
     infinite response NonFiniteResponseError; both name a physical point."""
     if lsf_batch is None:
-        return np.fromiter((_response(lsf(xi, yi), xi, yi)
-                            for xi, yi in zip(x, y)), float, len(x))
+        # a finite float, numpy's float64 included, needs no _response call
+        return np.fromiter(
+            (value if isinstance(value := lsf(xi, yi), float) and math.isfinite(value)
+             else _response(value, xi, yi) for xi, yi in zip(x, y)),
+            float, len(x))
     values = np.asarray(lsf_batch(x, y), dtype=float)
     if values.shape != (len(x),):
         raise InvalidParameterError(
@@ -178,15 +181,18 @@ def _central_differences(evaluate, point, rel_step, with_point=False):
     k = point.size
     lead = int(with_point)
     # fmax, like max(1.0, nan), steps a NaN coordinate by rel_step
-    h = rel_step * np.fmax(1.0, np.abs(point))
-    rows = np.repeat(point[None, :], 2 * k + lead, axis=0)
+    h = np.fmax(1.0, np.abs(point))
+    h *= rel_step
+    rows = np.empty((2 * k + lead, k))
+    rows[...] = point
     # entry i of stencil rows 2i and 2i + 1 sits at i*(2k + 1) and
     # k + i*(2k + 1) of the flat array, after the lead rows' lead*k entries
     flat = rows.reshape(-1)
-    flat[lead * k::2 * k + 1] += h
-    flat[lead * k + k::2 * k + 1] -= h
+    np.add(point, h, out=flat[lead * k::2 * k + 1])
+    np.subtract(point, h, out=flat[lead * k + k::2 * k + 1])
     values = evaluate(rows)
-    gradient = (values[lead::2] - values[lead + 1::2]) / (2 * h)
+    gradient = np.subtract(values[lead::2], values[lead + 1::2])
+    gradient /= h + h  # 2h exactly
     return (float(values[0]), gradient) if with_point else gradient
 
 
@@ -256,7 +262,8 @@ class StandardizedProblem:
         mapped to physical coordinates in one pass, then `lsf` is called
         once per row, in row order, never `lsf_batch`; each response is
         checked as `lsf_std` checks it."""
-        phys = self._shift + self._scale * omegas
+        phys = self._scale * omegas
+        phys += self._shift
         m = self.m
         return _rows(self.problem.lsf, None, phys[:, :m], phys[:, m:])
 

@@ -281,15 +281,16 @@ def _ua_refine(std, u_fixed, delta0, fd_rel_step):
     """
     delta = np.asarray(delta0, dtype=float)
     m = std.m
+    omega = np.concatenate([u_fixed, delta])  # each pass overwrites its delta
     for _ in range(_UA_REFINE_ITERATIONS):
-        value, grad = std.lsf_and_gradient(np.concatenate([u_fixed, delta]),
-                                           fd_rel_step)
+        value, grad = std.lsf_and_gradient(omega, fd_rel_step)
         grad = grad[m:]
         target = float(grad.dot(delta)) - value
         new = _solve_box_qp(grad, target)
         if _norm(new - delta) < 1e-11:
             return new
         delta = new
+        omega[m:] = new
     return delta
 
 

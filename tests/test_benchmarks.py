@@ -5,6 +5,7 @@ import pytest
 
 from hybrel.benchmarks import (
     CASE_KEYS,
+    BenchmarkCase,
     _POINT_OPS,
     _RADIANS,
     _tube_max_stress,
@@ -15,9 +16,15 @@ from hybrel.benchmarks import (
     run_case,
 )
 from hybrel.config import RunSettings
-from hybrel.errors import InvalidGeometryError, InvalidParameterError, NonFiniteResponseError
+from hybrel.errors import (
+    DivergedDesignPointError,
+    HybrelError,
+    InvalidGeometryError,
+    InvalidParameterError,
+    NonFiniteResponseError,
+)
 from hybrel.mcs import estimate_failure
-from hybrel.model import standardize
+from hybrel.model import HybridProblem, RandomVariable, UncertainVariable, standardize
 
 
 class TestRegistry:
@@ -158,6 +165,19 @@ def _mp_tube_stress(mp, wall, d, length1, length2, th1, th2, f1, f2, p, torque):
     return mp.sqrt(sigma_x ** 2 + 3 * tau ** 2)
 
 
+def _physical_points(problem, count):
+    """count seeded physical points (x, y): randoms within 4 standard
+    deviations of their means, uncertains inside their intervals."""
+    rng = np.random.default_rng(2024)
+    means = np.array([rv.mean for rv in problem.randoms])
+    stddevs = np.array([rv.stddev for rv in problem.randoms])
+    lower = np.array([uv.lower for uv in problem.uncertains])
+    upper = np.array([uv.upper for uv in problem.uncertains])
+    x = means + stddevs * rng.uniform(-4.0, 4.0, (count, problem.m))
+    y = lower + (upper - lower) * rng.uniform(0.0, 1.0, (count, problem.n))
+    return x, y
+
+
 @pytest.mark.parametrize("key, params", [
     ("linear", {"m": 5, "n": 5}),
     ("linear", {"m": 1, "n": 9}),
@@ -169,20 +189,43 @@ def test_scalar_and_batch_contracts_agree_bit_for_bit(key, params):
     # one formula serves both contracts, so a point gives the same bits
     # whether it comes alone or as a row of a batch
     problem = get_case(key, **params).problem
-    rng = np.random.default_rng(2024)
-    count = 20_000
-    means = np.array([rv.mean for rv in problem.randoms])
-    stddevs = np.array([rv.stddev for rv in problem.randoms])
-    lower = np.array([uv.lower for uv in problem.uncertains])
-    upper = np.array([uv.upper for uv in problem.uncertains])
-    x = means + stddevs * rng.uniform(-4.0, 4.0, (count, problem.m))
-    y = lower + (upper - lower) * rng.uniform(0.0, 1.0, (count, problem.n))
+    x, y = _physical_points(problem, 20_000)
     batch = problem.lsf_batch(x, y)
     scalar = np.array([problem.lsf(xi, yi) for xi, yi in zip(x, y)])
     assert scalar.tobytes() == batch.tobytes()
     one = problem.lsf_batch(x[:1], y[:1])
     assert one.shape == (1,)
     assert one.tobytes() == batch[:1].tobytes()
+
+
+class _Subclass(np.ndarray):
+    pass
+
+
+# inputs other than float64 ndarrays, each of 1-D or 2-D float64 values
+_CONVERSIONS = (
+    ("list", lambda a: a.tolist()),
+    ("int", lambda a: a.astype(np.int64)),
+    ("float32", lambda a: a.astype(np.float32)),
+    ("byte-swapped", lambda a: a.astype(">f8")),
+    ("strided", lambda a: np.repeat(a, 2, axis=-1)[..., ::2]),
+    ("subclass", lambda a: a.view(_Subclass)),
+)
+
+
+@pytest.mark.parametrize("key", CASE_KEYS)
+def test_points_and_batches_of_any_float_array_like(key):
+    # each input gives the bits of the float64 array of its values, as a
+    # point and as a batch; a 2-D float64 batch takes the batch path
+    problem = get_case(key).problem
+    x, y = _physical_points(problem, 3)
+    for name, convert in _CONVERSIONS:
+        cx, cy = convert(x), convert(y)
+        batch = problem.lsf(np.asarray(cx, dtype=float), np.asarray(cy, dtype=float))
+        assert batch.shape == (3,), name
+        assert problem.lsf(cx, cy).tobytes() == batch.tobytes(), name
+        points = [_bits(problem.lsf(convert(xi), convert(yi))) for xi, yi in zip(x, y)]
+        assert points == [_bits(value) for value in batch], name
 
 
 _TUBE_X = [5.0, 42.0, 120.0, 60.0, 185.0, 0.0]
@@ -313,6 +356,25 @@ class TestRunCase:
         report = run_case(case, settings)
         assert (reduced.offset, interval.f_hi) == (report.d, report.F_hi)
         assert design.fd_rel_step == 1e-3
+
+    def test_diverged_design_point_raises(self):
+        # g >= 0.588 over all inputs, so the search cannot reach g = 0; it
+        # diverges geometrically, and its point must not become F = 1
+        problem = HybridProblem(
+            lsf=lambda x, y: 3.1 - 0.58 * x[0] + 0.05 * x[0] ** 2
+            - 1.36 * y[0] + 0.53 * y[0] ** 2,
+            lsf_batch=lambda x, y: 3.1 - 0.58 * x[:, 0] + 0.05 * x[:, 0] ** 2
+            - 1.36 * y[:, 0] + 0.53 * y[:, 0] ** 2,
+            randoms=(RandomVariable("x", 0.0, 1.0),),
+            uncertains=(UncertainVariable("y", -1.0, 1.0),),
+        )
+        case = BenchmarkCase(key="never_fails", problem=problem, description="")
+        with pytest.raises(DivergedDesignPointError,
+                           match=r"\|f\|/\|grad f\| = \d.*e\+\d+ > 1e-06 "
+                                 r"at beta = \d.*e\+\d+ after 100 iterations"):
+            run_case(case)
+        assert issubclass(DivergedDesignPointError, HybrelError)
+        assert not issubclass(DivergedDesignPointError, InvalidParameterError)
 
     def test_design_point_stays_in_box(self):
         from hybrel.model import standardize

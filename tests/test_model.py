@@ -25,6 +25,7 @@ from hybrel.chance import (
     reliability_reference,
 )
 from hybrel.errors import (
+    AccuracyError,
     AmbiguousRootError,
     InvalidParameterError,
     NonFiniteResponseError,
@@ -648,6 +649,25 @@ class TestReliabilityReference:
     def test_pure_random_route(self):
         problem = _pure_random(lambda x, y: 3.0 - x[0])
         assert reliability_reference(problem) == pytest.approx(0.998650, abs=1e-6)
+
+    def test_pure_random_verify_doubles_the_nodes(self):
+        # nonlinear with m = 2: the 200-node indicator rule reads 0.92415
+        # and moves to 0.92423 at 400 nodes, so verify refuses it
+        problem = HybridProblem(
+            lsf=lambda x, y: 3.0 - x[0] ** 2 / 2 - x[1],
+            lsf_batch=lambda x, y: 3.0 - x[:, 0] ** 2 / 2 - x[:, 1],
+            randoms=(STD_NORMAL, RandomVariable("x1", 0.5, 1.2)),
+        )
+        assert reliability_reference(problem) == 0.9241538498037234
+        with pytest.raises(AccuracyError, match="at 200 nodes"):
+            reliability_reference(problem, verify=True)
+
+    def test_pure_random_exact_routes_skip_verify(self):
+        affine = _pure_random(lambda x, y: 3.0 - x[0])
+        bracketed = _pure_random(lambda x, y: 4.0 - x[0] ** 2)
+        for problem in (affine, bracketed):
+            assert reliability_reference(problem, verify=True) \
+                == reliability_reference(problem)
 
     def test_pure_uncertain_route(self):
         problem = _pure_uncertain(lambda x, y: y[0], [(-1.0, 1.0)])

@@ -53,11 +53,12 @@ def test_cantilever_report():
 
 def test_lsf_call_us():
     lines = _run_script("lsf_call_us.py", "--number", "200", "--repeat", "1")
-    assert lines[0].split() == ["case", "point_us", "row_us", "batch_us"]
+    assert lines[0].split() == ["case", "point_us", "row_us", "stencil_us",
+                                "batch_us"]
     rows = [line.split() for line in lines[1:4]]
     assert [row[0] for row in rows] == ["linear(m=5,n=5)", "crank_slider(t=0)",
                                         "cantilever_tube"]
-    assert all(len(row) == 4 for row in rows)
+    assert all(len(row) == 5 for row in rows)
     assert all(float(value) > 0.0 for row in rows for value in row[1:])
 
     assert lines[4] == ""
