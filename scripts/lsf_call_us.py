@@ -31,7 +31,12 @@ crank_slider t=40 make:
 
 Each figure is the best of --repeat timeit runs of --number calls, or of
 whole stencils, batches or solve replays totalling about --number rows or
-solves, per call, row or solve.
+solves, per call, row or solve.  The runs share one process and are not
+scaled by the host's speed, so the figures cannot resolve a before/after
+change of 5-20% on a shared host: on a 2-vCPU sandbox whose speed swung by
+about 1.8x within a round, 5 alternated runs per side of the same code read
+the tube's box solve at 15.6-27.9 us and a tube stencil row at 1.98-3.34
+us.  Compare two trees with perfbench's alternated runs instead.
 
     python scripts/lsf_call_us.py [--number 20000] [--repeat 5]
 """

@@ -62,9 +62,9 @@ TUBE_STRESS_SCALE = 0.2557
 
 _RADIANS = math.pi / 180.0  # per degree
 
-# |f(w*)| / |grad f(w*)| above which run_case refuses a design point; the
-# paper rows end at most 1.3e-13 and the belief rows 1.8e-15 off the
-# surface by this measure, and a diverged search orders of magnitude further
+# distance of w* from the reduction's tangent plane above which design_point
+# refuses a design point; the paper rows end at most 1.3e-13 and the belief rows
+# 3.6e-15 off the plane, and a diverged search orders of magnitude further
 _RESIDUAL_LIMIT = 1e-6
 
 
@@ -534,35 +534,24 @@ class RunReport:
 
 
 def design_point(case, settings=None):
-    """The pipeline's first stages: standardize the case and search its
-    design point, differentiating with settings.fd_step, which the
-    DesignPoint records for the polar reduction.  Returns (standardized
-    problem, DesignPoint)."""
-    settings = settings or RunSettings()
-    std = standardize(case.problem)
-    solver_settings = SolverSettings(
-        epsilon=settings.epsilon, fd_rel_step=settings.fd_step
-    )
-    return std, find_design_point(std, solver_settings)
+    """The pipeline's checked first stage: standardize the case, search its
+    design point with settings.epsilon and settings.fd_step, and reduce it
+    to its polar surrogate.  Returns (standardized problem, DesignPoint,
+    ReducedLSF).
 
-
-def run_case(case, settings=None, mcs_estimate=None, include_timing=False):
-    """Run the full pipeline on a benchmark case and assemble the report.
-
-    Pipeline: design_point (standardize, design-point search), polar
-    reduction, shift-swept reliability interval.  An externally computed
-    Monte Carlo estimate can be attached for the comparison columns.  A
-    design point whose distance to the limit-state surface, to first
-    order |f(w*)| / |grad f(w*)|, exceeds 1e-6 raises
-    DivergedDesignPointError: a search that never reached the surface
-    gives no failure chance.  The residual takes f from the search's trace
-    and the gradient from the reduction, so it costs no limit-state call.
+    A design point farther than 1e-6 from the reduction's tangent plane,
+    |offset + direction . w*|, which is |f(w*)| / |grad f(w*)| up to
+    rounding, raises DivergedDesignPointError: a search that never reached
+    the limit-state surface gives no failure chance.  run_case and the
+    CLI's run, curve and design-point subcommands all start here; stages
+    composed by hand are not checked.
     """
     settings = settings or RunSettings()
-    start = time.perf_counter()
-    std, design = design_point(case, settings)
+    std = standardize(case.problem)
+    design = find_design_point(std, SolverSettings(
+        epsilon=settings.epsilon, fd_rel_step=settings.fd_step))
     reduced = reduce_to_polar(std, design)
-    residual = abs(design.trace[-1].lsf_value) / reduced.grad_norm
+    residual = abs(reduced.offset + float(reduced.direction @ design.omega()))
     if residual > _RESIDUAL_LIMIT:
         raise DivergedDesignPointError(
             f"design point of {case.key} is off the limit-state surface: "
@@ -570,6 +559,21 @@ def run_case(case, settings=None, mcs_estimate=None, include_timing=False):
             f"{design.beta:.6g} after {design.iterations} iterations "
             f"(converged={design.converged})"
         )
+    return std, design, reduced
+
+
+def run_case(case, settings=None, mcs_estimate=None, include_timing=False):
+    """Run the full pipeline on a benchmark case and assemble the report.
+
+    Pipeline: design_point (standardize, design-point search, polar
+    reduction and its residual check, which raises
+    DivergedDesignPointError on a point off the limit-state surface), then
+    the shift-swept reliability interval.  An externally computed Monte
+    Carlo estimate can be attached for the comparison columns.
+    """
+    settings = settings or RunSettings()
+    start = time.perf_counter()
+    _, design, reduced = design_point(case, settings)
     schedule = ShiftSchedule.uniform(case.n, levels=settings.alpha_levels)
     interval = reliability_interval(
         reduced, schedule, quad_nodes=settings.quad_nodes,

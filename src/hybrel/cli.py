@@ -35,8 +35,9 @@ so only those are range-checked: alpha_levels below 1, quad_nodes below
 positive (nan and inf included) are usage errors.  The HRA_THREADS
 environment variable caps worker parallelism.
 
-Exit codes: 0 success, 2 usage error, 3 numerical error.  Every subcommand
-writes its floats with 17 significant digits (CSV cells, design-point
+Exit codes: 0 success, 2 usage error, 3 numerical error, which includes
+a design point off the limit-state surface in run, curve and design-point
+alike.  Every subcommand writes its floats with 17 significant digits (CSV cells, design-point
 key=value lines and JSON alike), so parsing any emitted file recovers
 every value bit-exactly.
 """
@@ -155,7 +156,7 @@ def _cmd_mcs(args, settings, case):
 
 
 def _cmd_design_point(args, settings, case):
-    _, design = design_point(case, settings)
+    _, design, _ = design_point(case, settings)
     if args.trace:
         _print_trace(design.trace)
     if args.format == "json":

@@ -278,36 +278,29 @@ class StandardizedProblem:
         m = self.m
         return self.lsf_std(omega[:m], omega[m:])
 
-    def gradient_omega(self, omega, fd_rel_step):
-        """Gradient of the standardized limit state at omega = (u, delta).
+    def lsf_and_gradient(self, omega, fd_rel_step):
+        """(f, gradient) of the standardized limit state at omega = (u,
+        delta): the one derivative call of the design-point search and the
+        polar reduction.
 
-        Chain rule through the affine maps when an analytic physical
-        gradient is available, central differences with relative step
-        fd_rel_step otherwise: the stencil rows of `fd_gradient`, in its
-        order, through `lsf_omega_rows`.  A NaN or infinite analytic gradient
-        raises NonFiniteResponseError naming the gradient and the physical
-        point.
+        Without an analytic gradient, central differences with relative
+        step fd_rel_step as one block through `lsf_omega_rows`: the point,
+        then the stencil rows of `fd_gradient` in its order.  With one, an
+        `lsf_omega` call and then the chain rule through the affine maps; a
+        NaN or infinite analytic gradient raises NonFiniteResponseError
+        naming the gradient and the physical point.
         """
         omega = np.asarray(omega, dtype=float)
-        if self.problem.gradient is not None:
-            x = self.to_physical_random(omega[: self.m])
-            y = self.to_physical_uncertain(omega[self.m:])
-            phys = np.asarray(self.problem.gradient(x, y), dtype=float)
-            if not np.isfinite(phys).all():
-                raise _non_finite("gradient", phys.tolist(), x, y)
-            return phys * self._scale
-        return _central_differences(self.lsf_omega_rows, omega, fd_rel_step)
-
-    def lsf_and_gradient(self, omega, fd_rel_step):
-        """(f, gradient) at omega = (u, delta), with the calls `lsf_omega`
-        and then `gradient_omega` make, in their order.  Without an analytic
-        gradient they are one block through `lsf_omega_rows`: the point,
-        then its stencil."""
-        omega = np.asarray(omega, dtype=float)
-        if self.problem.gradient is not None:
-            return self.lsf_omega(omega), self.gradient_omega(omega, fd_rel_step)
-        return _central_differences(self.lsf_omega_rows, omega, fd_rel_step,
-                                    with_point=True)
+        if self.problem.gradient is None:
+            return _central_differences(self.lsf_omega_rows, omega, fd_rel_step,
+                                        with_point=True)
+        value = self.lsf_omega(omega)
+        x = self.to_physical_random(omega[: self.m])
+        y = self.to_physical_uncertain(omega[self.m:])
+        phys = np.asarray(self.problem.gradient(x, y), dtype=float)
+        if not np.isfinite(phys).all():
+            raise _non_finite("gradient", phys.tolist(), x, y)
+        return value, phys * self._scale
 
 
 def standardize(problem):

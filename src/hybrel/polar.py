@@ -106,25 +106,22 @@ def reduce_to_polar(std_problem, design_point):
     """Reduce a standardized problem to its polar surrogate at a design point.
 
     offset = (f(w*) - grad(w*).w*) / |grad(w*)| and grad_norm = |grad(w*)|,
-    with the expansion direction taken as the normalized gradient; without
-    an analytic gradient it differentiates with the design point's
-    fd_rel_step, the step of the search that found it.  f(w*) is the last
-    trace record's value, which the search computed at w* on this same
-    std_problem; nothing checks that, so a design point whose coordinates
-    were changed, or which was found on another problem, must have its
-    trace cleared, and a design point with an empty trace is evaluated
-    here.  At a converged
-    design point the Gaussian subvector is collinear (up to sign) with the
-    Gaussian part of the gradient; that alignment is the convergence
-    diagnostic checked here, and a deviation beyond 1e-3 radians is logged
-    as a warning, not raised.
+    with the expansion direction taken as the normalized gradient.  f(w*)
+    and grad(w*) come from one `lsf_and_gradient` call at the design
+    point's coordinates, which without an analytic gradient differentiates
+    with the design point's fd_rel_step, the step of the search that found
+    it.  The point's trace is not read, so a point moved or built by hand
+    reduces as a fresh one.  At a converged design point the Gaussian
+    subvector is collinear (up to sign) with the Gaussian part of the
+    gradient; that alignment is the convergence diagnostic checked here,
+    and a deviation beyond 1e-3 radians is logged as a warning, not raised.
     (Box-pinned uncertain coordinates carry bound multipliers and interior
     ones their own subproblem multiplier, so full-vector collinearity is
     not available as a diagnostic for mixed problems.)
     """
     omega = design_point.omega()
     u_star = omega[: std_problem.m]
-    grad = std_problem.gradient_omega(omega, design_point.fd_rel_step)
+    value, grad = std_problem.lsf_and_gradient(omega, design_point.fd_rel_step)
     grad_norm = float(np.linalg.norm(grad))
     if grad_norm < 1e-12:
         raise DegenerateGradientError(
@@ -142,11 +139,6 @@ def reduce_to_polar(std_problem, design_point):
                 "direction by %.2e rad; the design point may not be converged",
                 math.asin(min(1.0, angle_gap)),
             )
-    if design_point.trace:
-        # the search's last iteration evaluated f at this point
-        value = design_point.trace[-1].lsf_value
-    else:
-        value = std_problem.lsf_omega(omega)
     offset = (value - float(grad @ omega)) / grad_norm
     return ReducedLSF(
         offset=float(offset),

@@ -93,11 +93,8 @@ class DesignPoint:
     of (u_star, delta_star); `converged` reports honestly whether the
     step tolerance was met.  fd_rel_step is
     the relative finite-difference step the search differentiated with,
-    which the polar reduction reuses.  trace[-1].lsf_value is the
-    response at (u_star, delta_star) of the standardized problem that was
-    searched, and the polar reduction takes f(w*) from it; a point built
-    with other coordinates, or for another problem, must carry an empty
-    trace (e.g. ``replace(point, u_star=..., trace=())``).
+    which the polar reduction reuses.  The trace records the search for
+    `--trace` and the run report; the reduction does not read it.
     """
 
     u_star: np.ndarray = field(repr=False)
@@ -362,14 +359,12 @@ def pa_step(std, u_prev, delta_fixed, beta_prev,
     normalized u-gradient; exact in one step for limit states affine in u.
     Without an analytic gradient it differentiates with fd_rel_step.
     """
-    u_prev = np.asarray(u_prev, dtype=float)
-    delta_fixed = np.asarray(delta_fixed, dtype=float)
-    omega = np.concatenate([u_prev, delta_fixed])
-    grad_u = std.gradient_omega(omega, fd_rel_step)[: std.m]
+    value, grad = std.lsf_and_gradient(np.concatenate([u_prev, delta_fixed]),
+                                       fd_rel_step)
+    grad_u = grad[: std.m]
     grad_norm = _norm(grad_u)
     if grad_norm < 1e-12:
         raise DegenerateGradientError("u-gradient vanished in the HLRF update")
-    value = std.lsf_std(u_prev, delta_fixed)
     beta_next = beta_prev + value / grad_norm
     u_next = -beta_next * grad_u / grad_norm
     return u_next, float(beta_next)

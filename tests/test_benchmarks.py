@@ -290,6 +290,35 @@ class TestEdgePoints:
             assert str(info.value) == message
 
 
+def _quadratic_family(count):
+    """The first `count` cases of a seeded family of mildly nonlinear limit
+    states g = l - a.x - c.x^2 - b.y - y'Qy over standard normal x and
+    [-1, 1] boxes y, drawn per case in the order m, n ~ U{1, 2, 3},
+    a ~ U(0.5, 1.5), c ~ N(0, 0.15), b ~ U(-1.5, 1.5), Q symmetric from
+    N(0, 0.6) and l ~ U(1.5, 4), from default_rng(7)."""
+    rng = np.random.default_rng(7)
+    for index in range(count):
+        m, n = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        a, c = rng.uniform(0.5, 1.5, m), rng.normal(0.0, 0.15, m)
+        b, q = rng.uniform(-1.5, 1.5, n), rng.normal(0.0, 0.6, (n, n))
+        q = (q + q.T) / 2
+        level = rng.uniform(1.5, 4.0)
+
+        def lsf_batch(x, y, a=a, c=c, b=b, q=q, level=level):
+            return (level - x @ a - (x * x) @ c - y @ b
+                    - np.einsum("...i,ij,...j->...", y, q, y))
+
+        problem = HybridProblem(
+            lsf=lambda x, y, f=lsf_batch: float(f(np.asarray(x), np.asarray(y))),
+            lsf_batch=lsf_batch,
+            randoms=tuple(RandomVariable(f"x{i}", 0.0, 1.0) for i in range(m)),
+            uncertains=tuple(UncertainVariable(f"y{j}", -1.0, 1.0)
+                             for j in range(n)),
+        )
+        yield BenchmarkCase(key=f"quadratic{index}", problem=problem,
+                            description="")
+
+
 class TestRunCase:
     def test_reports_are_consistent(self):
         report = run_case(case_linear(2, 1))
@@ -375,6 +404,21 @@ class TestRunCase:
             run_case(case)
         assert issubclass(DivergedDesignPointError, HybrelError)
         assert not issubclass(DivergedDesignPointError, InvalidParameterError)
+
+    def test_seeded_family_reports_only_points_on_the_surface(self):
+        # some of these searches diverge and some stop on the surface
+        # without meeting the step tolerance; a report must come from a
+        # point within 1e-6 of the surface, |f(w*)| / |grad f(w*)|
+        outcomes = []
+        for case in _quadratic_family(100):
+            try:
+                report = run_case(case)
+            except DivergedDesignPointError:
+                outcomes.append("diverged")
+                continue
+            assert abs(report.trace[-1].lsf_value) / report.D <= 1e-6, case.key
+            outcomes.append(report.converged)
+        assert {"diverged", True, False} <= set(outcomes)
 
     def test_design_point_stays_in_box(self):
         from hybrel.model import standardize

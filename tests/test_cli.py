@@ -380,7 +380,7 @@ class TestDesignPointCommand:
                             "--t", "20")
         assert code == 0
         values = dict(line.split("=") for line in out.strip().splitlines())
-        _, design = design_point(get_case("crank_slider", t=20.0))
+        _, design, _ = design_point(get_case("crank_slider", t=20.0))
         assert float(values["beta"]) == design.beta
         assert [float(values[f"u{i}"]) for i in (1, 2, 3)] == list(design.u_star)
         assert ([float(values[f"delta{j}"]) for j in (1, 2, 3, 4)]
@@ -459,6 +459,26 @@ class TestErrorPaths:
         assert code == 3
         assert out == ""
         assert err.startswith("numerical error: limit state returned nan at x=[")
+
+    def test_diverged_design_point_is_a_numerical_error(self, capsys, monkeypatch):
+        # g >= 0.588 everywhere, so the search diverges instead of reaching
+        # g = 0; design-point refuses the point as run does
+        import hybrel.cli as cli_module
+
+        case = get_case("linear", m=1, n=1)
+        problem = dataclasses.replace(
+            case.problem,
+            lsf=lambda x, y: 3.1 - 0.58 * x[0] + 0.05 * x[0] ** 2
+            - 1.36 * y[0] + 0.53 * y[0] ** 2,
+            lsf_batch=None,
+        )
+        monkeypatch.setattr(cli_module, "get_case",
+                            lambda *_a, **_k: dataclasses.replace(case, problem=problem))
+        code, out, err = _run(capsys, "design-point", "--case", "linear")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical error: design point of linear is off "
+                              "the limit-state surface")
 
     def test_missing_subcommand(self, capsys):
         code, _, _ = _run(capsys)

@@ -149,7 +149,7 @@ class TestStandardize:
         )
         std = standardize(problem)
         omega = np.array([0.5, 0.5])
-        grad = std.gradient_omega(omega, FD_STEP)
+        grad = std.lsf_and_gradient(omega, FD_STEP)[1]
         # df/du = df/dx * stddev, df/ddelta = df/dy * half-width
         x0 = 1.0 + 2.0 * 0.5
         assert grad[0] == pytest.approx(2 * x0 * 2.0, rel=1e-12)
@@ -187,7 +187,7 @@ def _fd_oracle(std, omega):
     return fd_gradient(physical, omega, FD_STEP)
 
 
-class TestGradientOmegaWithoutAnalyticGradient:
+class TestGradientWithoutAnalyticGradient:
     @given(
         m=st.integers(1, 4),
         n=st.integers(0, 4),
@@ -218,7 +218,7 @@ class TestGradientOmegaWithoutAnalyticGradient:
         std = standardize(problem)
         omega = np.concatenate([rng.normal(size=m) * 2.0,
                                 rng.uniform(-1.0, 1.0, size=n)])
-        got = std.gradient_omega(omega, FD_STEP)
+        got = std.lsf_and_gradient(omega, FD_STEP)[1]
         assert got.tobytes() == _fd_oracle(std, omega).tobytes()
 
 
@@ -240,25 +240,20 @@ def _recorded(problem):
 
 
 def _assert_stencil_is_fd_gradients(problem, omega):
-    """gradient_omega calls lsf at fd_gradient's points over lsf_omega, in
-    its order, never lsf_batch, and returns the same bytes; so does
-    lsf_and_gradient after one call at omega itself, whose value is
-    lsf_omega's."""
+    """lsf_and_gradient calls lsf at omega, then at fd_gradient's points
+    over lsf_omega, in its order, never lsf_batch; its value is
+    lsf_omega's and its gradient has fd_gradient's bytes."""
     std, record = _recorded(problem)
     std = standardize(std)
-    got = std.gradient_omega(omega, FD_STEP)
-    stencil = record["points"][:]
+    fused_value, fused = std.lsf_and_gradient(omega, FD_STEP)
+    calls = record["points"][:]
     record["points"].clear()
     want = fd_gradient(std.lsf_omega, omega, FD_STEP)
-    assert len(stencil) == 2 * omega.size
-    assert stencil == record["points"]
-    assert got.tobytes() == want.tobytes()
+    stencil = record["points"][:]
     record["points"].clear()
     value = std.lsf_omega(omega)
-    calls = record["points"] + stencil
-    record["points"].clear()
-    fused_value, fused = std.lsf_and_gradient(omega, FD_STEP)
-    assert record["points"] == calls
+    assert len(stencil) == 2 * omega.size
+    assert calls == record["points"] + stencil
     assert np.float64(fused_value).tobytes() == np.float64(value).tobytes()
     assert fused.tobytes() == want.tobytes()
     assert record["rows"] == 0
@@ -338,7 +333,7 @@ class TestStencilRows:
         std = standardize(replace(base, lsf=lsf))
         error = InvalidParameterError if bad == "shape" else NonFiniteResponseError
         with pytest.raises(error) as from_stencil:
-            std.gradient_omega(omega, FD_STEP)
+            std.lsf_and_gradient(omega, FD_STEP)[1]
         with pytest.raises(error) as from_point:
             std.lsf_std(u, delta)
         assert str(from_stencil.value) == str(from_point.value)

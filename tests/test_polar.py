@@ -215,28 +215,38 @@ def _same_reduction(a, b):
 
 
 class TestDesignPointValue:
-    def test_one_call_fewer_with_a_trace(self):
-        # the search's last iteration evaluated f at w*, so only the
-        # gradient stencil's 2(m+n) rows are left to call
+    def test_same_calls_with_and_without_a_trace(self):
+        # the reduction evaluates f at w* itself, then the gradient stencil's
+        # 2(m+n) rows, whatever the point's trace holds
         std, calls = _counting(get_case("crank_slider", t=10.0).problem)
         design = find_design_point(std)
         calls[0] = 0
         traced = reduce_to_polar(std, design)
-        assert calls[0] == 2 * (std.m + std.n)
+        assert calls[0] == 2 * (std.m + std.n) + 1
         calls[0] = 0
         untraced = reduce_to_polar(std, replace(design, trace=()))
         assert calls[0] == 2 * (std.m + std.n) + 1
         assert _same_reduction(traced, untraced)
+
+    def test_moved_point_keeping_its_trace(self):
+        # the trace's f belongs to the search's w*, not to a moved point
+        std = standardize(get_case("crank_slider", t=10.0).problem)
+        design = find_design_point(std)
+        u, delta = 0.9 * design.u_star, 0.5 * design.delta_star
+        moved = replace(design, u_star=u, delta_star=delta)
+        assert moved.trace == design.trace
+        fresh = DesignPoint(u_star=u, delta_star=delta)
+        assert _same_reduction(reduce_to_polar(std, moved),
+                               reduce_to_polar(std, fresh))
 
     @pytest.mark.parametrize("key, params", [
         ("linear", {"m": m, "n": 10 - m}) for m in (1, 3, 5, 7, 9)
     ] + [("crank_slider", {"t": t}) for t in (0.0, 10.0, 20.0, 30.0, 40.0)]
       + [("cantilever_tube", {})])
     def test_trace_value_is_the_value_at_the_point(self, key, params):
-        # on the paper's rows the trace's f(w*) has the bits of a fresh
-        # call, so the reduction keeps its bits
+        # on the paper's rows the search's last f(w*) has the bits of the
+        # reduction's own call at w*
         std = standardize(get_case(key, **params).problem)
         design = find_design_point(std)
-        assert design.trace[-1].lsf_value == std.lsf_omega(design.omega())
-        assert _same_reduction(reduce_to_polar(std, design),
-                               reduce_to_polar(std, replace(design, trace=())))
+        value = std.lsf_and_gradient(design.omega(), design.fd_rel_step)[0]
+        assert design.trace[-1].lsf_value == value
