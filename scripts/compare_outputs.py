@@ -14,6 +14,11 @@ with that side's `src` first on the path:
   cli           stdout, stderr and exit code of `hybrel run` (csv and
                 json), `curve` and `design-point` on linear, crank_slider
                 t=40 and cantilever_tube, and of `hybrel mcs` on the tube
+  oracle        reliability_reference on three purely random problems,
+                one per route of degenerate_random: the affine closed form
+                (m = 2), root bracketing (nonlinear, m = 1) and the
+                200-node quadrature (nonlinear, m = 2), with the calls and
+                rows each makes
 
 Both sides take the manifest's inputs from this tree's
 perfbench/workloads.py.  --limit N keeps the manifest's first N entries,
@@ -39,17 +44,28 @@ CLI_CASES = (("linear", ("--case", "linear")),
              ("cantilever_tube", ("--case", "cantilever_tube")))
 CLI_COMMANDS = (("run",), ("run", "--format", "json"), ("curve",),
                 ("design-point",))
+# (name, limit state over points and batches alike, (mean, stddev) per input)
+ORACLE_PROBLEMS = (
+    ("affine m=2", lambda x, y: 3.0 - x.T[0] - 2.0 * x.T[1],
+     ((1.0, 0.5), (-0.2, 1.5))),
+    ("nonlinear m=1", lambda x, y: 1.2 - (x.T[0] - 0.5) * (x.T[0] - 0.5),
+     ((0.4, 0.8),)),
+    ("nonlinear m=2", lambda x, y: 3.0 - 0.5 * x.T[0] * x.T[0] - x.T[1],
+     ((0.0, 1.0), (0.5, 1.2))),
+)
 
 
 def _manifest():
     """(group, name, thunk) per entry, each thunk giving a JSON-able dict."""
-    from hybrel import RunSettings, get_case, run_case
+    from hybrel import (HybridProblem, RandomVariable, RunSettings, get_case,
+                        reliability_reference, run_case)
 
     import workloads as wl
 
-    def report(case, settings):
+    def counted(problem):
+        """problem whose callables count scalar calls and batch rows, and
+        the counts."""
         counts = {"lsf_calls": 0, "lsf_batch_rows": 0}
-        problem = case.problem
 
         def lsf(x, y):
             counts["lsf_calls"] += 1
@@ -59,15 +75,24 @@ def _manifest():
             counts["lsf_batch_rows"] += len(x)
             return problem.lsf_batch(x, y)
 
-        counted = dataclasses.replace(problem, lsf=lsf, lsf_batch=(
-            None if problem.lsf_batch is None else lsf_batch))
+        return dataclasses.replace(problem, lsf=lsf, lsf_batch=(
+            None if problem.lsf_batch is None else lsf_batch)), counts
+
+    def report(case, settings):
+        problem, counts = counted(case.problem)
         values = wl.report_values(run_case(
-            dataclasses.replace(case, problem=counted), settings))
+            dataclasses.replace(case, problem=problem), settings))
         names = ("beta", "d", "D", "F_lo", "F_hi", "R_lo", "R_hi", "curve",
                  "converged", "trace")
         out = dict(zip(names, values))
         out["trace"] = [dataclasses.astuple(record) for record in out["trace"]]
         return {**out, **counts}
+
+    def oracle(lsf, moments):
+        problem, counts = counted(HybridProblem(
+            lsf=lsf, lsf_batch=lsf,
+            randoms=[RandomVariable(f"x{i}", *mv) for i, mv in enumerate(moments)]))
+        return {"reliability": reliability_reference(problem), **counts}
 
     def cli(args):
         proc = subprocess.run([sys.executable, "-m", "hybrel.cli", *args],
@@ -89,6 +114,9 @@ def _manifest():
                 for name, case_args in CLI_CASES for command in CLI_COMMANDS]
     entries.append(("cli", "mcs cantilever_tube",
                     lambda: cli(("mcs", "--case", "cantilever_tube"))))
+    entries += [("oracle", name,
+                 lambda lsf=lsf, moments=moments: oracle(lsf, moments))
+                for name, lsf, moments in ORACLE_PROBLEMS]
     return entries
 
 

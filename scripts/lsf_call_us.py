@@ -4,7 +4,7 @@ For each case, three figures at the nominal point (random means, uncertain
 box centres) and one over seeded points:
 
   point   problem.lsf(x, y) on the physical point, the call the
-          design-point search makes through lsf_std
+          design-point search makes through StandardizedProblem.lsf_omega
   row     one row of a central-difference stencil through
           StandardizedProblem.lsf_omega_rows (the 2(m+n) rows of one
           gradient, the per-row mapping and response check included)
@@ -67,9 +67,11 @@ def batch_row_us(key, number, repeat):
     problem = get_case(key).problem
     std = standardize(problem)
     rng = np.random.default_rng(0)
-    x_rows = std.means + std.stddevs * rng.standard_normal((BATCH_ROWS, problem.m))
-    y_rows = rng.uniform(std.centers - std.half_widths,
-                         std.centers + std.half_widths, (BATCH_ROWS, problem.n))
+    u_rows = rng.standard_normal((BATCH_ROWS, problem.m))
+    delta_rows = rng.uniform(-1.0, 1.0, (BATCH_ROWS, problem.n))
+    # contiguous, as Monte Carlo's draws are
+    x_rows, y_rows = map(np.ascontiguousarray,
+                         std.physical(np.hstack([u_rows, delta_rows])))
     return best_us(lambda: problem.lsf_batch(x_rows, y_rows),
                    max(1, number // BATCH_ROWS), repeat) / BATCH_ROWS
 
@@ -110,8 +112,8 @@ def main():
     for key in CASE_KEYS:
         problem = get_case(key).problem
         std = standardize(problem)
-        x, y = std.means, std.centers
         k = problem.m + problem.n
+        x, y = std.physical(np.zeros(k))
         # rows 2i and 2i + 1 step coordinate i of the origin by +h and -h
         stencil = np.repeat(np.eye(k), 2, axis=0) * np.tile([1e-6, -1e-6], k)[:, None]
         point = best_us(lambda: problem.lsf(x, y), args.number, args.repeat)

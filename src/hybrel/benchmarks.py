@@ -541,10 +541,10 @@ def design_point(case, settings=None):
 
     A design point farther than 1e-6 from the reduction's tangent plane,
     |offset + direction . w*|, which is |f(w*)| / |grad f(w*)| up to
-    rounding, raises DivergedDesignPointError: a search that never reached
-    the limit-state surface gives no failure chance.  run_case and the
-    CLI's run, curve and design-point subcommands all start here; stages
-    composed by hand are not checked.
+    rounding, raises DivergedDesignPointError, carrying the search's trace:
+    a search that never reached the limit-state surface gives no failure
+    chance.  run_case and the CLI's run, curve and design-point
+    subcommands all start here; stages composed by hand are not checked.
     """
     settings = settings or RunSettings()
     std = standardize(case.problem)
@@ -557,7 +557,8 @@ def design_point(case, settings=None):
             f"design point of {case.key} is off the limit-state surface: "
             f"|f|/|grad f| = {residual:.3g} > {_RESIDUAL_LIMIT:g} at beta = "
             f"{design.beta:.6g} after {design.iterations} iterations "
-            f"(converged={design.converged})"
+            f"(converged={design.converged})",
+            trace=design.trace,
         )
     return std, design, reduced
 
@@ -565,16 +566,17 @@ def design_point(case, settings=None):
 def run_case(case, settings=None, mcs_estimate=None, include_timing=False):
     """Run the full pipeline on a benchmark case and assemble the report.
 
-    Pipeline: design_point (standardize, design-point search, polar
-    reduction and its residual check, which raises
+    Pipeline: the shift schedule (first, so that a bad belief grid fails
+    before any limit-state call), design_point (standardize, design-point
+    search, polar reduction and its residual check, which raises
     DivergedDesignPointError on a point off the limit-state surface), then
     the shift-swept reliability interval.  An externally computed Monte
     Carlo estimate can be attached for the comparison columns.
     """
     settings = settings or RunSettings()
     start = time.perf_counter()
-    _, design, reduced = design_point(case, settings)
     schedule = ShiftSchedule.uniform(case.n, levels=settings.alpha_levels)
+    _, design, reduced = design_point(case, settings)
     interval = reliability_interval(
         reduced, schedule, quad_nodes=settings.quad_nodes,
         thread_cap=thread_cap(),

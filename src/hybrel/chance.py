@@ -455,7 +455,7 @@ def degenerate_random(problem, verify=False):
         raise InvalidParameterError("degenerate_random requires n = 0")
     std = standardize(problem)
     m = problem.m
-    func = lambda u: std.lsf_std(u, np.empty(0))
+    func = std.lsf_omega  # with n = 0, omega is u
 
     affine = _detect_affine(func, m)
     if affine is not None:
@@ -471,8 +471,7 @@ def degenerate_random(problem, verify=False):
 
         f1 = lambda t: func(np.array([t]))
         grid = np.linspace(-10.0, 10.0, 2001)
-        vals = evaluate_rows(problem, std.to_physical_random(grid[:, None]),
-                             np.empty((grid.size, 0)))
+        vals = evaluate_rows(problem, *std.physical(grid[:, None]))
         signs = np.sign(vals)
         crossings = np.flatnonzero((signs[:-1] != signs[1:]) & (vals[:-1] != vals[1:]))
         roots = []

@@ -37,9 +37,10 @@ environment variable caps worker parallelism.
 
 Exit codes: 0 success, 2 usage error, 3 numerical error, which includes
 a design point off the limit-state surface in run, curve and design-point
-alike.  Every subcommand writes its floats with 17 significant digits (CSV cells, design-point
-key=value lines and JSON alike), so parsing any emitted file recovers
-every value bit-exactly.
+alike; with --trace, run and design-point print that search's trace
+before the error.  Every subcommand writes its floats with 17
+significant digits (CSV cells, design-point key=value lines and JSON
+alike), so parsing any emitted file recovers every value bit-exactly.
 """
 
 import argparse
@@ -49,7 +50,7 @@ from dataclasses import fields
 
 from .benchmarks import CASE_KEYS, design_point, get_case, load_problem, run_case
 from .config import RunSettings, load_config
-from .errors import HybrelError, InvalidParameterError
+from .errors import DivergedDesignPointError, HybrelError, InvalidParameterError
 from .mcs import estimate_failure
 
 __all__ = ["main", "run_cli", "CSV_HEADER", "format_cell"]
@@ -238,6 +239,8 @@ def run_cli(argv=None):
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except HybrelError as exc:
+        if isinstance(exc, DivergedDesignPointError) and getattr(args, "trace", False):
+            _print_trace(exc.trace)
         sys.stderr.write(f"numerical error: {exc}\n")
         return 3
     except OSError as exc:

@@ -30,7 +30,15 @@ class AccuracyError(HybrelError):
 
 
 class DivergedDesignPointError(HybrelError):
-    """The design-point search ended off the limit-state surface."""
+    """The design-point search ended off the limit-state surface.
+
+    Carries the search's trace, one IterationRecord per outer iteration,
+    so callers can inspect how it diverged.
+    """
+
+    def __init__(self, message, trace=()):
+        super().__init__(message)
+        self.trace = tuple(trace)
 
 
 class DegenerateGradientError(HybrelError):

@@ -7,9 +7,12 @@ response a user limit state returns is checked here, whether one point
 (`_response`) or the rows of an array (`_rows`, `evaluate_rows`): NaN or an
 infinity raises NonFiniteResponseError, a non-scalar response or a batch of
 the wrong shape InvalidParameterError, each naming the physical point.  The
-standardization maps random inputs to standard normals and uncertain inputs
-to the symmetric unit box, sharing one arithmetic path with the original
-limit state.
+standardization is one affine map over omega = (u, delta), standard normals
+for the random inputs and the symmetric unit box for the uncertain ones:
+`StandardizedProblem.physical` takes a point or rows of omega to the
+physical (x, y), and its two evaluators, `lsf_omega` for a point and
+`lsf_omega_rows` for rows, share that one arithmetic path with the
+original limit state.
 """
 
 import math
@@ -207,20 +210,22 @@ def fd_gradient(func, point, rel_step=1e-6):
 
 @dataclass(frozen=True)
 class StandardizedProblem:
-    """Problem expressed over standard-normal u and unit-box delta.
+    """Problem expressed over omega = (u, delta): standard-normal u for the
+    random inputs, then the unit-box delta for the uncertain ones.
 
-    The standardized limit state calls the original one on the mapped-back
-    physical coordinates, so both share a single arithmetic path and agree
-    pointwise by construction.  A NaN or infinite response raises
-    NonFiniteResponseError, a non-scalar one InvalidParameterError naming
-    its shape; both name the physical point.
+    One affine map, physical = shift + scale * omega, takes omega to the
+    physical (x, y): shift holds the random means, then the box centres,
+    and scale the standard deviations, then the box half-widths.  Both
+    evaluators call the original limit state on the mapped point, so the
+    two share a single arithmetic path and agree pointwise by construction.
+    A NaN or infinite response raises NonFiniteResponseError, a non-scalar
+    one InvalidParameterError naming its shape; both name the physical
+    point.
     """
 
     problem: HybridProblem
-    means: np.ndarray = field(repr=False)
-    stddevs: np.ndarray = field(repr=False)
-    centers: np.ndarray = field(repr=False)
-    half_widths: np.ndarray = field(repr=False)
+    shift: np.ndarray = field(repr=False)
+    scale: np.ndarray = field(repr=False)
 
     # cached: the limit-state path reads m on every call
     @cached_property
@@ -231,52 +236,27 @@ class StandardizedProblem:
     def n(self):
         return self.problem.n
 
-    @cached_property
-    def _shift(self):
-        return np.concatenate([self.means, self.centers])
+    def physical(self, omega):
+        """The physical (x, y) of omega, a point of length m + n or an
+        array of such rows (N, m + n); x and y are views of one mapped
+        array."""
+        phys = self.scale * omega
+        phys += self.shift
+        m = self.m
+        return phys[..., :m], phys[..., m:]
 
-    @cached_property
-    def _scale(self):
-        return np.concatenate([self.stddevs, self.half_widths])
-
-    def to_physical_random(self, u):
-        return self.means + self.stddevs * np.asarray(u, dtype=float)
-
-    def to_standard_random(self, x):
-        return (np.asarray(x, dtype=float) - self.means) / self.stddevs
-
-    def to_physical_uncertain(self, delta):
-        return self.centers + self.half_widths * np.asarray(delta, dtype=float)
-
-    def to_standard_uncertain(self, y):
-        return (np.asarray(y, dtype=float) - self.centers) / self.half_widths
-
-    def lsf_std(self, u, delta):
-        """Response at standardized (u, delta), each an array or a sequence."""
-        x = self.means + self.stddevs * u
-        y = self.centers + self.half_widths * delta
+    def lsf_omega(self, omega):
+        """Checked response at the standardized point omega, an array or a
+        sequence."""
+        x, y = self.physical(omega)
         return _response(self.problem.lsf(x, y), x, y)
 
     def lsf_omega_rows(self, omegas):
         """Responses at the rows of standardized omegas (N, m + n): all are
-        mapped to physical coordinates in one pass, then `lsf` is called
-        once per row, in row order, never `lsf_batch`; each response is
-        checked as `lsf_std` checks it."""
-        phys = self._scale * omegas
-        phys += self._shift
-        m = self.m
-        return _rows(self.problem.lsf, None, phys[:, :m], phys[:, m:])
-
-    def lsf_rows(self, u, deltas):
-        """Responses at fixed u for each row of deltas (N, n), through
-        `evaluate_rows`."""
-        y = self.to_physical_uncertain(deltas)
-        x = np.tile(self.to_physical_random(u), (len(y), 1))
-        return evaluate_rows(self.problem, x, y)
-
-    def lsf_omega(self, omega):
-        m = self.m
-        return self.lsf_std(omega[:m], omega[m:])
+        mapped in one `physical` call, then `lsf` is called once per row,
+        in row order, never `lsf_batch`; each response is checked as
+        `lsf_omega` checks it."""
+        return _rows(self.problem.lsf, None, *self.physical(omegas))
 
     def lsf_and_gradient(self, omega, fd_rel_step):
         """(f, gradient) of the standardized limit state at omega = (u,
@@ -286,7 +266,7 @@ class StandardizedProblem:
         Without an analytic gradient, central differences with relative
         step fd_rel_step as one block through `lsf_omega_rows`: the point,
         then the stencil rows of `fd_gradient` in its order.  With one, an
-        `lsf_omega` call and then the chain rule through the affine maps; a
+        `lsf_omega` call and then the chain rule through the affine map; a
         NaN or infinite analytic gradient raises NonFiniteResponseError
         naming the gradient and the physical point.
         """
@@ -295,24 +275,21 @@ class StandardizedProblem:
             return _central_differences(self.lsf_omega_rows, omega, fd_rel_step,
                                         with_point=True)
         value = self.lsf_omega(omega)
-        x = self.to_physical_random(omega[: self.m])
-        y = self.to_physical_uncertain(omega[self.m:])
+        x, y = self.physical(omega)
         phys = np.asarray(self.problem.gradient(x, y), dtype=float)
         if not np.isfinite(phys).all():
             raise _non_finite("gradient", phys.tolist(), x, y)
-        return value, phys * self._scale
+        return value, phys * self.scale
 
 
 def standardize(problem):
     """Build the standardized view of a hybrid problem."""
-    means = np.array([rv.mean for rv in problem.randoms], dtype=float)
-    stddevs = np.array([rv.stddev for rv in problem.randoms], dtype=float)
     lowers = np.array([uv.lower for uv in problem.uncertains], dtype=float)
     uppers = np.array([uv.upper for uv in problem.uncertains], dtype=float)
+    means = [rv.mean for rv in problem.randoms]
+    stddevs = [rv.stddev for rv in problem.randoms]
     return StandardizedProblem(
         problem=problem,
-        means=means,
-        stddevs=stddevs,
-        centers=(lowers + uppers) / 2,
-        half_widths=(uppers - lowers) / 2,
+        shift=np.concatenate([means, (lowers + uppers) / 2]),
+        scale=np.concatenate([stddevs, (uppers - lowers) / 2]),
     )

@@ -26,6 +26,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DegenerateGradientError, InvalidParameterError
+from .model import evaluate_rows
 
 __all__ = [
     "SolverSettings",
@@ -306,15 +307,22 @@ def _corners(n):
     return corners
 
 
+def _at_u(u_fixed, deltas):
+    """The omega rows (u_fixed, delta) for each row delta of deltas."""
+    us = np.broadcast_to(u_fixed, (len(deltas), u_fixed.size))
+    return np.hstack([us, deltas])
+
+
 def ua_step(std, u_fixed, fd_rel_step=SolverSettings.fd_rel_step):
     """Uncertain-variable design point at fixed Gaussian coordinates.
 
     Minimizes the combined norm subject to f(u_fixed, delta) = 0 over the
     unit box; with no zero in the box, returns the box point minimizing |f|.
     For n <= 3 a dense grid of 21 points per axis, evaluated in one
-    `lsf_rows` call, seeds the refinement; beyond that the refinement runs
-    from the box center and from the best corner, keeping whichever lands
-    better.  The corners are scalar calls through `lsf_omega_rows`.  With
+    `evaluate_rows` call, seeds the refinement; beyond that the refinement
+    runs from the box center and from the best corner, keeping whichever
+    lands better.  The corners are scalar calls through `lsf_omega_rows`.
+    Both map omega rows (u_fixed, delta) through `std.physical`.  With
     n = 0 the box point is empty.  Gradients without an analytic one are
     central differences with relative step fd_rel_step.
     """
@@ -328,21 +336,20 @@ def ua_step(std, u_fixed, fd_rel_step=SolverSettings.fd_rel_step):
         axes = [np.linspace(-1.0, 1.0, _UA_GRID)] * n
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.stack([g.ravel() for g in mesh], axis=1)
-        values = std.lsf_rows(u_fixed, points)
+        values = evaluate_rows(std.problem, *std.physical(_at_u(u_fixed, points)))
         # the shortest of the grid points nearest the zero set
         nearest = points[np.argsort(np.abs(values))[:_UA_GRID]]
         candidates.append(min(nearest, key=_norm))
     else:
         corner_pts = _corners(n)
-        us = np.broadcast_to(u_fixed, (len(corner_pts), u_fixed.size))
-        corner_vals = std.lsf_omega_rows(np.hstack([us, corner_pts]))
+        corner_vals = std.lsf_omega_rows(_at_u(u_fixed, corner_pts))
         candidates.append(corner_pts[int(np.argmin(np.abs(corner_vals)))])
 
     best = None
     best_key = None
     for seed in candidates:
         delta = _ua_refine(std, u_fixed, seed, fd_rel_step)
-        residual = abs(std.lsf_std(u_fixed, delta))
+        residual = abs(std.lsf_omega(np.concatenate([u_fixed, delta])))
         # feasible solutions rank before infeasible ones, then by norm
         key = (residual > 1e-8, residual if residual > 1e-8 else 0.0,
                _norm(delta))
@@ -402,8 +409,9 @@ def find_design_point(std, settings=None):
                                      settings.fd_rel_step)
         step = _norm(np.concatenate([u_new - u, delta_new - delta]))
         u, delta = u_new, delta_new
-        omega_norm = _norm(np.concatenate([u, delta]))
-        value = std.lsf_std(u, delta)
+        omega = np.concatenate([u, delta])
+        omega_norm = _norm(omega)
+        value = std.lsf_omega(omega)
         trace.append(IterationRecord(k, omega_norm, step, float(value)))
         growth_floor = 1e-7 * max(1.0, prev_norm if prev_norm is not None else 0.0)
         if feasible_seen and prev_norm is not None \

@@ -266,12 +266,12 @@ class TestEdgePoints:
     ])
     def test_standardized_point_names_the_response(self, x, y, value):
         std = standardize(case_cantilever_tube().problem)
-        u, delta = std.to_standard_random(x), std.to_standard_uncertain(y)
+        omega = (np.concatenate([x, y]) - std.shift) / std.scale
         with np.errstate(divide="ignore", invalid="ignore"), \
                 pytest.raises(NonFiniteResponseError) as info:
-            std.lsf_std(u, delta)
-        physical = f"x={std.to_physical_random(u).tolist()}, " \
-            f"y={std.to_physical_uncertain(delta).tolist()}"
+            std.lsf_omega(omega)
+        x, y = std.physical(omega)
+        physical = f"x={x.tolist()}, y={y.tolist()}"
         assert str(info.value) == f"limit state returned {value} at {physical}"
 
     @pytest.mark.parametrize("x, y, message", [

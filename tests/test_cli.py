@@ -479,6 +479,32 @@ class TestErrorPaths:
         assert out == ""
         assert err.startswith("numerical error: design point of linear is off "
                               "the limit-state surface")
+        # --trace prints the diverged search's iterates before the error
+        for command in ("design-point", "run"):
+            code, out, err = _run(capsys, command, "--case", "linear", "--trace")
+            *iterates, error = err.splitlines()
+            assert code == 3
+            assert out == ""
+            assert error.startswith("numerical error: design point of linear")
+            assert f"after {len(iterates)} iterations" in error
+            assert [line.split()[0] for line in iterates] == \
+                [f"iter={k}" for k in range(1, len(iterates) + 1)]
+
+    def test_bad_belief_grid_fails_before_the_search(self, capsys, monkeypatch):
+        import hybrel.cli as cli_module
+
+        case = get_case("linear")
+        calls = []
+        problem = dataclasses.replace(
+            case.problem, lsf=lambda x, y: calls.append(1) or case.problem.lsf(x, y),
+            lsf_batch=None)
+        monkeypatch.setattr(cli_module, "get_case",
+                            lambda *_a, **_k: dataclasses.replace(case, problem=problem))
+        code, out, err = _run(capsys, "run", "--case", "linear", "--alpha-levels", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "usage error: levels must be >= 2 when n > 0\n"
+        assert calls == []
 
     def test_missing_subcommand(self, capsys):
         code, _, _ = _run(capsys)

@@ -35,6 +35,7 @@ from hybrel.model import (
     HybridProblem,
     RandomVariable,
     UncertainVariable,
+    evaluate_rows,
     fd_gradient,
     standardize,
 )
@@ -74,55 +75,53 @@ def _counted(problem):
 
 
 class TestStandardize:
-    def test_one_stddev(self):
-        problem = HybridProblem(
-            lsf=lambda x, y: x[0],
-            randoms=(RandomVariable("x", 10.0, 2.0),),
-        )
-        std = standardize(problem)
-        assert std.to_standard_random([12.0])[0] == pytest.approx(1.0, abs=1e-15)
-
-    def test_box_midpoint_and_edge(self):
-        problem = HybridProblem(
-            lsf=lambda x, y: y[0],
-            uncertains=(UncertainVariable("y", 2.0, 4.0),),
-        )
-        std = standardize(problem)
-        assert std.to_standard_uncertain([3.0])[0] == pytest.approx(0.0, abs=1e-15)
-        assert std.to_standard_uncertain([4.0])[0] == pytest.approx(1.0, abs=1e-15)
-
-    @given(
-        st.floats(-100, 100), st.floats(0.01, 50), st.floats(-3, 3),
-        st.floats(-100, 100), st.floats(0.01, 50), st.floats(-1, 1),
+    # a, b ~ N(10, 2), N(-1, 0.5); c in [2, 4], d in [-3, 5]
+    MIXED = HybridProblem(
+        lsf=lambda x, y: x[0] * x[1] - y[0] + y[1],
+        randoms=(RandomVariable("a", 10.0, 2.0), RandomVariable("b", -1.0, 0.5)),
+        uncertains=(UncertainVariable("c", 2.0, 4.0),
+                    UncertainVariable("d", -3.0, 5.0)),
     )
-    def test_roundtrip(self, mean, sd, u, lo, width, delta):
-        problem = HybridProblem(
-            lsf=lambda x, y: x[0] + y[0],
-            randoms=(RandomVariable("x", mean, sd),),
-            uncertains=(UncertainVariable("y", lo, lo + width),),
-        )
-        std = standardize(problem)
-        eps = np.finfo(float).eps
-        x = std.to_physical_random([u])
-        slack_u = 1e-12 + 8 * eps * (abs(mean) / sd + abs(u) + 1)
-        assert abs(std.to_standard_random(x)[0] - u) <= slack_u
-        y = std.to_physical_uncertain([delta])
-        slack_d = 1e-12 + 8 * eps * (abs(lo) / width + abs(delta) + 1)
-        assert abs(std.to_standard_uncertain(y)[0] - delta) <= slack_d
 
-    def test_roundtrip_unit_scale(self):
+    def test_physical_at_the_mean_and_box_midpoint(self):
+        std = standardize(self.MIXED)
+        # one map, the random block first
+        assert std.shift.tolist() == [10.0, -1.0, 3.0, 1.0]
+        assert std.scale.tolist() == [2.0, 0.5, 1.0, 4.0]
+        x, y = std.physical(np.zeros(4))
+        assert (x.tolist(), y.tolist()) == ([10.0, -1.0], [3.0, 1.0])
+
+    def test_physical_at_the_box_edges(self):
+        std = standardize(self.MIXED)
+        x, y = std.physical([1.0, -2.0, -1.0, 1.0])
+        assert (x.tolist(), y.tolist()) == ([12.0, -2.0], [2.0, 5.0])
+        x, y = std.physical([0.0, 0.0, 1.0, -1.0])
+        assert (x.tolist(), y.tolist()) == ([10.0, -1.0], [4.0, -3.0])
+
+    @given(m=st.integers(1, 3), n=st.integers(0, 3), rows=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_match_points_bit_for_bit(self, m, n, rows, seed):
+        rng = np.random.default_rng(seed)
+        lower = rng.uniform(-10.0, 10.0, size=n)
         problem = HybridProblem(
-            lsf=lambda x, y: x[0] + y[0],
-            randoms=(RandomVariable("x", 10.0, 2.0),),
-            uncertains=(UncertainVariable("y", 2.0, 4.0),),
+            lsf=lambda x, y: float(np.sin(x).sum() + x[0] * y.sum() - y @ y),
+            randoms=tuple(RandomVariable(f"x{i}", float(mu), float(sd))
+                          for i, (mu, sd) in enumerate(
+                              zip(rng.uniform(-10.0, 10.0, size=m),
+                                  rng.uniform(0.1, 5.0, size=m)))),
+            uncertains=tuple(UncertainVariable(f"y{j}", float(lo), float(lo + w))
+                             for j, (lo, w) in enumerate(
+                                 zip(lower, rng.uniform(0.1, 8.0, size=n)))),
         )
         std = standardize(problem)
-        for u in np.linspace(-4, 4, 17):
-            assert std.to_standard_random(std.to_physical_random([u]))[0] == \
-                pytest.approx(u, abs=1e-12)
-        for d in np.linspace(-1, 1, 17):
-            assert std.to_standard_uncertain(std.to_physical_uncertain([d]))[0] == \
-                pytest.approx(d, abs=1e-12)
+        omegas = np.hstack([rng.normal(size=(rows, m)) * 2.0,
+                            rng.uniform(-1.0, 1.0, size=(rows, n))])
+        xs, ys = std.physical(omegas)
+        values = std.lsf_omega_rows(omegas)
+        for omega, x, y, value in zip(omegas, xs, ys, values):
+            x1, y1 = std.physical(omega)
+            assert (x.tobytes(), y.tobytes()) == (x1.tobytes(), y1.tobytes())
+            assert value.tobytes() == np.float64(std.lsf_omega(omega)).tobytes()
 
     def test_same_arithmetic_path(self):
         calls = []
@@ -137,7 +136,7 @@ class TestStandardize:
             uncertains=(UncertainVariable("y", -1.0, 3.0),),
         )
         std = standardize(problem)
-        value = std.lsf_std(np.array([0.5]), np.array([0.25]))
+        value = std.lsf_omega(np.array([0.5, 0.25]))
         assert value == problem.lsf(*calls[-1])
 
     def test_analytic_gradient_chain_rule(self):
@@ -166,24 +165,29 @@ class TestStandardize:
         with pytest.raises(InvalidParameterError):
             HybridProblem(lsf=lambda x, y: 0.0)
 
-    def test_lsf_std_accepts_sequences(self):
+    def test_lsf_omega_accepts_sequences(self):
         problem = HybridProblem(
             lsf=lambda x, y: x[0] * x[1] - y[0],
             randoms=(RandomVariable("a", 5.0, 2.0), RandomVariable("b", -1.0, 0.5)),
             uncertains=(UncertainVariable("y", -1.0, 3.0),),
         )
         std = standardize(problem)
-        expected = std.lsf_std(np.array([0.5, -1.5]), np.array([0.25]))
-        assert std.lsf_std([0.5, -1.5], [0.25]) == expected
-        assert std.lsf_std((0.5, -1.5), (0.25,)) == expected
+        expected = std.lsf_omega(np.array([0.5, -1.5, 0.25]))
         assert std.lsf_omega([0.5, -1.5, 0.25]) == expected
+        assert std.lsf_omega((0.5, -1.5, 0.25)) == expected
 
 
-def _fd_oracle(std, omega):
-    """fd_gradient over an explicit map from omega to the physical (x, y)."""
-    m = std.m
-    physical = lambda w: std.problem.lsf(std.means + std.stddevs * w[:m],
-                                         std.centers + std.half_widths * w[m:])
+def _fd_oracle(problem, omega):
+    """fd_gradient over a map from omega to the physical (x, y) written
+    out from the problem's declared variables."""
+    means = np.array([rv.mean for rv in problem.randoms])
+    stddevs = np.array([rv.stddev for rv in problem.randoms])
+    lowers = np.array([uv.lower for uv in problem.uncertains])
+    uppers = np.array([uv.upper for uv in problem.uncertains])
+    centers, half_widths = (lowers + uppers) / 2, (uppers - lowers) / 2
+    m = problem.m
+    physical = lambda w: problem.lsf(means + stddevs * w[:m],
+                                     centers + half_widths * w[m:])
     return fd_gradient(physical, omega, FD_STEP)
 
 
@@ -219,7 +223,7 @@ class TestGradientWithoutAnalyticGradient:
         omega = np.concatenate([rng.normal(size=m) * 2.0,
                                 rng.uniform(-1.0, 1.0, size=n)])
         got = std.lsf_and_gradient(omega, FD_STEP)[1]
-        assert got.tobytes() == _fd_oracle(std, omega).tobytes()
+        assert got.tobytes() == _fd_oracle(problem, omega).tobytes()
 
 
 def _recorded(problem):
@@ -310,19 +314,17 @@ class TestStencilRows:
     @pytest.mark.parametrize("row", [0, 3, 5])
     def test_bad_row_names_its_point(self, bad, row):
         # one stencil row (+h on u0, -h on u1, -h on delta0) answers bad;
-        # the error is the one lsf_std raises at that point
+        # the error is the one lsf_omega raises at that point
         omega = np.array([0.3, -0.2, 0.4])
         points = []
         fd_gradient(lambda w: points.append(w.copy()) or 0.0, omega)
-        u, delta = points[row][:2], points[row][2:]
         base = HybridProblem(
             lsf=lambda x, y: 3.0 - x[0] - 0.5 * x[1] - y[0],
             randoms=(RandomVariable("x0", 1.0, 2.0), RandomVariable("x1", 0.0, 0.5)),
             uncertains=(UncertainVariable("y0", -1.0, 3.0),),
         )
-        std = standardize(base)
-        target = (std.to_physical_random(u).tobytes(),
-                  std.to_physical_uncertain(delta).tobytes())
+        x, y = standardize(base).physical(points[row])
+        target = (x.tobytes(), y.tobytes())
 
         def lsf(x, y):
             value = base.lsf(x, y)
@@ -335,9 +337,8 @@ class TestStencilRows:
         with pytest.raises(error) as from_stencil:
             std.lsf_and_gradient(omega, FD_STEP)[1]
         with pytest.raises(error) as from_point:
-            std.lsf_std(u, delta)
+            std.lsf_omega(points[row])
         assert str(from_stencil.value) == str(from_point.value)
-        x, y = std.to_physical_random(u), std.to_physical_uncertain(delta)
         assert str(from_point.value).endswith(f"at x={x.tolist()}, y={y.tolist()}")
 
 
@@ -378,16 +379,19 @@ class TestNonFiniteResponse:
             uncertains=(UncertainVariable("y", 0.0, 4.0),),
         )
         std = standardize(problem)
-        assert std.lsf_std(np.array([0.25]), np.array([0.0])) == 1.0
+        assert std.lsf_omega(np.array([0.25, 0.0])) == 1.0
         with pytest.raises(NonFiniteResponseError, match=r"x=\[1\.5\], y=\[2\.0\]"):
-            std.lsf_std(np.array([0.75]), np.array([0.0]))
+            std.lsf_omega(np.array([0.75, 0.0]))
 
     def test_row_call_names_the_first_bad_row(self):
-        std = standardize(_nan_beyond(1.5, batch=True))
+        problem = _nan_beyond(1.5, batch=True)
+        std = standardize(problem)
         deltas = np.array([[-1.0], [0.0], [0.5]])
-        assert std.lsf_rows([1.0], deltas).tolist() == [3.0, 2.0, 1.5]
+        rows = lambda u: np.hstack([np.full((3, 1), u), deltas])
+        assert evaluate_rows(problem, *std.physical(rows(1.0))).tolist() == \
+            [3.0, 2.0, 1.5]
         with pytest.raises(NonFiniteResponseError, match=r"x=\[2\.0\], y=\[-1\.0\]"):
-            std.lsf_rows([2.0], deltas)
+            evaluate_rows(problem, *std.physical(rows(2.0)))
 
     @pytest.mark.parametrize("batch", [False, True])
     def test_design_point_search_raises(self, batch):
@@ -425,12 +429,11 @@ class TestNonFiniteResponse:
             uncertains=(UncertainVariable("y", -1.0, 1.0),),
             lsf_batch=lambda x, y: lsf(x, y)[:, None],
         )
-        std = standardize(problem)
-        deltas = np.array([[-1.0], [1.0]])
+        omegas = np.array([[0.5, -1.0], [0.5, 1.0]])
         with pytest.raises(InvalidParameterError,
                            match=r"shape \(2, 1\) for 2 rows, the first at "
                                  r"x=\[0\.5\], y=\[-1\.0\]"):
-            std.lsf_rows([0.5], deltas)
+            evaluate_rows(problem, *standardize(problem).physical(omegas))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("oracle, batch", [

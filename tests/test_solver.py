@@ -354,7 +354,7 @@ class TestUaStep:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "shape"])
     def test_bad_corner_names_its_point(self, bad):
         # the corner (-1, 1, 1, -1) answers bad; the error is the one
-        # lsf_std raises there
+        # lsf_omega raises there
         corner = np.array([-1.0, 1.0, 1.0, -1.0])
         u = np.array([0.25])
 
@@ -369,7 +369,7 @@ class TestUaStep:
         with pytest.raises(error) as from_corner:
             ua_step(std, u)
         with pytest.raises(error) as from_point:
-            std.lsf_std(u, corner)
+            std.lsf_omega(np.concatenate([u, corner]))
         assert str(from_corner.value) == str(from_point.value)
         assert str(from_point.value).endswith(
             "at x=[0.25], y=[-1.0, 1.0, 1.0, -1.0]")
