@@ -19,6 +19,13 @@ with that side's `src` first on the path:
                 (m = 2), root bracketing (nonlinear, m = 1) and the
                 200-node quadrature (nonlinear, m = 2), with the calls and
                 rows each makes
+  box           hybrel.solver._solve_box_qp on a fixed seeded set of
+                gradients and targets, per kind of solve the count and one
+                sha256 of the delta bytes: targets inside the reach, top
+                and bottom clamps, targets 0 and +-1e-300, magnitudes from
+                1e-8 to 1e8 (where the window of floats around the
+                breakpoint inverse can miss), and squares that under- or
+                overflow
 
 Both sides take the manifest's inputs from this tree's
 perfbench/workloads.py.  --limit N keeps the manifest's first N entries,
@@ -29,6 +36,7 @@ field the largest relative change and the entry where it occurs, and exits
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -36,6 +44,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 BELIEF_SEEDS = (1, 1001)
@@ -54,11 +64,48 @@ ORACLE_PROBLEMS = (
      ((0.0, 1.0), (0.5, 1.2))),
 )
 
+BOX_SOLVES = 200  # seeded box solves per kind
+
+
+def _box_inputs():
+    """{kind: [(grad, target), ...]} of the box group, from default_rng(0)."""
+    rng = np.random.default_rng(0)
+
+    def grad(size=6, decades=3.0):
+        return rng.normal(size=size) * 10.0 ** rng.uniform(-decades, decades, size)
+
+    def share_of(g, share):
+        return g, share * float(np.abs(g).sum())
+
+    def extreme(g):
+        # one entry whose square overflows or underflows
+        g[rng.integers(g.size)] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.choice(
+            [rng.uniform(155.0, 160.0), rng.uniform(-170.0, -160.0)])
+        return g
+
+    def sparse(g):
+        g[rng.random(g.size) < 0.2] = 0.0
+        return g
+
+    kinds = {
+        "inside": lambda: share_of(sparse(grad()), rng.uniform(-0.99, 0.99)),
+        "top clamp": lambda: share_of(grad(), rng.choice([1.0, rng.uniform(1.0, 1.5)])),
+        "bottom clamp": lambda: share_of(grad(),
+                                         rng.choice([-1.0, rng.uniform(-1.5, -1.0)])),
+        "targets 0 and +-1e-300": lambda: (grad(), rng.choice([0.0, 1e-300, -1e-300])),
+        "magnitudes 1e-8 to 1e8": lambda: share_of(grad(decades=8.0),
+                                                   rng.uniform(-1.2, 1.2)),
+        "squares under or overflow": lambda: share_of(extreme(grad(size=4, decades=1.0)),
+                                                      rng.uniform(-1.2, 1.2)),
+    }
+    return {kind: [draw() for _ in range(BOX_SOLVES)] for kind, draw in kinds.items()}
+
 
 def _manifest():
     """(group, name, thunk) per entry, each thunk giving a JSON-able dict."""
     from hybrel import (HybridProblem, RandomVariable, RunSettings, get_case,
                         reliability_reference, run_case)
+    from hybrel.solver import _solve_box_qp
 
     import workloads as wl
 
@@ -94,6 +141,13 @@ def _manifest():
             randoms=[RandomVariable(f"x{i}", *mv) for i, mv in enumerate(moments)]))
         return {"reliability": reliability_reference(problem), **counts}
 
+    def box(solves):
+        digest = hashlib.sha256()
+        with np.errstate(over="ignore"):  # grad . grad may be inf
+            for grad, target in solves:
+                digest.update(_solve_box_qp(grad, target).tobytes())
+        return {"solves": len(solves), "sha256": digest.hexdigest()}
+
     def cli(args):
         proc = subprocess.run([sys.executable, "-m", "hybrel.cli", *args],
                               capture_output=True, text=True)
@@ -117,6 +171,8 @@ def _manifest():
     entries += [("oracle", name,
                  lambda lsf=lsf, moments=moments: oracle(lsf, moments))
                 for name, lsf, moments in ORACLE_PROBLEMS]
+    entries += [("box", kind, lambda solves=solves: box(solves))
+                for kind, solves in _box_inputs().items()]
     return entries
 
 

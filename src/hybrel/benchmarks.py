@@ -476,14 +476,14 @@ def load_problem(path):
                 else:
                     vname, first, second = value.split()
                     first, second = float(first), float(second)
-            except ValueError as exc:
+                    if key == "random":
+                        randoms.append(RandomVariable(vname, first, second))
+                    else:
+                        uncertains.append(UncertainVariable(vname, first, second))
+            except ValueError as exc:  # a refused variable's error is one too
                 raise InvalidParameterError(
                     f"{path}:{lineno}: bad declaration {f'{key} = {value}'!r}"
                 ) from exc
-            if key == "random":
-                randoms.append(RandomVariable(vname, first, second))
-            elif key == "uncertain":
-                uncertains.append(UncertainVariable(vname, first, second))
         else:
             raise InvalidParameterError(f"{path}:{lineno}: unknown key {key!r}")
     if lsf_key is None:

@@ -23,16 +23,16 @@ Variable lines are positional: the limit state receives the declared
 randoms and uncertains in file order, so a definition file reruns a
 built-in response surface on shifted means or bounds.
 
-Every subcommand takes --config; run, mcs and curve take --seed, and only
-run and curve, which sweep the belief levels, take --alpha-levels and
---quad-nodes.  Settings
-files passed via --config are read by the same key=value reader as
-problem files, with the keys alpha_levels, quad_nodes, epsilon, fd_step,
-seed.  Every key is parsed and type-checked, but a subcommand ignores the
-keys it does not read (mcs reads seed, design-point epsilon and fd_step),
-so only those are range-checked: alpha_levels below 1, quad_nodes below
-32, a negative seed, and an epsilon or fd_step that is not finite and
-positive (nan and inf included) are usage errors.  The HRA_THREADS
+Every subcommand takes --config; only run and mcs take --seed (run
+writes it to the CSV's seed column), and only run and curve, which sweep
+the belief levels, take --alpha-levels and --quad-nodes.  Settings files
+passed via --config are read by the same key=value reader as problem
+files, with the keys alpha_levels, quad_nodes, epsilon, fd_step, seed.
+Every key is parsed and type-checked, but a subcommand ignores the keys
+it does not read (mcs reads seed, design-point epsilon and fd_step, curve
+all but seed), so only those are range-checked: alpha_levels below 1,
+quad_nodes below 32, a negative seed, and an epsilon or fd_step that is
+not finite and positive (nan and inf included) are usage errors.  The HRA_THREADS
 environment variable caps worker parallelism.
 
 Exit codes: 0 success, 2 usage error, 3 numerical error, which includes
@@ -207,9 +207,9 @@ def build_parser():
 
     p_curve = sub.add_parser("curve", help="per-shift reliability curve")
     _add_case_arguments(p_curve)
-    p_curve.set_defaults(func=_cmd_curve, reads=_ALL_SETTINGS)
+    p_curve.set_defaults(func=_cmd_curve, reads=set(_ALL_SETTINGS) - {"seed"})
 
-    for seeded in (p_run, p_mcs, p_curve):  # design-point does not read it
+    for seeded in (p_run, p_mcs):  # curve and design-point do not read it
         seeded.add_argument("--seed", type=int)
     for sweep in (p_run, p_curve):  # mcs and design-point do not read these
         sweep.add_argument("--alpha-levels", type=int, dest="alpha_levels")

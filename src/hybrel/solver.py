@@ -9,12 +9,13 @@ norm of the combined iterate.
 The box subproblem is refined by sequential linearization.  A pass takes
 f and its central-difference gradient from one block of limit-state rows,
 the point first and its stencil after, and solves one continuous quadratic
-knapsack: the minimum-norm delta in [-1, 1]^n on a hyperplane.  Its
-multiplier starts at the closed-form breakpoint inverse (Kiwiel 2008) and
-is settled on the floating-point reach, to the bits a plain 200-step
-bisection gives.  On the solves of the paper rows and the belief rows
-that takes one evaluation of the reach, at a window of 33 consecutive
-floats around the inverse or, near the clamp, at the box corner.
+knapsack: the minimum-norm delta in [-1, 1]^n on a hyperplane, to the
+bits a plain 200-step bisection of its multiplier gives.  The solve reads
+the multiplier off one evaluation of the floating-point reach at a window
+of 33 consecutive floats around the closed-form breakpoint inverse
+(Kiwiel 2008), or takes the box corner at the bottom clamp; any other
+solve runs that bisection.  No solve of the paper rows or the belief rows
+bisects.
 """
 
 import logging
@@ -190,21 +191,6 @@ def _window(grad, goal, mu, mu_max):
     return float(mus[below - 1]), float(mus[below])
 
 
-def _gallop(grad, goal, mu, mu_max):
-    """A bracket (lo, hi) of the float reach's crossing of goal, stepping
-    out from mu in 1, 2, 4, ... ulps; lo compares below the goal, hi does
-    not, and an end left at -mu_max or mu_max is not evaluated."""
-    lo, hi = -mu_max, mu_max
-    step = math.ulp(mu)
-    while lo < mu < hi:
-        if _reach(grad, mu) < goal:
-            lo, mu = mu, mu + step
-        else:
-            hi, mu = mu, mu - step
-        step += step
-    return lo, hi
-
-
 def _solve_box_qp(grad, target):
     """Minimum-norm delta in [-1,1]^n with grad . delta = target (clamped).
 
@@ -213,24 +199,23 @@ def _solve_box_qp(grad, target):
     the extreme box point cannot reach the target the closest achievable
     point is returned.  The result is bitwise that of a bisection from
     (-mu_max, mu_max) on P(mu) = _reach(grad, mu) < goal, run for 200
-    steps, without running it.
+    steps.
 
     The float reach does not decrease as mu grows: round-to-nearest keeps
     the order of its inputs through mu*g_i, the clip, each product and
     each partial sum, in any summation order.  So P is true below one
     float theta and false from theta on, and once midpoint halving
     reaches adjacent floats it has reached (pred theta, theta), whatever
-    path it took; its answer is 0.5*(lo+hi) of that pair.  The solve
-    evaluates the reach at once at the window of consecutive floats
-    around the closed-form inverse of the reach, and reads the pair off
-    where it holds both; otherwise, and when the goal is the top reach
-    (starting from 1/min|g|), it gallops out from there and halves the
-    bracket.  At the bottom goal P is false everywhere and the pair is
-    -mu_max and the float above it.  A target well inside sum |g| is its
-    own goal, so the top reach is evaluated only near the clamp.  200
-    halvings from (-mu_max, mu_max) reach adjacency whenever |theta| >=
-    mu_max * 2^-128 (182 steps at most); nearer zero, or when a square in
-    the inverse under- or overflows, the plain bisection runs instead.
+    path it took; its answer is 0.5*(lo+hi) of that pair.  At the bottom
+    goal P is false everywhere and the pair is -mu_max and the float above
+    it.  Otherwise, when every square in the closed-form inverse of the
+    reach is finite and nonzero, the solve evaluates the reach at once at
+    the window of consecutive floats around that inverse and reads the
+    pair off where the window holds it.  A target well inside sum |g| is
+    its own goal, so the top reach is evaluated only near the clamp.
+    Anywhere else the 200-step bisection itself runs: on a window miss,
+    an undefined inverse, and a pair within mu_max * 2^-128 of zero, from
+    where 200 halvings of (-mu_max, mu_max) need not reach adjacency.
     """
     gnorm_sq = float(grad.dot(grad))
     if gnorm_sq < 1e-30:
@@ -240,9 +225,7 @@ def _solve_box_qp(grad, target):
     # the set-up runs on Python floats: numpy costs more than it saves on
     # the dozen or so entries of a box gradient
     mags = sorted((abs(g) for g in grad.tolist() if g != 0.0), reverse=True)
-    gmin = mags[-1]
-    mu_max = (1.0 + abs(target)) / gnorm_sq + 1.0 / gmin
-    tiny = mu_max * _ADJACENT_WITHIN_200
+    mu_max = (1.0 + abs(target)) / gnorm_sq + 1.0 / mags[-1]
     # the top reach is sum |g| to within n + 2 roundings of either sum, so
     # a target this far inside sum(mags) is its own goal
     if abs(target) < sum(mags) * (1.0 - 4 * (grad.size + 2) * 2.0 ** -53) < math.inf:
@@ -251,19 +234,14 @@ def _solve_box_qp(grad, target):
         top = _reach(grad, mu_max)  # the reach rounds alike at mu and -mu
         goal = min(max(target, -top), top)
 
-    pair = None  # the plain bisection below unless a bracket is found
+    pair = None  # the plain bisection below unless the window holds the pair
     if goal == -top:  # no reach compares below the one at -mu_max
         pair = -mu_max, math.nextafter(-mu_max, 0.0)
     else:
         before, after = _breakpoints(mags)
         if 0.0 < after[-1] and after[0] < math.inf:
-            mu = 1.0 / gmin if goal == top else _reach_inverse(before, after, goal)
-            if abs(mu) >= tiny:
-                # the reach meets the top goal well below 1/min|g|, mostly
-                # outside the window
-                pair = None if goal == top else _window(grad, goal, mu, mu_max)
-                pair = pair or _halve(grad, goal, *_gallop(grad, goal, mu, mu_max))
-    if pair is None or min(abs(pair[0]), abs(pair[1])) < tiny:
+            pair = _window(grad, goal, _reach_inverse(before, after, goal), mu_max)
+    if pair is None or min(abs(pair[0]), abs(pair[1])) < mu_max * _ADJACENT_WITHIN_200:
         pair = _halve(grad, goal, -mu_max, mu_max)
     lo, hi = pair
     return np.minimum(np.maximum(0.5 * (lo + hi) * grad, -1.0), 1.0)
@@ -385,9 +363,9 @@ def find_design_point(std, settings=None):
     with settings.fd_rel_step.  Non-convergence returns the last iterate
     with converged=False rather than raising, and logs a warning with the
     iteration count and the last step norm; the trace carries (index,
-    |omega|, step norm, f value) per iteration.  A growing |omega| after
-    the first near-feasible iterate is logged as a warning, since the
-    update is not a descent method in general.
+    |omega|, step norm, f value) per iteration.  Iterations where |omega|
+    grows after the first near-feasible iterate are logged in one warning
+    after the loop, since the update is not a descent method in general.
     """
     settings = settings or SolverSettings()
     if std.m < 1:
@@ -402,6 +380,7 @@ def find_design_point(std, settings=None):
     converged = False
     feasible_seen = False
     prev_norm = None
+    growth = []  # (iteration, |omega| before, |omega| after) where it grew
 
     for k in range(1, _MAX_ITERATIONS + 1):
         delta_new = ua_step(std, u, settings.fd_rel_step)
@@ -416,16 +395,19 @@ def find_design_point(std, settings=None):
         growth_floor = 1e-7 * max(1.0, prev_norm if prev_norm is not None else 0.0)
         if feasible_seen and prev_norm is not None \
                 and omega_norm > prev_norm + growth_floor:
-            logger.warning(
-                "design-point norm grew from %.6g to %.6g at iteration %d",
-                prev_norm, omega_norm, k,
-            )
+            growth.append((k, prev_norm, omega_norm))
         if abs(value) < 1e-6:
             feasible_seen = True
         prev_norm = omega_norm
         if step <= settings.epsilon:
             converged = True
             break
+    if growth:
+        logger.warning(
+            "design-point norm grew at %d iterations: first at iteration %d "
+            "(%.6g to %.6g), last at iteration %d (%.6g to %.6g)",
+            len(growth), *growth[0], *growth[-1],
+        )
     if not converged:
         logger.warning(
             "design point did not converge in %d iterations; last step norm %.6g",

@@ -1,3 +1,4 @@
+import logging
 import struct
 
 import numpy as np
@@ -419,6 +420,19 @@ class TestRunCase:
             assert abs(report.trace[-1].lsf_value) / report.D <= 1e-6, case.key
             outcomes.append(report.converged)
         assert {"diverged", True, False} <= set(outcomes)
+
+    def test_norm_growth_logs_one_warning_per_search(self, caplog):
+        # quadratic9's |omega| grows at 91 of its 100 iterations
+        *_, case = _quadratic_family(10)
+        with caplog.at_level(logging.WARNING, logger="hybrel.solver"):
+            report = run_case(case)
+        growth = [r.getMessage() for r in caplog.records
+                  if r.name == "hybrel.solver" and "norm grew" in r.getMessage()]
+        assert growth == [
+            "design-point norm grew at 91 iterations: first at iteration 10 "
+            "(2.44236 to 2.44237), last at iteration 100 "
+            f"(2.44322 to {report.trace[-1].beta:.6g})"
+        ]
 
     def test_design_point_stays_in_box(self):
         from hybrel.model import standardize

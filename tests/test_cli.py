@@ -121,7 +121,7 @@ class TestRunCommand:
             assert "unrecognized arguments" in err
 
     @pytest.mark.parametrize("command,accepted", [
-        ("run", True), ("curve", True), ("mcs", True), ("design-point", False),
+        ("run", True), ("curve", False), ("mcs", True), ("design-point", False),
     ])
     def test_seed_flag_only_where_read(self, capsys, command, accepted):
         extra = ["--samples", "10000"] if command == "mcs" else []
@@ -132,17 +132,18 @@ class TestRunCommand:
             assert "unrecognized arguments" in err
 
     @pytest.mark.parametrize("command,extra", [
-        ("mcs", ["--samples", "10000"]), ("design-point", []),
+        ("mcs", ["--samples", "10000"]), ("design-point", []), ("curve", []),
     ])
     def test_config_keys_a_command_does_not_read(self, capsys, tmp_path,
                                                  command, extra):
-        # quad_nodes = 10 is out of range, but mcs and design-point never
-        # read it; unknown keys and bad values are still refused
+        # an out-of-range key the command never reads passes (quad_nodes =
+        # 10 for mcs and design-point, seed = -1 for curve); unknown keys
+        # and bad values are still refused
         cfg = tmp_path / "settings.cfg"
         argv = [command, "--case", "linear", "--m", "2", "--n", "1", *extra]
         code, plain, _ = _run(capsys, *argv)
         assert code == 0
-        cfg.write_text("quad_nodes = 10\n")
+        cfg.write_text("seed = -1\n" if command == "curve" else "quad_nodes = 10\n")
         assert _run(capsys, *argv, "--config", str(cfg))[:2] == (0, plain)
         for bad in ("warp_speed = 9\n", "quad_nodes = ten\n"):
             cfg.write_text(bad)
@@ -271,6 +272,35 @@ class TestProblemDefinitionFiles:
         code, _, err = _run(capsys, "run", "--problem", str(path))
         assert code == 2
         assert "warp_core" in err
+
+    @pytest.mark.parametrize("text,message", [
+        ("lsf = linear\nrandom = u 0 1\nwarp = 9\n", "{path}:3: unknown key 'warp'"),
+        ("name = no_lsf\nrandom = u 0 1\n", "{path}: missing required key 'lsf'"),
+        ("lsf = linear\nrandom = u 0\n", "{path}:2: bad declaration 'random = u 0'"),
+        ("lsf = linear\nrandom = u 0 0\n", "{path}:2: bad declaration 'random = u 0 0'"),
+        ("lsf = linear\nrandom = u 0 1\nuncertain = y 1 1\n",
+         "{path}:3: bad declaration 'uncertain = y 1 1'"),
+        ("lsf = linear\nuncertain = y 0 1\n",
+         "the linear limit state needs >= 1 random input"),
+        ("lsf = crank_slider\nrandom = u 0 1\nuncertain = y 0 1\n",
+         "the crank-slider limit state needs 3 random and 4 uncertain inputs "
+         "(diameters + strength; lengths, force, offset)"),
+    ])
+    def test_bad_problem_file_is_usage_error(self, capsys, tmp_path, text,
+                                             message):
+        path = tmp_path / "problem.cfg"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = _run(capsys, "run", "--problem", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"usage error: {message.format(path=path)}\n"
+
+    def test_out_into_a_missing_directory_is_io_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.csv"
+        code, out, err = _run(capsys, "run", "--case", "linear", "--m", "2",
+                              "--n", "1", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("io error: ") and str(target) in err
+        assert not target.parent.exists()
 
     def test_case_and_problem_are_exclusive(self, capsys, tmp_path):
         path = self._write_linear(tmp_path)

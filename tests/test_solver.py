@@ -44,16 +44,14 @@ def _linear_std(coeffs, constant, m, n):
     return _std(lsf, m, n)
 
 
-def _box_qp_200_steps(grad, target):
-    """Reference box solve: a fixed 200 bisection steps, with np.clip in
-    the bracket function."""
-    gnorm_sq = float(grad @ grad)
-    if gnorm_sq < 1e-30:
-        return np.zeros_like(grad)
+def _bisection_pair(grad, target):
+    """The bracket (lo, hi) of the multiplier after a fixed 200 bisection
+    steps, with np.clip in the bracket function, for a nonzero grad."""
 
     def reach(mu):
         return float(grad @ np.clip(mu * grad, -1.0, 1.0))
 
+    gnorm_sq = float(grad @ grad)
     mu_max = (1.0 + abs(target)) / gnorm_sq + 1.0 / np.min(np.abs(grad[grad != 0]))
     lo, hi = -mu_max, mu_max
     goal = min(max(target, reach(lo)), reach(hi))
@@ -63,6 +61,14 @@ def _box_qp_200_steps(grad, target):
             lo = mid
         else:
             hi = mid
+    return lo, hi
+
+
+def _box_qp_200_steps(grad, target):
+    """Reference box solve: the midpoint of _bisection_pair's bracket."""
+    if float(grad @ grad) < 1e-30:
+        return np.zeros_like(grad)
+    lo, hi = _bisection_pair(grad, target)
     return np.clip(0.5 * (lo + hi) * grad, -1.0, 1.0)
 
 
@@ -162,8 +168,7 @@ class TestSolveBoxQp:
            ulps=st.integers(-4, 4), sign=st.sampled_from([-1.0, 1.0]))
     def test_targets_at_and_within_ulps_of_the_float_reach_at_the_box_corner(
             self, grad, ulps, sign):
-        # the reach where every coordinate clips: the goal's clamp, and the
-        # solve's one start that is not the breakpoint inverse
+        # the reach where every coordinate clips: the goal's clamp
         grad = np.array(grad)
         target = sign * float(grad @ np.sign(grad))
         for _ in range(abs(ulps)):
@@ -268,29 +273,45 @@ class TestSolveBoxQp:
 
     def test_most_steps_skip_the_float_reach(self, monkeypatch):
         # the plain bisection evaluates the reach about 60 times per solve,
-        # one float each; the solve starting at the breakpoint inverse
-        # about 3.6 times, mostly at one window of floats (5.1 times when
-        # it gallops from there without the window)
-        calls, rows = [], []
+        # one float each; an inside goal whose pair the window holds takes
+        # one evaluation at the window's floats, and a bottom goal one at
+        # the box corner
+        calls = []
         reach, reaches = solver._reach, solver._reaches
-
-        def count(grad, mus):
-            calls.append(mus)
-            rows.extend(np.atleast_1d(mus))
-
-        monkeypatch.setattr(solver, "_reach",
-                            lambda grad, mu: count(grad, mu) or reach(grad, mu))
-        monkeypatch.setattr(solver, "_reaches",
-                            lambda grad, mus: count(grad, mus) or reaches(grad, mus))
+        monkeypatch.setattr(solver, "_reach", lambda grad, mu: calls.append(
+            ("reach", mu)) or reach(grad, mu))
+        monkeypatch.setattr(solver, "_reaches", lambda grad, mus: calls.append(
+            ("reaches", mus)) or reaches(grad, mus))
         rng = np.random.default_rng(7)
         solves = 200
+        kinds, rows = [], 0
         for _ in range(solves):
             grad = rng.normal(size=6) * 10.0 ** rng.uniform(-3, 3, size=6)
-            target = rng.uniform(-1.2, 1.2) * float(np.abs(grad).sum())
+            share = rng.uniform(-1.2, 1.2)
+            target = share * float(np.abs(grad).sum())
+            calls.clear()
             _solve_box_qp(grad, target)
-        assert len(calls) <= 4 * solves
+            rows += sum(np.size(mus) for _, mus in calls)
+            made = [name for name, _ in calls]
+            if share < -1.0:
+                kinds.append("bottom")
+                # the top reach at the box corner, and no window
+                assert made == ["reach"]
+                continue
+            mags = sorted(np.abs(grad).tolist(), reverse=True)
+            mu = _reach_inverse(*_breakpoints(mags), target)
+            window = (np.array(mu).view(np.int64) + solver._WINDOW).view(float)
+            if share < 1.0 and set(_bisection_pair(grad, target)) <= set(
+                    window.tolist()):
+                kinds.append("window")
+                assert made == ["reaches"]
+            else:
+                kinds.append("other")
+                assert made.count("reaches") <= 1
+                assert made.count("reach") <= 201
+        assert set(kinds) == {"bottom", "window", "other"}
         # every float the reach is evaluated at counts, the window's included
-        assert len(rows) <= (len(solver._WINDOW) + 8) * solves
+        assert rows <= (len(solver._WINDOW) + 8) * solves
 
     @given(grad=st.lists(_GRAD_ENTRY, min_size=1, max_size=12),
            exponent=st.floats(min_value=-10.0, max_value=10.0),
