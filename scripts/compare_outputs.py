@@ -26,6 +26,12 @@ with that side's `src` first on the path:
                 1e-8 to 1e8 (where the window of floats around the
                 breakpoint inverse can miss), and squares that under- or
                 overflow
+  laws          the public chi-square, chi and shifted-chi cumulative
+                functions and densities and both cosine-angle functions
+                at dof or total_dim 1, 2, 3, 5 and 12 (the cosine-angle
+                ones from 2), on fixed grids with negative, zero, tiny and
+                near-+-1 arguments, one entry per dimension and one field
+                per law
 
 Both sides take the manifest's inputs from this tree's
 perfbench/workloads.py.  --limit N keeps the manifest's first N entries,
@@ -66,6 +72,13 @@ ORACLE_PROBLEMS = (
 
 BOX_SOLVES = 200  # seeded box solves per kind
 
+LAW_DIMS = (1, 2, 3, 5, 12)
+LAW_POINTS = (-2.0, -0.5, 0.0, 1e-170, 1e-8, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0,
+              9.0, 25.0, 60.0)
+LAW_SHIFTS = (0.0, 0.5, 1.0, 2.25, 7.0)
+COSINES = (-1.5, -1.0, -1.0 + 1e-15, -1.0 + 1e-9, -0.999, -0.5, 0.0, 0.3, 0.9,
+           1.0 - 1e-12, 1.0 - 1e-15, 1.0, 2.0)
+
 
 def _box_inputs():
     """{kind: [(grad, target), ...]} of the box group, from default_rng(0)."""
@@ -103,8 +116,10 @@ def _box_inputs():
 
 def _manifest():
     """(group, name, thunk) per entry, each thunk giving a JSON-able dict."""
-    from hybrel import (HybridProblem, RandomVariable, RunSettings, get_case,
-                        reliability_reference, run_case)
+    from hybrel import (HybridProblem, RandomVariable, RunSettings, chi_cdf,
+                        chi_pdf, chi_square_cdf, chi_square_pdf, cos_angle_cdf,
+                        cos_angle_pdf, get_case, reliability_reference, run_case,
+                        shifted_chi_cdf, shifted_chi_pdf)
     from hybrel.solver import _solve_box_qp
 
     import workloads as wl
@@ -148,6 +163,18 @@ def _manifest():
                 digest.update(_solve_box_qp(grad, target).tobytes())
         return {"solves": len(solves), "sha256": digest.hexdigest()}
 
+    def laws(dim):
+        x = np.array(LAW_POINTS)
+        out = {"chi_square_cdf": chi_square_cdf(x, dim), "chi_cdf": chi_cdf(x, dim),
+               "shifted_chi_cdf": [shifted_chi_cdf(x, dim, s) for s in LAW_SHIFTS],
+               "chi_square_pdf": chi_square_pdf(x, dim), "chi_pdf": chi_pdf(x, dim),
+               "shifted_chi_pdf": [shifted_chi_pdf(x, dim, s) for s in LAW_SHIFTS]}
+        if dim >= 2:
+            cosines = np.array(COSINES)
+            out["cos_angle_cdf"] = cos_angle_cdf(cosines, dim)
+            out["cos_angle_pdf"] = cos_angle_pdf(cosines, dim)
+        return {law: np.asarray(values).tolist() for law, values in out.items()}
+
     def cli(args):
         proc = subprocess.run([sys.executable, "-m", "hybrel.cli", *args],
                               capture_output=True, text=True)
@@ -173,6 +200,7 @@ def _manifest():
                 for name, lsf, moments in ORACLE_PROBLEMS]
     entries += [("box", kind, lambda solves=solves: box(solves))
                 for kind, solves in _box_inputs().items()]
+    entries += [("laws", f"dim {dim}", lambda dim=dim: laws(dim)) for dim in LAW_DIMS]
     return entries
 
 

@@ -489,13 +489,13 @@ def load_problem(path):
     if lsf_key is None:
         raise InvalidParameterError(f"{path}: missing required key 'lsf'")
     entry = _entry(lsf_key, f"{path}: unknown lsf")
-    return _build_case(
-        entry, _resolve(f"{path}: lsf {lsf_key}", params, entry.params),
-        randoms, uncertains,
-        key=name or lsf_key,
-        name=name or lsf_key,
-        description=f"problem definition from {path}",
-    )
+    params = _resolve(f"{path}: lsf {lsf_key}", params, entry.params)
+    try:
+        return _build_case(entry, params, randoms, uncertains, key=name or lsf_key,
+                           name=name or lsf_key,
+                           description=f"problem definition from {path}")
+    except InvalidParameterError as exc:  # the limit state refused its inputs
+        raise InvalidParameterError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

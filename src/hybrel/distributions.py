@@ -6,11 +6,12 @@ the cosine of the angle between a random direction and a fixed unit vector).
 Uncertainty side: the linear (interval) family with its cumulative function
 and exact inverse.
 
-Every dimension is an integer, so the chi-square and cosine-angle laws
-have cumulative functions that are finite sums of positive terms
-(Abramowitz & Stegun 26.4.4-5 and the sin^k reduction formula); they are
-evaluated in that closed form with the standard library's erfc and lgamma,
-and only the normal law calls scipy.special, imported on first use.
+One kernel per law: the chi family's laws are changes of variables of the
+chi density and chi_square_cdf, the two kernels the shift sweep integrates.
+Every dimension is an integer, so the chi-square and cosine-angle CDFs are
+finite sums of positive terms (Abramowitz & Stegun 26.4.4-5 and the sin^k
+reduction formula), evaluated in closed form with the standard library's
+erfc and lgamma; only the normal law calls scipy.special, on first use.
 
 All evaluation functions accept scalars or numpy arrays and return a matching
 shape; scalar inputs come back as Python floats.  Every object is immutable
@@ -221,20 +222,14 @@ def _gamma_quantile(dof, p):
 
 
 def chi_square_pdf(x, dof):
-    """Chi-square density with `dof` degrees of freedom; zero for x <= 0."""
+    """Chi-square(dof) density, chi_pdf(sqrt(x)) / (2 sqrt(x)); zero for x <= 0."""
     dof = _check_dof(dof)
     arr = _as_array(x, "x")
     out = np.zeros_like(arr)
     pos = arr > 0
     if np.any(pos):
-        xp = arr[pos]
-        log_pdf = (
-            (dof / 2 - 1) * np.log(xp)
-            - xp / 2
-            - (dof / 2) * math.log(2)
-            - math.lgamma(dof / 2)
-        )
-        out[pos] = np.exp(log_pdf)
+        radius = np.sqrt(arr[pos])
+        out[pos] = _chi_pdf_positive(radius, dof) / (2.0 * radius)
     return _maybe_scalar(out, x)
 
 
@@ -283,46 +278,38 @@ def chi_pdf(x, dof):
 
 
 def chi_cdf(x, dof):
-    """Cumulative distribution of chi(dof)."""
-    dof = _check_dof(dof)
-    arr = _as_array(x, "x")
-    xp = np.maximum(arr, 0.0)
-    return _maybe_scalar(_gamma_tails(dof, xp * xp / 2)[0], x)
+    """Cumulative distribution of chi(dof): chi_square_cdf at max(x, 0)^2."""
+    return shifted_chi_cdf(x, dof, 0.0)
+
+
+def _check_shift(shift):
+    if not (math.isfinite(shift) and shift >= 0):
+        raise InvalidParameterError(f"shift must be finite and >= 0, got {shift!r}")
 
 
 def shifted_chi_pdf(v, dof, shift):
     """Density of sqrt(Q + shift) with Q chi-square(dof); support v > sqrt(shift).
 
-    This is the change-of-variables density
-
-        p(v) = 2^(1-dof/2) v (v^2-shift)^(dof/2-1) exp(-(v^2-shift)/2) / Gamma(dof/2)
-
-    which reduces to chi(dof) at shift = 0 and integrates to one; the
-    2% sampling cross-check in the test suite pins this form down.
+    With r = sqrt(v^2 - shift), which is chi(dof), the change of variables
+    gives chi_pdf(r) v / r; zero where v <= 0 or v^2 - shift rounds to <= 0.
     """
     dof = _check_dof(dof)
-    if not (np.isfinite(shift) and shift >= 0):
-        raise InvalidParameterError(f"shift must be >= 0, got {shift!r}")
+    _check_shift(shift)
     arr = _as_array(v, "v")
+    radius = np.sqrt(np.maximum(arr * arr - shift, 0.0))
     out = np.zeros_like(arr)
-    pos = arr > math.sqrt(shift)
+    pos = (arr > 0) & (radius > 0)
     if np.any(pos):
-        vp = arr[pos]
-        q = vp * vp - shift
-        base = (1 - dof / 2) * math.log(2) - q / 2 - math.lgamma(dof / 2)
-        log_pdf = base + np.log(vp) + (dof / 2 - 1) * np.log(q)
-        out[pos] = np.exp(log_pdf)
+        out[pos] = _chi_pdf_positive(radius[pos], dof) * arr[pos] / radius[pos]
     return _maybe_scalar(out, v)
 
 
 def shifted_chi_cdf(v, dof, shift):
-    """Cumulative distribution of sqrt(Q + shift), Q chi-square(dof)."""
-    dof = _check_dof(dof)
-    if shift < 0:
-        raise InvalidParameterError(f"shift must be >= 0, got {shift!r}")
-    arr = _as_array(v, "v")
-    q = np.maximum(arr * arr - shift, 0.0)
-    return _maybe_scalar(_gamma_tails(dof, q / 2)[0], v)
+    """Cumulative distribution of sqrt(Q + shift), Q chi-square(dof):
+    chi_square_cdf at v^2 - shift for v > 0, and zero for v <= 0."""
+    _check_shift(shift)
+    positive = np.maximum(_as_array(v, "v"), 0.0)
+    return chi_square_cdf(positive * positive - shift, dof)
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +328,11 @@ def cos_angle_pdf(v, total_dim):
     """Density of the cosine of the angle between a uniformly random direction
     in `total_dim` dimensions and any fixed unit vector.
 
-    Evaluates c * sin^(total_dim-2)(arccos v) / sqrt(1 - v^2) on (-1, 1),
-    with 1/c = B(1/2, (total_dim-1)/2) = sqrt(pi) Gamma((total_dim-1)/2) /
-    Gamma(total_dim/2), the integral of the shape over (-1, 1).  Outside
-    the open interval the density is zero by convention (for total_dim = 2
-    the shape diverges at the endpoints but remains integrable).
+    Evaluates c ((1 - v)(1 + v))^((N-3)/2), that is c sin^(N-2)(arccos v) /
+    sqrt(1 - v^2) with N = total_dim, on (-1, 1); 1/c = B(1/2, (N-1)/2) =
+    sqrt(pi) Gamma((N-1)/2) / Gamma(N/2) is the integral of the shape over
+    (-1, 1).  Outside the open interval the density is zero by convention
+    (for N = 2 the shape diverges at the endpoints but remains integrable).
     """
     total_dim = _check_total_dim(total_dim)
     arr = _as_array(v, "v")
@@ -353,8 +340,7 @@ def cos_angle_pdf(v, total_dim):
     inside = np.abs(arr) < 1.0
     if np.any(inside):
         vi = arr[inside]
-        theta = np.arccos(vi)
-        shape = np.sin(theta) ** (total_dim - 2) / np.sqrt(1.0 - vi * vi)
+        shape = ((1.0 - vi) * (1.0 + vi)) ** ((total_dim - 3) / 2)
         log_norm = (0.5 * math.log(math.pi) + math.lgamma((total_dim - 1) / 2)
                     - math.lgamma(total_dim / 2))
         out[inside] = shape * math.exp(-log_norm)

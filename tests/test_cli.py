@@ -281,10 +281,17 @@ class TestProblemDefinitionFiles:
         ("lsf = linear\nrandom = u 0 1\nuncertain = y 1 1\n",
          "{path}:3: bad declaration 'uncertain = y 1 1'"),
         ("lsf = linear\nuncertain = y 0 1\n",
-         "the linear limit state needs >= 1 random input"),
+         "{path}: the linear limit state needs >= 1 random input"),
         ("lsf = crank_slider\nrandom = u 0 1\nuncertain = y 0 1\n",
-         "the crank-slider limit state needs 3 random and 4 uncertain inputs "
-         "(diameters + strength; lengths, force, offset)"),
+         "{path}: the crank-slider limit state needs 3 random and 4 uncertain "
+         "inputs (diameters + strength; lengths, force, offset)"),
+        ("lsf = crank_slider\nparam.t = 50\n"
+         + "".join(f"random = x{i} 1 1\n" for i in range(3))
+         + "".join(f"uncertain = y{i} 0 1\n" for i in range(4)),
+         "{path}: t must lie in [0, 40]"),
+        ("lsf = cantilever_tube\nrandom = t 5 0.1\n",
+         "{path}: the cantilever-tube limit state needs 6 random and 6 uncertain "
+         "inputs"),
     ])
     def test_bad_problem_file_is_usage_error(self, capsys, tmp_path, text,
                                              message):

@@ -165,6 +165,41 @@ class TestShiftedChi:
             shifted_chi_cdf(1.0, 3, -1.0)
 
 
+class TestChiFamilyEdges:
+    """The chi-family laws are views of chi_square_cdf and the chi density."""
+
+    def test_shifted_cdf_is_zero_up_to_the_shift(self):
+        # shifts with exact square roots, so v <= sqrt(shift) holds exactly
+        for shift in (0.0, 0.25, 1.0, 2.25, 6.25):
+            vs = np.linspace(-5.0, math.sqrt(shift), 41)
+            for dof in (1, 2, 3, 7):
+                assert np.all(shifted_chi_cdf(vs, dof, shift) == 0.0), (dof, shift)
+
+    @pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("law", [shifted_chi_pdf, shifted_chi_cdf])
+    def test_non_finite_shift_is_refused(self, law, shift):
+        with pytest.raises(InvalidParameterError):
+            law(2.0, 3, shift)
+
+    def test_chi_cdf_is_chi_square_cdf_of_the_square(self):
+        xs = np.concatenate([[0.0, 1e-170, 1e-8], np.linspace(0.01, 12.0, 60)])
+        for dof in (1, 2, 3, 12, 60):
+            for x in xs.tolist():
+                assert chi_cdf(x, dof) == chi_square_cdf(x * x, dof), (dof, x)
+
+    def test_shifted_cdf_is_chi_square_cdf_above_the_shift(self):
+        for shift in (0.0, 0.5, 2.0, 9.0):
+            vs = math.sqrt(shift) + np.linspace(0.0, 10.0, 50)
+            for dof in (1, 2, 5, 30):
+                for v in vs.tolist():
+                    assert (shifted_chi_cdf(v, dof, shift)
+                            == chi_square_cdf(v * v - shift, dof)), (dof, shift, v)
+
+    def test_chi_pdf_where_the_square_underflows(self):
+        # 1e-170 squared is 0 in double; sqrt(2 / pi) is the dof-1 density at 0+
+        assert chi_pdf(1e-170, 1) == pytest.approx(0.7978845608028654, abs=1e-15)
+
+
 class TestCosineAngle:
     def test_three_dimensions_is_uniform(self):
         # in 3 dimensions the cosine of a random direction is uniform on (-1,1)
@@ -271,6 +306,16 @@ def _cos_angle_points(rng):
                            [-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, 6)])
 
 
+def _assert_density(got, exact, label):
+    """got within 1e-12 relative of exact wherever exact exceeds 1e-290,
+    and zero where exact is zero."""
+    for value, want in zip(got.tolist(), exact):
+        if want == 0:
+            assert value == 0.0, label
+        elif want > 1e-290:
+            assert abs(value - want) <= 1e-12 * want, (label, value, want)
+
+
 class TestAgainstMpmath:
     def test_cos_angle_cdf(self, mp):
         rng = np.random.default_rng(14)
@@ -304,6 +349,46 @@ class TestAgainstMpmath:
                 for value, y in zip(got.tolist(), args.tolist()):
                     exact = mp.gammainc(a, 0, y, regularized=True)
                     assert abs(value - exact) <= 4e-15, (dof, y)
+
+    def test_chi_densities(self, mp):
+        # each density at the chi-square argument it forms in double
+        # precision; below about x = 1e-36 the chi-square density is formed
+        # from a subnormal chi density and keeps fewer digits
+        for dof in range(1, 61):
+            a = mp.mpf(dof) / 2
+
+            def chi_square(x):
+                return x ** (a - 1) * mp.exp(-x / 2) / (2 ** a * mp.gamma(a))
+
+            q = np.concatenate([[1e-30, 1e-12, 1e-6 * dof],
+                                np.linspace(0.05, 1.0, 5) * (dof + 2),
+                                [dof + 2.0], np.linspace(1.5, 4.0, 4) * (dof + 20)])
+            radius = np.sqrt(q)
+            shift = 0.75 * dof
+            shifted = np.sqrt(q + shift)
+            formed = shifted * shifted - shift
+            checks = [
+                (chi_square_pdf(q, dof), [chi_square(mp.mpf(x)) for x in q.tolist()]),
+                (chi_pdf(radius, dof), [2 * mp.mpf(r) * chi_square(mp.mpf(r) ** 2)
+                                        for r in radius.tolist()]),
+                # the Jacobian of v -> v^2 - shift is 2 v
+                (shifted_chi_pdf(shifted, dof, shift),
+                 [2 * mp.mpf(v) * chi_square(mp.mpf(y)) if y > 0 else 0
+                  for v, y in zip(shifted.tolist(), formed.tolist())]),
+            ]
+            for got, exact in checks:
+                _assert_density(got, exact, dof)
+
+    def test_cos_angle_pdf(self, mp):
+        rng = np.random.default_rng(15)
+        for total_dim in range(2, 61):
+            norm = mp.gamma(mp.mpf(total_dim) / 2) / (
+                mp.sqrt(mp.pi) * mp.gamma(mp.mpf(total_dim - 1) / 2))
+            points = _cos_angle_points(rng)
+            points = points[np.abs(points) < 1.0]
+            exact = [norm * ((1 - v) * (1 + v)) ** (mp.mpf(total_dim - 3) / 2)
+                     for v in map(mp.mpf, points.tolist())]
+            _assert_density(cos_angle_pdf(points, total_dim), exact, total_dim)
 
     def test_chi_square_cdf_lower_tail_relative_accuracy(self, mp):
         # below the mean the series keeps the small tail's digits
