@@ -17,8 +17,11 @@ with that side's `src` first on the path:
   oracle        reliability_reference on three purely random problems,
                 one per route of degenerate_random: the affine closed form
                 (m = 2), root bracketing (nonlinear, m = 1) and the
-                200-node quadrature (nonlinear, m = 2), with the calls and
-                rows each makes
+                200-node quadrature (nonlinear, m = 2), then on two mixed
+                problems whose uncertain input's sign changes across the
+                random support: 0.5 + x0 y0 (m = n = 1) and 0.5 + x0 (y0 +
+                0.3 y0^3) + 0.1 x1 (m = 2, n = 1), with the calls and rows
+                each makes
   box           hybrel.solver._solve_box_qp on a fixed seeded set of
                 gradients and targets, per kind of solve the count and one
                 sha256 of the delta bytes: targets inside the reach, top
@@ -60,14 +63,20 @@ CLI_CASES = (("linear", ("--case", "linear")),
              ("cantilever_tube", ("--case", "cantilever_tube")))
 CLI_COMMANDS = (("run",), ("run", "--format", "json"), ("curve",),
                 ("design-point",))
-# (name, limit state over points and batches alike, (mean, stddev) per input)
+# (name, limit state over points and batches alike, (mean, stddev) per random
+# input, (lower, upper) per uncertain input)
 ORACLE_PROBLEMS = (
     ("affine m=2", lambda x, y: 3.0 - x.T[0] - 2.0 * x.T[1],
-     ((1.0, 0.5), (-0.2, 1.5))),
+     ((1.0, 0.5), (-0.2, 1.5)), ()),
     ("nonlinear m=1", lambda x, y: 1.2 - (x.T[0] - 0.5) * (x.T[0] - 0.5),
-     ((0.4, 0.8),)),
+     ((0.4, 0.8),), ()),
     ("nonlinear m=2", lambda x, y: 3.0 - 0.5 * x.T[0] * x.T[0] - x.T[1],
-     ((0.0, 1.0), (0.5, 1.2))),
+     ((0.0, 1.0), (0.5, 1.2)), ()),
+    ("mixed m=1 n=1", lambda x, y: 0.5 + x.T[0] * y.T[0],
+     ((0.0, 1.0),), ((-1.0, 1.0),)),
+    ("mixed m=2 n=1",
+     lambda x, y: 0.5 + x.T[0] * (y.T[0] + 0.3 * y.T[0] ** 3) + 0.1 * x.T[1],
+     ((0.0, 1.0), (0.0, 1.0)), ((-1.0, 1.0),)),
 )
 
 BOX_SOLVES = 200  # seeded box solves per kind
@@ -116,24 +125,26 @@ def _box_inputs():
 
 def _manifest():
     """(group, name, thunk) per entry, each thunk giving a JSON-able dict."""
-    from hybrel import (HybridProblem, RandomVariable, RunSettings, chi_cdf,
-                        chi_pdf, chi_square_cdf, chi_square_pdf, cos_angle_cdf,
-                        cos_angle_pdf, get_case, reliability_reference, run_case,
-                        shifted_chi_cdf, shifted_chi_pdf)
+    from hybrel import (HybridProblem, RandomVariable, RunSettings,
+                        UncertainVariable, chi_cdf, chi_pdf, chi_square_cdf,
+                        chi_square_pdf, cos_angle_cdf, cos_angle_pdf, get_case,
+                        reliability_reference, run_case, shifted_chi_cdf,
+                        shifted_chi_pdf)
     from hybrel.solver import _solve_box_qp
 
     import workloads as wl
 
     def counted(problem):
-        """problem whose callables count scalar calls and batch rows, and
-        the counts."""
-        counts = {"lsf_calls": 0, "lsf_batch_rows": 0}
+        """problem whose callables count scalar calls, batch calls and
+        batch rows, and the counts."""
+        counts = {"lsf_calls": 0, "lsf_batch_calls": 0, "lsf_batch_rows": 0}
 
         def lsf(x, y):
             counts["lsf_calls"] += 1
             return problem.lsf(x, y)
 
         def lsf_batch(x, y):
+            counts["lsf_batch_calls"] += 1
             counts["lsf_batch_rows"] += len(x)
             return problem.lsf_batch(x, y)
 
@@ -150,10 +161,11 @@ def _manifest():
         out["trace"] = [dataclasses.astuple(record) for record in out["trace"]]
         return {**out, **counts}
 
-    def oracle(lsf, moments):
+    def oracle(lsf, moments, bounds=()):
         problem, counts = counted(HybridProblem(
             lsf=lsf, lsf_batch=lsf,
-            randoms=[RandomVariable(f"x{i}", *mv) for i, mv in enumerate(moments)]))
+            randoms=[RandomVariable(f"x{i}", *mv) for i, mv in enumerate(moments)],
+            uncertains=[UncertainVariable(f"y{i}", *lu) for i, lu in enumerate(bounds)]))
         return {"reliability": reliability_reference(problem), **counts}
 
     def box(solves):
@@ -195,9 +207,8 @@ def _manifest():
                 for name, case_args in CLI_CASES for command in CLI_COMMANDS]
     entries.append(("cli", "mcs cantilever_tube",
                     lambda: cli(("mcs", "--case", "cantilever_tube"))))
-    entries += [("oracle", name,
-                 lambda lsf=lsf, moments=moments: oracle(lsf, moments))
-                for name, lsf, moments in ORACLE_PROBLEMS]
+    entries += [("oracle", name, lambda args=args: oracle(*args))
+                for name, *args in ORACLE_PROBLEMS]
     entries += [("box", kind, lambda solves=solves: box(solves))
                 for kind, solves in _box_inputs().items()]
     entries += [("laws", f"dim {dim}", lambda dim=dim: laws(dim)) for dim in LAW_DIMS]

@@ -4,11 +4,11 @@ Given a limit-state callable over fixed random inputs and monotone uncertain
 inputs, the belief degree of the exceedance event {f > x} is the root of a
 scalar equation in the belief level (increasing variables evaluated at the
 inverse distribution of one-minus-level, decreasing variables at the level
-itself).  A dense-grid supremum scan provides an independent oracle for that
-root, and the chance measure integrates the per-random-input belief over the
-random inputs with a Gaussian-measure tensor quadrature.  Only the
-exceedance orientation is computed: the chance measure is self-dual, so the
-chance distribution Ch{f <= x} is one minus the exceedance.
+itself).  The chance measure integrates that root over the random inputs
+with a Gaussian-measure tensor quadrature, taking a variable's sign node by
+node where it changes across the random support; a dense-grid supremum scan
+is an independent oracle for the root.  Only the exceedance is computed: by
+self-duality the chance distribution Ch{f <= x} is one minus it.
 
 `reliability_reference` applies that integral to a `HybridProblem`; a
 purely random problem goes to `degenerate_random`, which tries the exact
@@ -52,7 +52,6 @@ _SUPPORT_PROBES = 5  # random points, within 2.5 sigma, re-checked per profile
 _ROOT_TOL = 1e-10  # |h(alpha)| accepted as the belief root
 _PRESCAN = 11  # belief levels scanned for a monotonicity violation
 _BLOCK = 1 << 14  # quadrature nodes per pass of the belief bisection
-_GRID = 201  # grid points per uncertain variable of the grid supremum
 _AFFINE_RTOL = 1e-8  # superposition error of _detect_affine, relative to scale
 _PURE_RANDOM_NODES = 200  # quadrature nodes of degenerate_random's m = 2, 3 route
 
@@ -98,15 +97,14 @@ class BeliefRoot:
             raise InvalidParameterError("forced-one requires value 1")
 
 
-def _profile_at(rows, randoms, unc_dists):
-    """Monotonicity profile from central-difference signs at each random
-    point in randoms, probed at the support midpoint and at 5 deterministic
-    pseudo-random points of the box, all in one `rows` call.  A probe where
-    the partial vanishes adds no sign; one sign seen is that sign, two are
-    "unknown", and none is "increasing" (either sign is vacuous)."""
+def _signs_at(rows, randoms, unc_dists):
+    """(rising, falling), (k, n) bools: the central-difference signs of each
+    uncertain variable at each row of randoms (k, m), probed at the support
+    midpoint and 5 deterministic pseudo-random points of the box, all in
+    one `rows` call.  A probe where the partial vanishes adds no sign."""
     n = len(unc_dists)
     if n == 0:
-        return MonotonicityProfile(())
+        return np.zeros((2, len(randoms), 0), dtype=bool)
     lo = np.array([d.inv(0.0) for d in unc_dists])
     hi = np.array([d.inv(1.0) for d in unc_dists])
     rng = np.random.default_rng(0)
@@ -125,12 +123,15 @@ def _profile_at(rows, randoms, unc_dists):
     plus, minus, mid = np.moveaxis(values.reshape(k, *taus.shape[:-1]), -1, 0)
     diff = plus - minus
     signed = np.abs(diff) > 1e-12 * np.maximum(1.0, np.abs(mid))
-    rising = (signed & (diff > 0)).any(axis=(0, 2))
-    falling = (signed & (diff < 0)).any(axis=(0, 2))
+    return (signed & (diff > 0)).any(axis=2), (signed & (diff < 0)).any(axis=2)
+
+
+def _profile(rising, falling):
+    """The profile of the signs seen at any point: one sign is that sign,
+    two are "unknown", none is "increasing" (either sign is vacuous)."""
     return MonotonicityProfile(tuple(
         "unknown" if up and down else "decreasing" if down else "increasing"
-        for up, down in zip(rising, falling)
-    ))
+        for up, down in zip(rising.any(axis=0), falling.any(axis=0))))
 
 
 def detect_profile(f, fixed_randoms, unc_dists):
@@ -145,8 +146,8 @@ def detect_profile(f, fixed_randoms, unc_dists):
     change elsewhere in the random support; :func:`chance_exceedance`
     re-checks it there.
     """
-    return _profile_at(partial(_rows, f, None),
-                       [np.asarray(fixed_randoms, dtype=float)], unc_dists)
+    return _profile(*_signs_at(partial(_rows, f, None),
+                               [np.asarray(fixed_randoms, dtype=float)], unc_dists))
 
 
 def _support_profile(rows, prob_dists, unc_dists):
@@ -159,21 +160,24 @@ def _support_profile(rows, prob_dists, unc_dists):
     for z in rng.uniform(-2.5, 2.5, size=(_SUPPORT_PROBES, len(prob_dists))):
         points.append(np.array([d.inv_cdf(normal_cdf(v))
                                 for d, v in zip(prob_dists, z)]))
-    return _profile_at(rows, points, unc_dists)
+    return _profile(*_signs_at(rows, points, unc_dists))
 
 
-def _belief_rows(rows, etas, unc_dists, signs, x):
+def _belief_rows(rows, etas, unc_dists, falling, x):
     """Belief degrees of {f > x} at the rows of etas (N, m), and their
     BeliefRoot statuses: the roots of h(alpha) = f - x, where increasing
-    variables take the (1-alpha)-quantile and decreasing ones the
+    variables take the (1-alpha)-quantile and the decreasing ones, True in
+    the mask falling ((n,), or (N, n) with one row per node), the
     alpha-quantile.  h is non-increasing, so bisection on [0, 1] converges;
     each step is one `rows` call over the open rows.  An 11-point pre-scan
     per row guards monotonicity and reports the first bad row's trace."""
+    falling = np.broadcast_to(falling, (len(etas), len(unc_dists)))
 
     def h(alpha, at):
-        tau = np.empty((alpha.size, len(signs)))
-        for j, (dist, label) in enumerate(zip(unc_dists, signs)):
-            tau[:, j] = dist.inv(1.0 - alpha if label == "increasing" else alpha)
+        level = np.where(falling[at], alpha[:, None], 1.0 - alpha[:, None])
+        tau = np.empty(level.shape)
+        for j, dist in enumerate(unc_dists):
+            tau[:, j] = dist.inv(level[:, j])
         return rows(etas[at], tau) - x
 
     k = len(etas)
@@ -224,11 +228,11 @@ def belief_at_limit_state(f, fixed_randoms, unc_dists, profile):
         raise InvalidParameterError("profile length must match unc_dists")
     fixed = np.array(fixed_randoms, dtype=float, ndmin=2)
     value, status = _belief_rows(partial(_rows, f, None), fixed, unc_dists,
-                                 profile.signs, 0.0)
+                                 np.array(profile.signs, dtype=str) == "decreasing", 0.0)
     return BeliefRoot(float(value[0]), str(status[0]))
 
 
-def belief_sup_grid(f, fixed_randoms, unc_dists, grid_per_var=_GRID):
+def belief_sup_grid(f, fixed_randoms, unc_dists, grid_per_var=201):
     """Grid-supremum oracle for the belief degree of {f > 0}.
 
     Scans a tensor grid of the uncertain support box, locates zero crossings
@@ -236,21 +240,14 @@ def belief_sup_grid(f, fixed_randoms, unc_dists, grid_per_var=_GRID):
     interpolates the crossing coordinate, and returns the supremum of the
     crossing-point measure min over increasing variables of (1 - cdf) and
     over decreasing variables of cdf.  With an empty zero set the endpoint
-    conventions apply: 1 if f > 0 over the whole box, 0 if f < 0.
+    conventions apply: 1 if f > 0 over the whole box, 0 if f < 0.  The
+    chance integral never runs it; it is an independent check of the root.
 
     Combinatorial in the number of uncertain variables; supported for
     n <= 3 only.  The formula needs each variable's monotonicity sign at
     fixed_randoms; a variable that is not monotone there raises
     AmbiguousRootError.
     """
-    return _sup_grid(partial(_rows, f, None),
-                     np.asarray(fixed_randoms, dtype=float), unc_dists,
-                     grid_per_var)
-
-
-def _sup_grid(rows, fixed, unc_dists, grid_per_var):
-    """:func:`belief_sup_grid` at the random point fixed, whose profile
-    probes and grid each make one `rows` call."""
     n = len(unc_dists)
     if n == 0:
         raise InvalidParameterError("at least one uncertain variable required")
@@ -259,7 +256,9 @@ def _sup_grid(rows, fixed, unc_dists, grid_per_var):
     if grid_per_var < 101:
         raise InvalidParameterError("grid_per_var must be at least 101")
 
-    profile = _profile_at(rows, [fixed], unc_dists)
+    rows = partial(_rows, f, None)
+    fixed = np.asarray(fixed_randoms, dtype=float)
+    profile = _profile(*_signs_at(rows, [fixed], unc_dists))
     if profile.has_unknown:  # a limit of this method, not a bad parameter
         raise AmbiguousRootError(
             "could not classify monotonicity; the supremum formula needs it"
@@ -320,7 +319,11 @@ def gaussian_nodes(quad_nodes):
 
 def _chance_integral(rows, prob_dists, unc_dists, x, quad_nodes, profile):
     """Tensor-quadrature sum of the belief degree of {f > x} over the random
-    nodes, in node order, a block of at most _BLOCK nodes at a time."""
+    nodes, in node order, a block of at most _BLOCK nodes at a time.  A
+    variable the profile leaves "unknown" takes its sign at each node from
+    one probe call per block; a node where it shows both signs has no root."""
+    signs = np.array(profile.signs, dtype=str)
+    unknown, falling = signs == "unknown", signs == "decreasing"
     m = len(prob_dists)
     s, w1 = gaussian_nodes(quad_nodes)
     axes = [np.asarray(d.inv_cdf(s)) for d in prob_dists]
@@ -336,12 +339,14 @@ def _chance_integral(rows, prob_dists, unc_dists, x, quad_nodes, profile):
             weight = weight * w1[i]
         if not unc_dists:
             belief = np.where(rows(etas, np.empty((node.size, 0))) > x, 1.0, 0.0)
-        elif profile.has_unknown:
-            shifted = lambda xs, taus: rows(xs, taus) - x
-            belief = np.array([_sup_grid(shifted, eta, unc_dists, _GRID)
-                               for eta in etas])
         else:
-            belief = _belief_rows(rows, etas, unc_dists, profile.signs, x)[0]
+            rising, down = (_signs_at(rows, etas, unc_dists) if unknown.any()
+                            else (unknown, falling))
+            if (rising & down & unknown).any():
+                raise AmbiguousRootError("could not classify monotonicity; "
+                                         "the belief root needs it")
+            belief = _belief_rows(rows, etas, unc_dists,
+                                  np.where(unknown, down, falling), x)[0]
         # cumsum adds one node after another, as a running total does
         total = np.cumsum(np.concatenate(([total], weight * belief)))[-1]
     return float(total)
@@ -378,11 +383,11 @@ def chance_exceedance(f, prob_dists, unc_dists, x=0.0, quad_nodes=64,
     tensor quadrature (m <= 3; this is the reference path, the production
     pipeline goes through the polar reduction).  The inner belief is the
     root of the limit-state equation, which needs each uncertain variable's
-    monotonicity sign to hold over the whole random support.  With no
-    profile given, the sign found at the median random point is re-checked
-    at 5 pseudo-random points within 2.5 standard deviations of it; a
-    variable whose sign differs is "unknown" and goes through the grid
-    supremum (n <= 3).
+    monotonicity sign at each node.  With no profile given, the sign found
+    at the median random point is re-checked at 5 pseudo-random points
+    within 2.5 standard deviations of it; a variable whose sign differs is
+    "unknown" and is probed again at each node, where showing both signs
+    raises AmbiguousRootError.
 
     With verify=True the integral is recomputed at doubled quad_nodes and an
     AccuracyError is raised when the relative change exceeds 1e-6.

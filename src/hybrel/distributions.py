@@ -222,14 +222,18 @@ def _gamma_quantile(dof, p):
 
 
 def chi_square_pdf(x, dof):
-    """Chi-square(dof) density, chi_pdf(sqrt(x)) / (2 sqrt(x)); zero for x <= 0."""
+    """Chi-square(dof) density, zero for x <= 0: chi_pdf(sqrt(x)) / (2 sqrt(x)),
+    for dof >= 2 formed as the chi(dof - 1) density at sqrt(x) times
+    Gamma((dof-1)/2) / (2 sqrt(2) Gamma(dof/2)), with no subnormal factor."""
     dof = _check_dof(dof)
     arr = _as_array(x, "x")
     out = np.zeros_like(arr)
     pos = arr > 0
     if np.any(pos):
         radius = np.sqrt(arr[pos])
-        out[pos] = _chi_pdf_positive(radius, dof) / (2.0 * radius)
+        out[pos] = _chi_pdf_positive(radius, 1) / (2.0 * radius) if dof == 1 else (
+            _chi_pdf_positive(radius, dof - 1) / math.sqrt(8.0)
+            * math.exp(math.lgamma((dof - 1) / 2) - math.lgamma(dof / 2)))
     return _maybe_scalar(out, x)
 
 
@@ -293,8 +297,10 @@ def shifted_chi_pdf(v, dof, shift):
     With r = sqrt(v^2 - shift), which is chi(dof), the change of variables
     gives chi_pdf(r) v / r; zero where v <= 0 or v^2 - shift rounds to <= 0.
     """
-    dof = _check_dof(dof)
     _check_shift(shift)
+    if shift == 0:  # the radius is v itself
+        return chi_pdf(v, dof)
+    dof = _check_dof(dof)
     arr = _as_array(v, "v")
     radius = np.sqrt(np.maximum(arr * arr - shift, 0.0))
     out = np.zeros_like(arr)
@@ -306,9 +312,9 @@ def shifted_chi_pdf(v, dof, shift):
 
 def shifted_chi_cdf(v, dof, shift):
     """Cumulative distribution of sqrt(Q + shift), Q chi-square(dof):
-    chi_square_cdf at v^2 - shift for v > 0, and zero for v <= 0."""
+    chi_square_cdf at min(v, 1e150)^2 - shift for v > 0, zero for v <= 0."""
     _check_shift(shift)
-    positive = np.maximum(_as_array(v, "v"), 0.0)
+    positive = np.clip(_as_array(v, "v"), 0.0, 1e150)
     return chi_square_cdf(positive * positive - shift, dof)
 
 

@@ -134,10 +134,9 @@ class TestBeliefRows:
         lo = rng.uniform(-2, 2, n)
         hi = lo + rng.uniform(0.5, 3.0, n)
         etas = rng.uniform(-3, 3, (40, m))
-        signs = tuple("increasing" if v > 0 else "decreasing" for v in b)
         rows = lambda xs, taus: c + xs @ a + taus @ b
         value, status = _belief_rows(
-            rows, etas, [LinearUncertain(l, h) for l, h in zip(lo, hi)], signs, 0.0
+            rows, etas, [LinearUncertain(l, h) for l, h in zip(lo, hi)], b < 0, 0.0
         )
         h0 = c + etas @ a + np.maximum(b * lo, b * hi).sum()
         span = (np.abs(b) * (hi - lo)).sum()
@@ -159,7 +158,7 @@ class TestBeliefRows:
 
         etas = np.arange(6.0)[:, None]
         with pytest.raises(AmbiguousRootError) as excinfo:
-            _belief_rows(rows, etas, [lin01()], ("decreasing",), 0.0)
+            _belief_rows(rows, etas, [lin01()], [True], 0.0)
         levels = np.linspace(0.0, 1.0, 11)
         assert [level for level, _ in excinfo.value.scan] == levels.tolist()
         expected = (levels - 0.25) * (levels - 0.75)
@@ -167,7 +166,7 @@ class TestBeliefRows:
                                    rtol=0, atol=1e-12)
         # without the oscillating rows the batch is monotone and roots at 0.5
         value, status = _belief_rows(rows, etas[[0, 1, 3, 5]], [lin01()],
-                                     ("decreasing",), 0.0)
+                                     [True], 0.0)
         np.testing.assert_allclose(value, 0.5, atol=1e-9)
         assert (status == "interior-root").all()
 
@@ -176,8 +175,7 @@ class TestBeliefRows:
         # forced-zero (h(0) <= 0) and c = 1 forced-one (h(1) >= 0)
         c = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
         rows = lambda xs, taus: xs[:, 0] - taus[:, 0]
-        value, status = _belief_rows(rows, c[:, None], [lin01()],
-                                     ("decreasing",), 0.0)
+        value, status = _belief_rows(rows, c[:, None], [lin01()], [True], 0.0)
         assert status.tolist() == ["forced-zero", "forced-zero", "interior-root",
                                    "forced-one", "forced-one"]
         assert value.tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]

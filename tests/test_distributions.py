@@ -199,6 +199,31 @@ class TestChiFamilyEdges:
         # 1e-170 squared is 0 in double; sqrt(2 / pi) is the dof-1 density at 0+
         assert chi_pdf(1e-170, 1) == pytest.approx(0.7978845608028654, abs=1e-15)
 
+    def test_shifted_pdf_at_shift_zero_is_the_chi_density(self):
+        # at shift 0 the radius is v itself, also where v * v underflows
+        vs = np.concatenate([10.0 ** np.arange(-300.0, 1.0, 3.0), [2.5, 10.0, 60.0]])
+        for dof in (1, 2, 3, 5, 12):
+            want = chi_pdf(vs, dof)
+            got = shifted_chi_pdf(vs, dof, 0.0)
+            assert np.all(np.abs(got - want) <= 3e-16 * want), dof
+        assert shifted_chi_pdf(1e-170, 1, 0.0) > 0.79
+
+    def test_chi_square_pdf_without_a_subnormal_factor(self):
+        # x^(3/2) e^(-x/2) / (2^(5/2) Gamma(5/2)) at x = 1e-170, and the
+        # dof-2 density 1/2 at 0+
+        assert chi_square_pdf(1e-170, 5) == pytest.approx(1.329807601338109e-256,
+                                                          rel=1e-13, abs=0.0)
+        assert chi_square_pdf(1e-300, 2) == pytest.approx(0.5, rel=1e-15, abs=0.0)
+
+    def test_cdf_where_the_square_overflows(self):
+        # v * v overflows at v = 1e200; the law is 1 there, with no warning
+        with np.errstate(over="raise", invalid="raise"):
+            assert chi_cdf(1e200, 3) == 1.0
+            for shift in (0.0, 2.0, 1e6):
+                assert shifted_chi_cdf(1e200, 3, shift) == 1.0
+            both = shifted_chi_cdf(np.array([1e200, 1e300]), 12, 5.0)
+            assert both.tolist() == [1.0, 1.0]
+
 
 class TestCosineAngle:
     def test_three_dimensions_is_uniform(self):
@@ -351,16 +376,14 @@ class TestAgainstMpmath:
                     assert abs(value - exact) <= 4e-15, (dof, y)
 
     def test_chi_densities(self, mp):
-        # each density at the chi-square argument it forms in double
-        # precision; below about x = 1e-36 the chi-square density is formed
-        # from a subnormal chi density and keeps fewer digits
+        # each density at the chi-square argument it forms in double precision
         for dof in range(1, 61):
             a = mp.mpf(dof) / 2
 
             def chi_square(x):
                 return x ** (a - 1) * mp.exp(-x / 2) / (2 ** a * mp.gamma(a))
 
-            q = np.concatenate([[1e-30, 1e-12, 1e-6 * dof],
+            q = np.concatenate([[1e-300, 1e-170, 1e-100, 1e-30, 1e-12, 1e-6 * dof],
                                 np.linspace(0.05, 1.0, 5) * (dof + 2),
                                 [dof + 2.0], np.linspace(1.5, 4.0, 4) * (dof + 20)])
             radius = np.sqrt(q)

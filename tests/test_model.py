@@ -739,10 +739,26 @@ class TestReliabilityReference:
         assert calls["scalar"] <= 432
         assert calls["scalar"] + calls["rows"] == scalar_calls
 
+    @staticmethod
+    def _same_rule(belief, quad_nodes=64):
+        """The chance integral's own 1-D rule applied to an exact belief of
+        the standard normal random input."""
+        from hybrel.chance import gaussian_nodes
+        from hybrel.distributions import Normal
+        s, w = gaussian_nodes(quad_nodes)
+        return sum(wi * belief(xi) for xi, wi in zip(Normal().inv_cdf(s), w))
+
+    @staticmethod
+    def _mean_belief(x):
+        # 0.5 + x t with t ~ L(-1, 1): the root is 1 - alpha = (1 - 0.5/x)/2
+        # for x > 0 and alpha = (1 - 0.5/x)/2 for x < 0
+        return min(max((1.0 + 0.5 / abs(x)) / 2, 0.0), 1.0)
+
     def test_unclassified_profile_goes_through_lsf_batch(self):
         # d/dy (0.5 + x y) = x changes sign across the random support, so
-        # every node's belief is a grid supremum: its profile probes and its
-        # grid are one batch call each, the same evaluations as the scalar path
+        # each node takes its own sign from the block's probe call, and the
+        # root's bisection makes batch calls over the open nodes: the same
+        # evaluations as the scalar path
         g = lambda x, y: 0.5 + x[..., 0] * y[..., 0]
         problem = HybridProblem(
             lsf=lambda x, y: float(g(x, y)),
@@ -755,7 +771,60 @@ class TestReliabilityReference:
         value = reliability_reference(batched)
         assert value == reliability_reference(scalar_only)
         assert calls == {"scalar": 0, "rows": scalar_calls["scalar"]}
-        assert value == pytest.approx(0.8532997719453629, abs=1e-12)
+        assert value == pytest.approx(self._same_rule(self._mean_belief), abs=1e-10)
+
+    def test_unclassified_nonlinear_in_tau_against_brentq(self):
+        # 0.5 + x (y + 0.3 y^3): the belief is (1 + s)/2 with s + 0.3 s^3 =
+        # 0.5/|x|, and 1 once 0.5/|x| >= 1.3; the root agrees with the same
+        # rule's brentq sum to the bisection's tolerance
+        from scipy.optimize import brentq
+        g = lambda x, y: 0.5 + x[..., 0] * (y[..., 0] + 0.3 * y[..., 0] ** 3)
+        problem = HybridProblem(
+            lsf=lambda x, y: float(g(x, y)), lsf_batch=g,
+            randoms=(STD_NORMAL,),
+            uncertains=(UncertainVariable("y0", -1.0, 1.0),),
+        )
+
+        def belief(x):
+            c = 0.5 / abs(x)
+            if c >= 1.3:
+                return 1.0
+            return (1.0 + brentq(lambda t: t + 0.3 * t ** 3 - c, 0.0, 1.0,
+                                 xtol=1e-15)) / 2
+
+        value = reliability_reference(problem, quad_nodes=64)
+        assert value == pytest.approx(self._same_rule(belief), abs=1e-10)
+
+    def test_unclassified_four_uncertain_inputs(self):
+        # the mean of four L(-1, 1) inputs is L(-1, 1) by the operational
+        # law, so the belief is that of 0.5 + x y
+        g = lambda x, y: 0.5 + x[..., 0] * y.sum(axis=-1) / 4
+        problem = HybridProblem(
+            lsf=lambda x, y: float(g(x, y)), lsf_batch=g,
+            randoms=(STD_NORMAL,),
+            uncertains=tuple(UncertainVariable(f"y{i}", -1.0, 1.0)
+                             for i in range(4)),
+        )
+        value = reliability_reference(problem)
+        assert value == pytest.approx(self._same_rule(self._mean_belief), abs=1e-10)
+
+    def test_unclassified_nodes_share_batch_calls(self):
+        # the per-node signs are one probe call per block and each bisection
+        # step one call over the open nodes, whatever the node count
+        g = lambda x, y: 0.5 + x[..., 0] * y[..., 0] + 0.1 * x[..., 1]
+        calls = []
+
+        def lsf_batch(x, y):
+            calls.append(len(x))
+            return g(x, y)
+
+        problem = HybridProblem(
+            lsf=lambda x, y: float(g(x, y)), lsf_batch=lsf_batch,
+            randoms=(STD_NORMAL, RandomVariable("u1", 0.0, 1.0)),
+            uncertains=(UncertainVariable("y0", -1.0, 1.0),),
+        )
+        reliability_reference(problem, quad_nodes=32)
+        assert len(calls) < 100
 
     def test_nonlinear_pure_random_goes_through_lsf_batch(self):
         # 3 - x0^2/2 - x1 is not affine, so it takes the m = 2 indicator
@@ -781,8 +850,8 @@ class TestReliabilityReference:
 
     def test_non_monotone_uncertain_input_is_ambiguous(self):
         # d/dy0 = -2 (y0 - 0.3) changes sign inside [-1, 1] at every random
-        # point, so neither the root nor the grid supremum applies: the
-        # problem is well posed, the method has no answer for it
+        # point, so the belief root does not apply: the problem is well
+        # posed, the method has no answer for it
         problem = HybridProblem(
             lsf=lambda x, y: 0.2 + x[0] - (y[0] - 0.3) ** 2,
             randoms=(STD_NORMAL,),
@@ -790,7 +859,7 @@ class TestReliabilityReference:
         )
         with pytest.raises(AmbiguousRootError,
                            match="^could not classify monotonicity; the "
-                                 "supremum formula needs it$") as excinfo:
+                                 "belief root needs it$") as excinfo:
             reliability_reference(problem, quad_nodes=16)
         assert not isinstance(excinfo.value, ValueError)
 
