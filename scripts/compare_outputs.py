@@ -39,8 +39,10 @@ with that side's `src` first on the path:
 Both sides take the manifest's inputs from this tree's
 perfbench/workloads.py.  --limit N keeps the manifest's first N entries,
 in the order above.  The script prints "identical" per group, or per
-field the largest relative change and the entry where it occurs, and exits
-1 when any entry differs.
+field the largest relative change and the largest absolute change in ulps
+of the old value (math.ulp), each with the entry where it occurs, and exits
+1 when any entry differs.  A value that moves by one rounding reads as one
+ulp however small it is.
 """
 
 import argparse
@@ -252,15 +254,25 @@ def relative_change(old, new):
     if math.copysign(1.0, old) == math.copysign(1.0, new) and (
             old == new or (math.isnan(old) and math.isnan(new))):
         return 0.0
-    if math.isfinite(old) and math.isfinite(new):
+    if math.isfinite(old) and math.isfinite(new) and old != new:
         return abs(new - old) / max(abs(old), abs(new))
     return math.inf
 
 
+def ulp_change(old, new):
+    """|new - old| in ulps of old (math.ulp) where relative_change is
+    finite and nonzero, else relative_change itself."""
+    change = relative_change(old, new)
+    if change == 0.0 or change == math.inf:
+        return change
+    return abs(float(new) - float(old)) / math.ulp(float(old))
+
+
 def compare(before, after):
     """Lines saying, per group, "identical" or each differing field's
-    largest relative change and the entry where it occurs."""
-    worst = {}  # (group, field) -> (change, entry name)
+    largest relative change and largest change in ulps of the old value,
+    each with the entry where it occurs."""
+    worst = {}  # (group, field) -> [(change, entry name), (ulps, entry name)]
     groups = []
     for (group, name, old), (_, _, new) in zip(before, after):
         if group not in groups:
@@ -268,21 +280,27 @@ def compare(before, after):
         for field in old:
             olds, news = _flat(old[field]), _flat(new[field])
             if len(olds) != len(news):
-                change = math.inf
+                changes = (math.inf, math.inf)
             else:
-                change = max(map(relative_change, olds, news), default=0.0)
-            if change > worst.get((group, field), (0.0,))[0]:
-                worst[group, field] = change, name
+                changes = (max(map(relative_change, olds, news), default=0.0),
+                           max(map(ulp_change, olds, news), default=0.0))
+            record = worst.setdefault((group, field), [(0.0, None), (0.0, None)])
+            for i, change in enumerate(changes):
+                if change > record[i][0]:
+                    record[i] = change, name
     lines = []
     for group in groups:
-        fields = [(field, change, name)
-                  for (g, field), (change, name) in worst.items() if g == group]
+        fields = [(field, record) for (g, field), record in worst.items()
+                  if g == group and record[0][0] > 0.0]
         if not fields:
             lines.append(f"{group}: identical")
-        for field, change, name in fields:
-            what = "differs" if change == math.inf else \
-                f"largest relative change {change:.3g}"
-            lines.append(f"{group}: {field}: {what} ({name})")
+        for field, ((change, name), (ulps, ulp_name)) in fields:
+            if change == math.inf:
+                lines.append(f"{group}: {field}: differs ({name})")
+            else:
+                lines.append(f"{group}: {field}: largest relative change "
+                             f"{change:.3g} ({name}), largest change "
+                             f"{ulps:.4g} ulps ({ulp_name})")
     return lines
 
 

@@ -97,11 +97,13 @@ class BeliefRoot:
             raise InvalidParameterError("forced-one requires value 1")
 
 
-def _signs_at(rows, randoms, unc_dists):
+def _signs_at(rows, randoms, unc_dists, probed=None):
     """(rising, falling), (k, n) bools: the central-difference signs of each
     uncertain variable at each row of randoms (k, m), probed at the support
     midpoint and 5 deterministic pseudo-random points of the box, all in
-    one `rows` call.  A probe where the partial vanishes adds no sign."""
+    one `rows` call.  A probe where the partial vanishes adds no sign.
+    probed, an (n,) bool mask, limits the differences to its variables
+    (the others show no sign) at the same probe points."""
     n = len(unc_dists)
     if n == 0:
         return np.zeros((2, len(randoms), 0), dtype=bool)
@@ -112,9 +114,11 @@ def _signs_at(rows, randoms, unc_dists):
     for _ in range(_BOX_PROBES):
         probes.append(lo + rng.uniform(0.05, 0.95, size=n) * (hi - lo))
 
-    # for each random point, variable i and probe tau: tau + h_i e_i,
+    # for each random point, probed variable i and probe tau: tau + h_i e_i,
     # tau - h_i e_i and tau itself, in that order
     h = np.diag(1e-6 * np.maximum(1.0, np.abs(hi - lo)))
+    if probed is not None:
+        h = h[probed]
     offsets = np.stack([h, -h, np.zeros_like(h)], axis=1)
     taus = np.array(probes)[None, :, None, :] + offsets[:, None]
     k, size = len(randoms), taus.size // n
@@ -123,7 +127,10 @@ def _signs_at(rows, randoms, unc_dists):
     plus, minus, mid = np.moveaxis(values.reshape(k, *taus.shape[:-1]), -1, 0)
     diff = plus - minus
     signed = np.abs(diff) > 1e-12 * np.maximum(1.0, np.abs(mid))
-    return (signed & (diff > 0)).any(axis=2), (signed & (diff < 0)).any(axis=2)
+    signs = np.zeros((2, k, n), dtype=bool)
+    signs[:, :, slice(None) if probed is None else probed] = (
+        (signed & (diff > 0)).any(axis=2), (signed & (diff < 0)).any(axis=2))
+    return signs
 
 
 def _profile(rising, falling):
@@ -321,7 +328,8 @@ def _chance_integral(rows, prob_dists, unc_dists, x, quad_nodes, profile):
     """Tensor-quadrature sum of the belief degree of {f > x} over the random
     nodes, in node order, a block of at most _BLOCK nodes at a time.  A
     variable the profile leaves "unknown" takes its sign at each node from
-    one probe call per block; a node where it shows both signs has no root."""
+    one probe call per block, which differences only those variables; a
+    node where one shows both signs has no root."""
     signs = np.array(profile.signs, dtype=str)
     unknown, falling = signs == "unknown", signs == "decreasing"
     m = len(prob_dists)
@@ -340,8 +348,8 @@ def _chance_integral(rows, prob_dists, unc_dists, x, quad_nodes, profile):
         if not unc_dists:
             belief = np.where(rows(etas, np.empty((node.size, 0))) > x, 1.0, 0.0)
         else:
-            rising, down = (_signs_at(rows, etas, unc_dists) if unknown.any()
-                            else (unknown, falling))
+            rising, down = (_signs_at(rows, etas, unc_dists, unknown)
+                            if unknown.any() else (unknown, falling))
             if (rising & down & unknown).any():
                 raise AmbiguousRootError("could not classify monotonicity; "
                                          "the belief root needs it")

@@ -1,6 +1,7 @@
 """Run settings, the key=value file reader, config parsing and the thread cap."""
 
 import math
+import operator
 import os
 from dataclasses import dataclass, fields
 
@@ -21,6 +22,8 @@ class RunSettings:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("alpha_levels", "quad_nodes", "seed"):
+            object.__setattr__(self, name, as_count(getattr(self, name), name))
         if self.alpha_levels < 1:
             raise InvalidParameterError("alpha_levels must be >= 1")
         if self.quad_nodes < 32:
@@ -30,6 +33,16 @@ class RunSettings:
                 raise InvalidParameterError(f"{name} must be finite and positive")
         if self.seed < 0:
             raise InvalidParameterError("seed must be >= 0")
+
+
+def as_count(value, name):
+    """value as an int when it is an integer (Python or numpy), else
+    InvalidParameterError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(
+            f"{name} must be an integer, got {value!r}") from None
 
 
 def read_key_values(path):

@@ -111,6 +111,7 @@ _EPS = float(np.finfo(float).eps)
 # the gamma terms start from exp(-y), which underflows past y = 745; up to
 # this dof the mass the sums then miss stays below 1e-19
 _MAX_GAMMA_DOF = 1000
+_SERIES_BLOCK = 16  # terms of the lower-tail series summed per block
 _NEWTON_STEPS = 100
 _MAX_LOG_STEP = 40.0
 
@@ -127,7 +128,12 @@ def _gamma_tails(dof, y):
 
     Below y = a + 1 the series for P converges fast and Q = 1 - P; from
     there on the finite sum gives Q and P = 1 - Q, so the smaller tail
-    always keeps its full relative accuracy.
+    always keeps its full relative accuracy.  The series runs in blocks of
+    _SERIES_BLOCK terms, each one outer division y/(a+j), one running
+    product from the last term so far and one row sum.  An entry stops
+    adding after the block whose last term is at most eps times its sum,
+    whatever the other entries still add, so an array call equals its
+    elementwise scalar calls.
     """
     if dof > _MAX_GAMMA_DOF:
         raise InvalidParameterError(
@@ -151,10 +157,16 @@ def _gamma_tails(dof, y):
         t = term[low]
         total = t.copy()
         step = 0
-        while np.any(t > _EPS * total):
-            step += 1
-            t = t * y_low / (a + step)
-            total += t
+        active = t > _EPS * total
+        while active.any():
+            block = np.divide.outer(
+                y_low, a + np.arange(step + 1, step + _SERIES_BLOCK + 1))
+            block[:, 0] *= t
+            np.cumprod(block, axis=1, out=block)
+            np.add(total, block.sum(axis=1), out=total, where=active)
+            t = block[:, -1]
+            active &= t > _EPS * total
+            step += _SERIES_BLOCK
         lower_p[low] = total
         upper_q[low] = 1.0 - total
     high = ~low
@@ -254,15 +266,24 @@ def chi_square_ppf(p, dof):
     return _maybe_scalar(np.reshape(quantiles, arr.shape), p)
 
 
-def _chi_pdf_positive(x, dof):
-    """chi(dof) density at an array of radii that are all positive."""
+@lru_cache(maxsize=None)
+def _chi_log_norm(dof):
+    """log(2^(1-dof/2) / Gamma(dof/2)), the chi(dof) density's constant."""
+    return (1 - dof / 2) * math.log(2) - math.lgamma(dof / 2)
+
+
+def _chi_pdf_positive(x, dof, half_sq=None):
+    """chi(dof) density at an array of radii that are all positive.
+
+    half_sq, when given, is x^2/2 as an array of x's shape, which the call
+    may overwrite."""
     out = np.log(x, out=np.empty_like(x))
     out *= dof - 1
-    out += (1 - dof / 2) * math.log(2)
-    half_sq = x * x
-    half_sq /= 2
+    if half_sq is None:
+        half_sq = x * x
+        half_sq /= 2
     out -= half_sq
-    out -= math.lgamma(dof / 2)
+    out += _chi_log_norm(dof)
     return np.exp(out, out=out)
 
 
@@ -379,8 +400,9 @@ def _cos_angle_upper(c, total_dim):
         sin_sq = 1.0 - c
         sin_sq *= 1.0 + c
         # sum_j a_j sin^(2j) by Horner, times c and the first term's power
-        # of sin: sin for even N, sin^2 for odd N
-        poly = np.full_like(c, coefficients[0])
+        # of sin: sin for even N, sin^2 for odd N; the first product turns
+        # the float a_0 into an array, the later ones update it in place
+        poly = coefficients[0]
         for a in coefficients[1:]:
             poly *= sin_sq
             poly += a
@@ -401,7 +423,8 @@ def _cos_angle_signed(magnitude, total_dim, negative):
     """
     np.minimum(magnitude, 1.0, out=magnitude)
     share = _cos_angle_upper(magnitude, total_dim)
-    np.subtract(1.0, share, out=share, where=negative)
+    if negative is not False:
+        np.subtract(1.0, share, out=share, where=negative)
     return share
 
 

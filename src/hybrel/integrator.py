@@ -19,8 +19,13 @@ a cumulative function that is a finite sum of positive terms, a polynomial
 in sin^2 evaluated by Horner's rule (cos_angle_cdf).  The offset's sign is
 the same at every node, so the sweep evaluates the law's upper half at
 |offset|/v and reflects it once when the offset is negative.  A whole
-sweep is evaluated as one (shifts x nodes) array, updated in place: a
-handful of such arrays are allocated per sweep, whatever the dimension.
+sweep of up to 4096 shifts is evaluated as one (shifts x nodes) array,
+updated in place: a handful of such arrays are allocated per sweep,
+whatever the dimension.  r^2 is formed once, for both the angle threshold
+and the chi density's r^2/2, whose constant is cached per m.  The node
+sum is an elementwise product with the weights and a row sum, not a
+matrix product, so that a shift's value does not depend on the other
+shifts of its broadcast.
 """
 
 from dataclasses import dataclass
@@ -29,6 +34,7 @@ import math
 
 import numpy as np
 
+from .config import as_count
 from .distributions import (
     LinearUncertain,
     _chi_pdf_positive,
@@ -72,15 +78,28 @@ class ShiftSchedule:
     def uniform(cls, n_uncertain, levels=21):
         """Uniform belief-level grid mapped through the linear family on
         [0, n_uncertain].  With no uncertain variables the schedule
-        collapses to the single shift 0."""
+        collapses to the single shift 0.
+
+        Both counts must be integers (Python or numpy).  A schedule is
+        immutable, so the schedules of the last 64 (class, n_uncertain,
+        levels) triples used are kept and shared by later calls.
+        """
+        n_uncertain = as_count(n_uncertain, "n_uncertain")
+        levels = as_count(levels, "levels")
         if n_uncertain < 0:
             raise InvalidParameterError("n_uncertain must be >= 0")
-        if n_uncertain == 0:
-            return cls((0.0,))
-        if levels < 2:
+        if n_uncertain > 0 and levels < 2:
             raise InvalidParameterError("levels must be >= 2 when n > 0")
-        dist = LinearUncertain(0.0, float(n_uncertain))
-        return cls(dist.inv(np.linspace(0.0, 1.0, levels)))
+        return _uniform_schedule(cls, n_uncertain, levels)
+
+
+@lru_cache(maxsize=64)
+def _uniform_schedule(cls, n_uncertain, levels):
+    """ShiftSchedule.uniform's schedule from counts it has checked."""
+    if n_uncertain == 0:
+        return cls((0.0,))
+    dist = LinearUncertain(0.0, float(n_uncertain))
+    return cls(dist.inv(np.linspace(0.0, 1.0, levels)))
 
 
 @dataclass(frozen=True)
@@ -151,12 +170,13 @@ def _broadcast_reliability(reduced, shifts, quad_nodes):
     # P(cosine > -offset/v) = P(cosine < offset/v) by the law's symmetry,
     # with v = sqrt(r^2 + shift): the law's upper half at |offset|/v,
     # reflected when offset < 0
-    threshold = r * r
-    threshold += shifts[:, None]
+    r_sq = r * r
+    threshold = r_sq + shifts[:, None]
     np.sqrt(threshold, out=threshold)
     np.divide(abs(offset), threshold, out=threshold)
     integrand = _cos_angle_signed(threshold, total_dim, offset < 0.0)
-    integrand *= _chi_pdf_positive(r, m)
+    r_sq /= 2
+    integrand *= _chi_pdf_positive(r, m, half_sq=r_sq)
     integrand *= weights
     integral = integrand.sum(axis=1)
     integral *= span
@@ -183,15 +203,17 @@ def _reliability_at_shifts(reduced, shifts, quad_nodes, verify):
         raise InvalidParameterError(f"shift must lie in [0, n] = [0, {reduced.n}]")
     if quad_nodes < 32:
         raise InvalidParameterError("quad_nodes must be at least 32")
-    blocks = np.array_split(shifts, max(1, -(-len(shifts) // _BLOCK)))
-    values = np.concatenate(
-        [_broadcast_reliability(reduced, block, quad_nodes) for block in blocks]
-    )
+
+    def sweep(nodes):
+        if len(shifts) <= _BLOCK:
+            return _broadcast_reliability(reduced, shifts, nodes)
+        blocks = np.array_split(shifts, -(-len(shifts) // _BLOCK))
+        return np.concatenate(
+            [_broadcast_reliability(reduced, block, nodes) for block in blocks])
+
+    values = sweep(quad_nodes)
     if verify:
-        check = np.concatenate([
-            _broadcast_reliability(reduced, block, 2 * quad_nodes)
-            for block in blocks
-        ])
+        check = sweep(2 * quad_nodes)
         moved = np.abs(check - values)
         if np.any(moved > 1e-6):
             worst = int(np.argmax(moved))
@@ -215,10 +237,12 @@ def reliability_interval(reduced, schedule=None, quad_nodes=64, verify=False,
                          thread_cap=1):
     """Reliability envelope over a shift schedule.
 
-    Evaluates the reliability at every scheduled shift and returns the
-    min/max envelope with the full curve.  thread_cap > 1 splits the shifts
-    into that many contiguous blocks, one broadcast each, on a thread pool;
-    the result is the same as with thread_cap = 1.
+    Evaluates the reliability at every scheduled shift, as one broadcast
+    for a schedule of up to 4096 shifts, and returns the min/max envelope
+    with the full curve; the default schedule is ShiftSchedule.uniform(n).
+    thread_cap > 1 splits the shifts into that many contiguous blocks, one
+    broadcast each, on a thread pool; every curve value is the same as
+    with thread_cap = 1, and as reliability_at_shift at that shift.
     """
     if schedule is None:
         schedule = ShiftSchedule.uniform(reduced.n)
@@ -236,9 +260,8 @@ def reliability_interval(reduced, schedule=None, quad_nodes=64, verify=False,
             )))
     else:
         values = _reliability_at_shifts(reduced, shifts, quad_nodes, verify)
-    values = values.tolist()
     return ReliabilityInterval(
-        r_lo=min(values),
-        r_hi=max(values),
-        curve=tuple(zip(schedule.shifts, values)),
+        r_lo=float(values.min()),
+        r_hi=float(values.max()),
+        curve=tuple(zip(schedule.shifts, values.tolist())),
     )

@@ -349,6 +349,34 @@ class TestChanceDistribution:
         assert err < 1e-9
         assert value == pytest.approx(oracle, abs=1e-3)
 
+    def test_node_probe_differences_only_unknown_variables(self, monkeypatch):
+        # only y0's sign changes across the random support (with x0), so the
+        # per-node probe differences y0 alone: 4096 nodes x 6 probes x 3
+        # rows, not x 3 variables.  The probe points are the same, so the
+        # value equals that of a probe that differences every variable
+        import hybrel.chance as chance
+        from hybrel import (HybridProblem, RandomVariable, UncertainVariable,
+                            reliability_reference)
+
+        rows = []
+
+        def batch(x, y):
+            rows.append(len(x))
+            return (0.5 + x[:, 0] * y[:, 0] - 0.1 * y[:, 1] - 0.1 * y[:, 2]
+                    + 0.1 * x[:, 1])
+
+        problem = HybridProblem(
+            lsf=lambda x, y: batch(x[None], y[None])[0], lsf_batch=batch,
+            randoms=[RandomVariable(f"x{i}", 0.0, 1.0) for i in range(2)],
+            uncertains=[UncertainVariable(f"y{i}", -1.0, 1.0) for i in range(3)])
+        value = reliability_reference(problem, quad_nodes=64)
+        assert (max(rows), sum(rows)) == (73_728, 220_866)
+        signs_at = chance._signs_at
+        monkeypatch.setattr(chance, "_signs_at",
+                            lambda rows, randoms, unc, probed=None:
+                            signs_at(rows, randoms, unc))
+        assert reliability_reference(problem, quad_nodes=64) == value
+
     def test_dimension_guard(self):
         f = lambda x, tau: x.sum() + tau[0]
         with pytest.raises(UnsupportedDimensionError):

@@ -2,6 +2,7 @@ import math
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from hybrel.benchmarks import load_problem
@@ -39,6 +40,22 @@ def test_settings_refuse_non_finite_steps_and_negative_seed(settings, key, value
     # keeps it from reaching the solver
     with pytest.raises(InvalidParameterError, match=f"^{key} must be"):
         settings(**{key: value})
+
+
+@pytest.mark.parametrize("key,value", [("seed", 1.5), ("alpha_levels", 2.5),
+                                       ("quad_nodes", 64.5), ("seed", 1.0)])
+def test_settings_refuse_non_integer_counts(key, value):
+    with pytest.raises(InvalidParameterError,
+                       match=f"^{key} must be an integer, got {value!r}$"):
+        RunSettings(**{key: value})
+
+
+def test_settings_take_numpy_integer_counts_as_ints():
+    settings = RunSettings(alpha_levels=np.int64(5), quad_nodes=np.int32(40),
+                           seed=np.uint8(3))
+    assert (settings.alpha_levels, settings.quad_nodes, settings.seed) == (5, 40, 3)
+    assert all(type(v) is int for v in
+               (settings.alpha_levels, settings.quad_nodes, settings.seed))
 
 
 class TestLoadConfig:

@@ -422,6 +422,21 @@ class TestAgainstMpmath:
                 if exact > 1e-290:
                     assert abs(chi_square_cdf(x, dof) - exact) <= 1e-13 * exact
 
+    def test_chi_square_cdf_where_the_series_runs_longest(self, mp):
+        # the lower-tail series runs up to y = x/2 just below dof/2 + 1,
+        # where its terms shrink slowest, and from the smallest y
+        for dof in (1, 2, 3, 12, 101, 1000):
+            a = mp.mpf(dof) / 2
+            edge = dof + 2.0
+            points = [1e-300, 1e-30, 1e-8, 1e-3, 0.5 * dof, 0.9 * edge,
+                      edge - 1e-3, math.nextafter(edge, 0.0)]
+            for x, value in zip(points, chi_square_cdf(np.array(points), dof)):
+                exact = mp.gammainc(a, 0, mp.mpf(x) / 2, regularized=True)
+                if exact > 1e-290:
+                    assert abs(value - exact) <= 1e-13 * exact, (dof, x)
+                else:
+                    assert value <= 1e-290, (dof, x)
+
     def test_chi_square_ppf(self, mp):
         for dof in range(1, 61):
             a = mp.mpf(dof) / 2
@@ -434,6 +449,14 @@ class TestAgainstMpmath:
                 y -= (mp.gammainc(a, 0, y, regularized=True) - p) / density
             assert abs(mp.gammainc(a, 0, y, regularized=True) - p) < 1e-35
             assert abs(x - 2 * y) <= 1e-15 * 2 * y, dof
+
+    def test_chi_square_cdf_array_equals_its_scalar_calls(self):
+        # each entry's series stops on its own terms, so an array call and
+        # the elementwise scalar calls agree bit for bit
+        for dof in range(1, 26):
+            x = np.linspace(0.0, 2.0 * (dof + 2), 201)
+            values = chi_square_cdf(x, dof).tolist()
+            assert values == [chi_square_cdf(v, dof) for v in x.tolist()], dof
 
     def test_chi_square_ppf_round_trip(self):
         for dof in (1, 2, 3, 10, 41, 60):

@@ -62,6 +62,21 @@ class TestShiftSchedule:
         assert (pickle.dumps(from_array)
                 == pickle.dumps(ShiftSchedule((0.0, 0.5, 1.0))))
 
+    @pytest.mark.parametrize("n_uncertain,levels", [(2.5, 21), (3, 21.0),
+                                                    (2.0, 21), (0.0, 21)])
+    def test_uniform_refuses_non_integer_counts(self, n_uncertain, levels):
+        # 2.0 hashes like 2: the check runs before the shared schedules
+        ShiftSchedule.uniform(int(n_uncertain), int(levels))
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            ShiftSchedule.uniform(n_uncertain, levels)
+
+    def test_uniform_shares_one_schedule_per_counts(self):
+        schedule = ShiftSchedule.uniform(np.int64(3), np.int32(201))
+        assert ShiftSchedule.uniform(3, levels=201) is schedule
+        # the shared schedule holds the shifts a fresh one does
+        fresh = ShiftSchedule(np.linspace(0.0, 1.0, 201) * 3.0)
+        assert schedule.shifts == fresh.shifts
+
 
 class TestReliabilityAtShift:
     def test_gaussian_tail_exactness(self):

@@ -1,5 +1,6 @@
 """Smoke runs of the example scripts, so they cannot rot unnoticed."""
 
+import math
 import os
 import shutil
 import subprocess
@@ -76,3 +77,25 @@ def test_lsf_call_us():
 def test_compare_outputs_against_head():
     lines = _run_script("compare_outputs.py", "--against", "HEAD", "--limit", "2")
     assert lines == ["against HEAD: 2 manifest entries", "paper rows: identical"]
+
+
+def test_compare_outputs_reads_changes_in_ulps():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", ROOT / "scripts" / "compare_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tiny = 5e-324  # the smallest subnormal, its own ulp
+    moved = 0.75 + 3 * math.ulp(0.75)
+    lines = module.compare(
+        [("rows", "a", {"R": [0.75, 0.5], "flag": 0.0}),
+         ("rows", "b", {"R": [tiny, 2.0], "flag": 0.0})],
+        [("rows", "a", {"R": [moved, 0.5], "flag": -0.0}),
+         ("rows", "b", {"R": [2 * tiny, 2.0], "flag": 0.0})])
+    # one ulp at b is a relative change of 0.5, three at a one of 4e-16;
+    # -0.0 against 0.0 is no number of ulps apart
+    assert lines == [
+        "rows: R: largest relative change 0.5 (b), largest change 3 ulps (a)",
+        "rows: flag: differs (a)",
+    ]
