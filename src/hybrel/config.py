@@ -37,12 +37,14 @@ class RunSettings:
 
 def as_count(value, name):
     """value as an int when it is an integer (Python or numpy), else
-    InvalidParameterError naming it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidParameterError(
-            f"{name} must be an integer, got {value!r}") from None
+    InvalidParameterError naming it.  operator.index takes True as 1, so
+    a bool is refused first (numpy's bool has no index)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
 
 
 def read_key_values(path):

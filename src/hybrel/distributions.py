@@ -266,24 +266,19 @@ def chi_square_ppf(p, dof):
     return _maybe_scalar(np.reshape(quantiles, arr.shape), p)
 
 
-@lru_cache(maxsize=None)
-def _chi_log_norm(dof):
-    """log(2^(1-dof/2) / Gamma(dof/2)), the chi(dof) density's constant."""
-    return (1 - dof / 2) * math.log(2) - math.lgamma(dof / 2)
-
-
 def _chi_pdf_positive(x, dof, half_sq=None):
     """chi(dof) density at an array of radii that are all positive.
 
-    half_sq, when given, is x^2/2 as an array of x's shape, which the call
-    may overwrite."""
+    half_sq, when given, is x^2/2 as an array of x's shape; the call only
+    reads it."""
     out = np.log(x, out=np.empty_like(x))
     out *= dof - 1
     if half_sq is None:
         half_sq = x * x
         half_sq /= 2
     out -= half_sq
-    out += _chi_log_norm(dof)
+    # log(2^(1-dof/2) / Gamma(dof/2)), added as one constant
+    out += (1 - dof / 2) * math.log(2) - math.lgamma(dof / 2)
     return np.exp(out, out=out)
 
 

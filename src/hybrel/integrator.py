@@ -22,8 +22,8 @@ the same at every node, so the sweep evaluates the law's upper half at
 sweep of up to 4096 shifts is evaluated as one (shifts x nodes) array,
 updated in place: a handful of such arrays are allocated per sweep,
 whatever the dimension.  r^2 is formed once, for both the angle threshold
-and the chi density's r^2/2, whose constant is cached per m.  The node
-sum is an elementwise product with the weights and a row sum, not a
+and the chi density's r^2/2, whose constant terms are one addition.  The
+node sum is an elementwise product with the weights and a row sum, not a
 matrix product, so that a shift's value does not depend on the other
 shifts of its broadcast.
 """
@@ -36,7 +36,6 @@ import numpy as np
 
 from .config import as_count
 from .distributions import (
-    LinearUncertain,
     _chi_pdf_positive,
     _cos_angle_signed,
     chi_square_cdf,
@@ -78,28 +77,19 @@ class ShiftSchedule:
     def uniform(cls, n_uncertain, levels=21):
         """Uniform belief-level grid mapped through the linear family on
         [0, n_uncertain].  With no uncertain variables the schedule
-        collapses to the single shift 0.
-
-        Both counts must be integers (Python or numpy).  A schedule is
-        immutable, so the schedules of the last 64 (class, n_uncertain,
-        levels) triples used are kept and shared by later calls.
+        collapses to the single shift 0.  Both counts must be integers
+        (Python or numpy).
         """
         n_uncertain = as_count(n_uncertain, "n_uncertain")
         levels = as_count(levels, "levels")
         if n_uncertain < 0:
             raise InvalidParameterError("n_uncertain must be >= 0")
-        if n_uncertain > 0 and levels < 2:
+        if n_uncertain == 0:
+            return cls((0.0,))
+        if levels < 2:
             raise InvalidParameterError("levels must be >= 2 when n > 0")
-        return _uniform_schedule(cls, n_uncertain, levels)
-
-
-@lru_cache(maxsize=64)
-def _uniform_schedule(cls, n_uncertain, levels):
-    """ShiftSchedule.uniform's schedule from counts it has checked."""
-    if n_uncertain == 0:
-        return cls((0.0,))
-    dist = LinearUncertain(0.0, float(n_uncertain))
-    return cls(dist.inv(np.linspace(0.0, 1.0, levels)))
+        # the linear family's inverse on [0, n] is alpha * n
+        return cls(np.linspace(0.0, 1.0, levels) * float(n_uncertain))
 
 
 @dataclass(frozen=True)
@@ -205,11 +195,9 @@ def _reliability_at_shifts(reduced, shifts, quad_nodes, verify):
         raise InvalidParameterError("quad_nodes must be at least 32")
 
     def sweep(nodes):
-        if len(shifts) <= _BLOCK:
-            return _broadcast_reliability(reduced, shifts, nodes)
-        blocks = np.array_split(shifts, -(-len(shifts) // _BLOCK))
         return np.concatenate(
-            [_broadcast_reliability(reduced, block, nodes) for block in blocks])
+            [_broadcast_reliability(reduced, shifts[i:i + _BLOCK], nodes)
+             for i in range(0, len(shifts), _BLOCK)])
 
     values = sweep(quad_nodes)
     if verify:

@@ -43,7 +43,9 @@ def test_settings_refuse_non_finite_steps_and_negative_seed(settings, key, value
 
 
 @pytest.mark.parametrize("key,value", [("seed", 1.5), ("alpha_levels", 2.5),
-                                       ("quad_nodes", 64.5), ("seed", 1.0)])
+                                       ("quad_nodes", 64.5), ("seed", 1.0),
+                                       ("seed", True), ("alpha_levels", True),
+                                       ("seed", np.True_)])
 def test_settings_refuse_non_integer_counts(key, value):
     with pytest.raises(InvalidParameterError,
                        match=f"^{key} must be an integer, got {value!r}$"):

@@ -8,7 +8,7 @@ from scipy.special import ndtr
 from scipy.stats import chi, chi2
 
 from hybrel import integrator
-from hybrel.distributions import normal_cdf
+from hybrel.distributions import LinearUncertain, normal_cdf
 from hybrel.errors import AccuracyError, InvalidParameterError
 from hybrel.integrator import (
     ReliabilityInterval,
@@ -63,19 +63,24 @@ class TestShiftSchedule:
                 == pickle.dumps(ShiftSchedule((0.0, 0.5, 1.0))))
 
     @pytest.mark.parametrize("n_uncertain,levels", [(2.5, 21), (3, 21.0),
-                                                    (2.0, 21), (0.0, 21)])
+                                                    (2.0, 21), (0.0, 21),
+                                                    (True, 21), (0, True)])
     def test_uniform_refuses_non_integer_counts(self, n_uncertain, levels):
-        # 2.0 hashes like 2: the check runs before the shared schedules
         ShiftSchedule.uniform(int(n_uncertain), int(levels))
         with pytest.raises(InvalidParameterError, match="must be an integer"):
             ShiftSchedule.uniform(n_uncertain, levels)
 
-    def test_uniform_shares_one_schedule_per_counts(self):
+    def test_uniform_takes_numpy_integer_counts(self):
         schedule = ShiftSchedule.uniform(np.int64(3), np.int32(201))
-        assert ShiftSchedule.uniform(3, levels=201) is schedule
-        # the shared schedule holds the shifts a fresh one does
-        fresh = ShiftSchedule(np.linspace(0.0, 1.0, 201) * 3.0)
-        assert schedule.shifts == fresh.shifts
+        assert schedule == ShiftSchedule.uniform(3, levels=201)
+
+    @pytest.mark.parametrize("n_uncertain", [1, 3, 7, 40])
+    @pytest.mark.parametrize("levels", [2, 21, 201])
+    def test_uniform_is_the_linear_family_inverse(self, n_uncertain, levels):
+        family = LinearUncertain(0.0, float(n_uncertain))
+        alphas = np.linspace(0.0, 1.0, levels)
+        assert (ShiftSchedule.uniform(n_uncertain, levels).shifts
+                == tuple(family.inv(alphas).tolist()))
 
 
 class TestReliabilityAtShift:
