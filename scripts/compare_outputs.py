@@ -16,8 +16,9 @@ with that side's `src` first on the path:
                 t=40 and cantilever_tube, and of `hybrel mcs` on the tube
   oracle        reliability_reference on three purely random problems,
                 one per route of degenerate_random: the affine closed form
-                (m = 2), root bracketing (nonlinear, m = 1) and the
-                200-node quadrature (nonlinear, m = 2), then on two mixed
+                (m = 2), the sign grid with batched crossing bisection
+                (nonlinear, m = 1) and the 200-node quadrature
+                (nonlinear, m = 2), then on two mixed
                 problems whose uncertain input's sign changes across the
                 random support: 0.5 + x0 y0 (m = n = 1) and 0.5 + x0 (y0 +
                 0.3 y0^3) + 0.1 x1 (m = 2, n = 1), with the calls and rows

@@ -507,7 +507,6 @@ class RunReport:
     """Flat record of one end-to-end case run.
 
     The failure bounds are the exact complements of the reliability bounds.
-    Monte Carlo fields stay None unless an estimate was attached, and
     runtime_ms stays None unless timing was requested, so that a fixed seed
     yields bit-identical serialized reports.
     """
@@ -522,9 +521,6 @@ class RunReport:
     F_hi: float
     R_lo: float
     R_hi: float
-    mcs_p: float = None
-    mcs_ci_lo: float = None
-    mcs_ci_hi: float = None
     runtime_ms: float = None
     seed: int = 0
     curve: tuple = ()
@@ -563,15 +559,14 @@ def design_point(case, settings=None):
     return std, design, reduced
 
 
-def run_case(case, settings=None, mcs_estimate=None, include_timing=False):
+def run_case(case, settings=None, include_timing=False):
     """Run the full pipeline on a benchmark case and assemble the report.
 
     Pipeline: the shift schedule (first, so that a bad belief grid fails
     before any limit-state call), design_point (standardize, design-point
     search, polar reduction and its residual check, which raises
     DivergedDesignPointError on a point off the limit-state surface), then
-    the shift-swept reliability interval.  An externally computed Monte
-    Carlo estimate can be attached for the comparison columns.
+    the shift-swept reliability interval.
     """
     settings = settings or RunSettings()
     start = time.perf_counter()
@@ -593,9 +588,6 @@ def run_case(case, settings=None, mcs_estimate=None, include_timing=False):
         F_hi=interval.f_hi,
         R_lo=interval.r_lo,
         R_hi=interval.r_hi,
-        mcs_p=None if mcs_estimate is None else mcs_estimate.p_hat,
-        mcs_ci_lo=None if mcs_estimate is None else mcs_estimate.ci_lo,
-        mcs_ci_hi=None if mcs_estimate is None else mcs_estimate.ci_hi,
         runtime_ms=elapsed_ms if include_timing else None,
         seed=settings.seed,
         curve=interval.curve,

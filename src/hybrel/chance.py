@@ -12,7 +12,7 @@ self-duality the chance distribution Ch{f <= x} is one minus it.
 
 `reliability_reference` applies that integral to a `HybridProblem`; a
 purely random problem goes to `degenerate_random`, which tries the exact
-affine closed form and one-dimensional root bracketing first.  User limit
+affine closed form and a one-dimensional sign grid first.  User limit
 states are evaluated on arrays of points only through `model._rows`, the
 checked evaluator of the run pipeline; the private functions take such a
 rows callable.  Nothing in the run pipeline imports this module.
@@ -416,61 +416,53 @@ def chance_distribution(f, prob_dists, unc_dists, x, quad_nodes=64,
 # reference reliability of a hybrid problem
 # ---------------------------------------------------------------------------
 
-def _detect_affine(func, dim):
-    """Return (constant, coefficient vector) when func is affine, else None.
+def _detect_affine(rows, dim):
+    """Return (constant, coefficient vector) when rows, the responses at the
+    rows of (N, dim) standardized points, is affine, else None.
 
-    Probes the unit directions and checks superposition at three fixed
-    interior points; the tolerance is relative to the response scale.
+    One call probes the origin, the unit directions both ways and three
+    fixed interior points, where superposition is checked; the tolerance
+    is relative to the response scale.
     """
-    origin = np.zeros(dim)
-    c = func(origin)
-    coeffs = np.empty(dim)
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        fp = func(e)
-        fm = func(-e)
-        coeffs[i] = (fp - fm) / 2
-        if abs(fp + fm - 2 * c) > _AFFINE_RTOL * max(1.0, abs(c), abs(fp)):
-            return None
-    probes = [np.full(dim, 0.37), np.linspace(-1.3, 0.9, dim),
-              np.full(dim, -2.1)]
-    for p in probes:
-        predicted = c + coeffs @ p
-        actual = func(p)
-        if abs(actual - predicted) > _AFFINE_RTOL * max(1.0, abs(actual),
-                                                        abs(predicted)):
-            return None
-    return c, coeffs
+    eye = np.eye(dim)
+    probes = np.array([np.full(dim, 0.37), np.linspace(-1.3, 0.9, dim),
+                       np.full(dim, -2.1)])
+    values = rows(np.concatenate([np.zeros((1, dim)), eye, -eye, probes]))
+    c, fp, fm, actual = values[0], values[1:dim + 1], values[dim + 1:-3], values[-3:]
+    coeffs = (fp - fm) / 2
+    predicted = c + probes @ coeffs
+    bent = np.abs(fp + fm - 2 * c) > _AFFINE_RTOL * np.fmax(max(1.0, abs(c)), np.abs(fp))
+    off = np.abs(actual - predicted) > _AFFINE_RTOL * np.fmax(
+        1.0, np.fmax(np.abs(actual), np.abs(predicted)))
+    if bent.any() or off.any():
+        return None
+    return float(c), coeffs
 
 
 def degenerate_random(problem, verify=False):
-    """Reliability of a purely random problem: Pr{f(x) > 0}.
+    """Reliability of a purely random problem, Pr{f(x) > 0}, as a float.
 
-    Affine limit states (detected by probing) are evaluated in closed form
-    as normal_cdf(c / |a|) in standardized coordinates, which is exact.  A
-    one-dimensional nonlinear limit state is decomposed into sign intervals
-    by root bracketing on [-10, 10]: one `evaluate_rows` call over a
-    2,001-point grid finds the sign changes, and brentq refines each one
-    with scalar calls.  Where lsf_batch and lsf differ in the last bit at a
-    grid-point root, so that the scalar values at a bracket's ends share a
-    sign, the end with the smaller |f| is taken as the root.  Higher-dimensional nonlinear problems
-    (m <= 3) fall back to the chance integral with no uncertain inputs, a
-    tensor quadrature of the safe-set indicator over `evaluate_rows` at a
-    fixed 200 nodes, whose accuracy is limited by the discontinuity; treat
-    that path as a smoke check rather than a precision oracle.  With
-    verify=True that path is recomputed at 400 nodes and raises
-    AccuracyError when the value moves by more than 1e-6 relative; the
-    affine closed form and the bracketed one-dimensional route are exact
-    and skip the check.
+    The limit state is evaluated only through `evaluate_rows`, on
+    standardized rows.  An affine one (told by one probing call) has the
+    exact closed form normal_cdf(c / |a|).  At m = 1 the cells of a
+    2,001-point grid over [-10, 10] whose ends differ in sign are bisected
+    together, one call per step, until their ends are adjacent floats; the
+    safe mass sums the normal_cdf differences of the safe cells and of the
+    safe parts of the split ones, and beyond +-10 the grid's end signs
+    hold.  A nonlinear m = 2, 3 problem runs the chance integral with no
+    uncertain inputs, a 200-node tensor quadrature of the safe-set
+    indicator whose accuracy the discontinuity limits: a smoke check, not a
+    precision oracle.  verify=True recomputes that route at 400 nodes and
+    raises AccuracyError when the value moves by more than 1e-6 relative;
+    the affine and m = 1 routes are exact and skip the check.
     """
     if problem.n != 0:
         raise InvalidParameterError("degenerate_random requires n = 0")
     std = standardize(problem)
     m = problem.m
-    func = std.lsf_omega  # with n = 0, omega is u
+    rows = lambda u: evaluate_rows(problem, *std.physical(u))  # with n = 0, omega is u
 
-    affine = _detect_affine(func, m)
+    affine = _detect_affine(rows, m)
     if affine is not None:
         c, a = affine
         norm_a = float(np.linalg.norm(a))
@@ -479,33 +471,25 @@ def degenerate_random(problem, verify=False):
         return float(normal_cdf(c / norm_a))
 
     if m == 1:
-        # imported here so that `import hybrel` does not load scipy.optimize
-        from scipy.optimize import brentq
-
-        f1 = lambda t: func(np.array([t]))
         grid = np.linspace(-10.0, 10.0, 2001)
-        vals = evaluate_rows(problem, *std.physical(grid[:, None]))
-        signs = np.sign(vals)
-        crossings = np.flatnonzero((signs[:-1] != signs[1:]) & (vals[:-1] != vals[1:]))
-        roots = []
-        for i in crossings:
-            a, b = grid[i], grid[i + 1]
-            f_a, f_b = f1(a), f1(b)
-            if np.sign(f_a) * np.sign(f_b) > 0:
-                # the batch's sign differs from the scalar's in the last
-                # bit at an end: the root is that end, up to rounding
-                roots.append(a if abs(f_a) <= abs(f_b) else b)
-            else:
-                roots.append(brentq(f1, a, b, xtol=1e-13))
-        edges = [-np.inf] + sorted(roots) + [np.inf]
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid = np.clip(0.5 * (max(lo, -12.0) + min(hi, 12.0)), -12.0, 12.0)
-            if f1(mid) > 0:
-                cdf_hi = 1.0 if hi == np.inf else float(normal_cdf(hi))
-                cdf_lo = 0.0 if lo == -np.inf else float(normal_cdf(lo))
-                total += cdf_hi - cdf_lo
-        return min(max(total, 0.0), 1.0)
+        safe = rows(grid[:, None]) > 0.0
+        cells = np.flatnonzero(safe[:-1] != safe[1:])
+        lo, hi = grid[cells], grid[cells + 1]
+        mid = 0.5 * (lo + hi)
+        while (wide := (lo < mid) & (mid < hi)).any():  # ends not yet adjacent
+            # True where mid has the sign of its cell's left end
+            left = (rows(mid[wide, None]) > 0.0) == safe[cells[wide]]
+            lo[wide] = np.where(left, mid[wide], lo[wide])
+            hi[wide] = np.where(left, hi[wide], mid[wide])
+            mid = 0.5 * (lo + hi)
+        # each split cell becomes two pieces, parted at its crossing, each
+        # taking the sign of its grid end
+        edges = np.insert(grid, cells + 1, hi)
+        piece_safe = np.insert(safe[:-1], cells + 1, safe[cells + 1])
+        total = np.diff(normal_cdf(edges))[piece_safe].sum()
+        # Phi(-10) is also the mass beyond +10
+        total += normal_cdf(-10.0) * (int(safe[0]) + int(safe[-1]))
+        return min(float(total), 1.0)
 
     return _exceedance(partial(evaluate_rows, problem), problem.random_dists(),
                        [], 0.0, _PURE_RANDOM_NODES, None, verify)

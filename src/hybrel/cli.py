@@ -21,7 +21,8 @@ reads:
 
 Variable lines are positional: the limit state receives the declared
 randoms and uncertains in file order, so a definition file reruns a
-built-in response surface on shifted means or bounds.
+built-in response surface on shifted means or bounds.  Any other key
+given twice, in a problem or a --config file, is a usage error.
 
 Every subcommand takes --config; only run and mcs take --seed (run
 writes it to the CSV's seed column), and only run and curve, which sweep
@@ -57,9 +58,11 @@ __all__ = ["main", "run_cli", "CSV_HEADER", "format_cell"]
 
 _ALL_SETTINGS = tuple(field.name for field in fields(RunSettings))
 
-# the report fields of a CSV row, and the leading keys of the JSON object
+# the report fields of a CSV row, and the leading keys of the JSON object;
+# run attaches no Monte Carlo estimate, so its three columns stay empty
 _REPORT_FIELDS = ("case", "m", "n", "beta", "d", "D", "F_lo", "F_hi", "R_lo",
                   "R_hi", "mcs_p", "mcs_ci_lo", "mcs_ci_hi", "runtime_ms", "seed")
+_EMPTY_FIELDS = {"mcs_p", "mcs_ci_lo", "mcs_ci_hi"}
 CSV_HEADER = ",".join(_REPORT_FIELDS)
 
 # the estimate fields of an mcs CSV row, after the case
@@ -138,7 +141,8 @@ def _cmd_run(args, settings, case):
     report = run_case(case, settings, include_timing=args.timing)
     if args.trace:
         _print_trace(report.trace)
-    row = {name: getattr(report, name) for name in _REPORT_FIELDS}
+    row = {name: None if name in _EMPTY_FIELDS else getattr(report, name)
+           for name in _REPORT_FIELDS}
     if args.format == "json":
         return _json({**row, "converged": report.converged,
                       "settings": report.settings})

@@ -51,8 +51,10 @@ def read_key_values(path):
     """Yield (lineno, key, value) for each key=value line of a UTF-8 file.
 
     '#' starts a comment and blank lines are skipped; any other line
-    without '=' is a usage error naming path:lineno.
+    without '=' is a usage error naming path:lineno, and so is a key seen
+    before, except a problem file's repeatable random and uncertain.
     """
+    seen = set()
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -63,6 +65,10 @@ def read_key_values(path):
                     f"{path}:{lineno}: expected key=value, got {raw.strip()!r}"
                 )
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in seen:
+                raise InvalidParameterError(f"{path}:{lineno}: duplicate key {key!r}")
+            if key not in ("random", "uncertain"):
+                seen.add(key)
             yield lineno, key, value
 
 

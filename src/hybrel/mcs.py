@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import as_count
 from .distributions import normal_inv_cdf
 from .errors import InvalidParameterError
 from .model import evaluate_rows
@@ -47,9 +48,13 @@ def estimate_failure(problem, samples=1_000_000, confidence=0.95, seed=0):
     problem's `lsf_batch` when available, a per-realization loop otherwise,
     which is only sensible for small sample counts.  A NaN or infinite
     response raises NonFiniteResponseError; it never counts as safe.
+    samples and seed must be integers, seed non-negative.
     """
+    samples, seed = as_count(samples, "samples"), as_count(seed, "seed")
     if samples < 10_000:
         raise InvalidParameterError("samples must be at least 10^4")
+    if seed < 0:
+        raise InvalidParameterError("seed must be >= 0")
     if not (0.0 < confidence < 1.0):
         raise InvalidParameterError("confidence must lie in (0, 1)")
 

@@ -340,13 +340,6 @@ class TestRunCase:
         report = run_case(case_linear(2, 1), include_timing=True)
         assert report.runtime_ms is not None and report.runtime_ms > 0
 
-    def test_mcs_attachment(self):
-        case = case_linear(2, 1)
-        est = estimate_failure(case.problem, samples=10_000, seed=0)
-        report = run_case(case, mcs_estimate=est)
-        assert report.mcs_p == est.p_hat
-        assert report.mcs_ci_lo == est.ci_lo
-
     def test_linear_anchor_values(self):
         report = run_case(case_linear(9, 1))
         assert report.beta == pytest.approx(np.sqrt(10), abs=1e-6)

@@ -181,6 +181,13 @@ class TestRunCommand:
         assert code == 2
         assert "warp_speed" in err
 
+    def test_config_duplicate_key(self, capsys, tmp_path):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("alpha_levels = 5\n# again\nalpha_levels = 7\n")
+        code, out, err = _run(capsys, "run", "--case", "linear", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"usage error: {cfg}:3: duplicate key 'alpha_levels'\n"
+
 
 class TestProblemDefinitionFiles:
     def _write_linear(self, tmp_path, m=2, n=1):
@@ -275,6 +282,12 @@ class TestProblemDefinitionFiles:
 
     @pytest.mark.parametrize("text,message", [
         ("lsf = linear\nrandom = u 0 1\nwarp = 9\n", "{path}:3: unknown key 'warp'"),
+        ("lsf = linear\nrandom = u 0 1\nlsf = cantilever_tube\n",
+         "{path}:3: duplicate key 'lsf'"),
+        ("name = a\nlsf = linear\nrandom = u 0 1\nname = b\n",
+         "{path}:4: duplicate key 'name'"),
+        ("lsf = linear\nparam.t = 1\nparam.t = 2\nrandom = u 0 1\n",
+         "{path}:3: duplicate key 'param.t'"),
         ("name = no_lsf\nrandom = u 0 1\n", "{path}: missing required key 'lsf'"),
         ("lsf = linear\nrandom = u 0\n", "{path}:2: bad declaration 'random = u 0'"),
         ("lsf = linear\nrandom = u 0 0\n", "{path}:2: bad declaration 'random = u 0 0'"),

@@ -117,3 +117,14 @@ class TestEstimateFailure:
             estimate_failure(problem, samples=5_000)
         with pytest.raises(InvalidParameterError):
             estimate_failure(problem, samples=10_000, confidence=1.5)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"samples": 10_000.5}, "samples must be an integer, got 10000.5"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ])
+    def test_bad_counts_refused(self, kwargs, message):
+        kwargs = {"samples": 10_000, **kwargs}
+        with pytest.raises(InvalidParameterError) as excinfo:
+            estimate_failure(_linear_problem(1, 1), **kwargs)
+        assert str(excinfo.value) == message

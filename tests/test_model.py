@@ -525,34 +525,61 @@ class TestDegenerateRandom:
         assert degenerate_random(problem) == pytest.approx(expected, abs=1e-9)
 
     def test_sign_grid_is_one_batch_call(self):
-        # the 2,001-point sign grid goes through lsf_batch in one call; only
-        # the affine probes, brentq and the interval midpoints call lsf
+        # one probing call of 2m + 4 rows, the 2,001-point sign grid in one
+        # call, then one call per bisection step over the two crossing
+        # cells, none of them scalar
         batches = []
 
         def lsf_batch(x, y):
             batches.append(len(x))
             return 4.0 - x[:, 0] ** 2
 
-        problem = replace(_pure_random(lambda x, y: 4.0 - x[0] ** 2),
-                          lsf_batch=lsf_batch)
+        problem, calls = _counted(replace(
+            _pure_random(lambda x, y: 4.0 - x[0] ** 2), lsf_batch=lsf_batch))
         from hybrel.distributions import normal_cdf
         assert degenerate_random(problem) == pytest.approx(
             2.0 * normal_cdf(2.0) - 1.0, abs=1e-12
         )
-        assert batches == [2001]
+        assert calls["scalar"] == 0
+        assert batches == [6, 2001] + [2] * 45
 
     def test_batch_last_bit_off_at_grid_root(self):
         # safe iff |u| > g for a point g of the sign grid; lsf is one ulp
-        # above zero at g and lsf_batch one ulp below, so the batch's sign
-        # change (g, g + 0.01) has scalar ends of one sign
+        # above zero at g and lsf_batch one ulp below, and only lsf_batch
+        # is evaluated, so the two never meet in one bracket
         g = float(np.linspace(-10.0, 10.0, 2001)[1150])
         below, above = np.nextafter(g * g, -np.inf), np.nextafter(g * g, np.inf)
-        problem = replace(_pure_random(lambda x, y: x[0] * x[0] - below),
-                          lsf_batch=lambda x, y: x[:, 0] * x[:, 0] - above)
+        problem, calls = _counted(replace(
+            _pure_random(lambda x, y: x[0] * x[0] - below),
+            lsf_batch=lambda x, y: x[:, 0] * x[:, 0] - above))
         from hybrel.distributions import normal_cdf
         assert degenerate_random(problem) == pytest.approx(
             2.0 * normal_cdf(-g), abs=1e-12
         )
+        assert calls["scalar"] == 0
+
+    def test_quadratic_against_closed_form(self):
+        # 1.2 - (x - 0.5)^2 > 0 iff |x - 0.5| < sqrt(1.2), with x ~ N(0.4, 0.8)
+        from hybrel.distributions import normal_cdf
+        g = lambda x, y: 1.2 - (x[..., 0] - 0.5) * (x[..., 0] - 0.5)
+        problem = HybridProblem(lsf=g, lsf_batch=g,
+                                randoms=(RandomVariable("x", 0.4, 0.8),))
+        root = math.sqrt(1.2)
+        exact = normal_cdf((0.1 + root) / 0.8) - normal_cdf((0.1 - root) / 0.8)
+        value = degenerate_random(problem)
+        assert type(value) is float
+        assert abs(value - exact) <= 1e-15
+
+    def test_cubic_against_closed_form(self):
+        # (u - a)(u - b)(u - c) > 0 on (a, b) and beyond c; no root is a
+        # point of the sign grid
+        from hybrel.distributions import normal_cdf
+        a, b, c = -1.2345678, 0.3141592, 2.7182818
+        g = lambda x, y: (x[..., 0] - a) * (x[..., 0] - b) * (x[..., 0] - c)
+        problem = _pure_random(g)
+        exact = normal_cdf(b) - normal_cdf(a) + normal_cdf(-c)
+        assert abs(degenerate_random(replace(problem, lsf_batch=g)) - exact) <= 1e-13
+        assert abs(degenerate_random(problem) - exact) <= 1e-13
 
     def test_requires_no_uncertains(self):
         problem = HybridProblem(
@@ -573,9 +600,28 @@ def _python(*args):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # only degenerate_random's one-dimensional nonlinear branch needs brentq
     out = _python("-c", "import sys, hybrel; print('scipy.optimize' in sys.modules)")
     assert out.stdout.strip() == "False"
+
+
+def test_pure_random_route_is_batch_only():
+    # a nonlinear m = 1 problem with lsf_batch: the probes, the sign grid
+    # and the crossing bisection all go through lsf_batch, and no root
+    # finder is loaded
+    code = """
+import sys
+from hybrel import HybridProblem, RandomVariable
+from hybrel.chance import degenerate_random
+def lsf(x, y):
+    raise AssertionError("scalar lsf call")
+problem = HybridProblem(lsf=lsf, lsf_batch=lambda x, y: 4.0 - x[:, 0] ** 2,
+                        randoms=(RandomVariable("u", 0.0, 1.0),))
+print(degenerate_random(problem))
+print("scipy.optimize" in sys.modules)
+"""
+    value, loaded = _python("-c", code).stdout.split()
+    assert float(value) == pytest.approx(0.9544997361036416, abs=1e-12)
+    assert loaded == "False"
 
 
 def test_run_case_leaves_scipy_special_unloaded():
@@ -662,8 +708,8 @@ class TestReliabilityReference:
 
     def test_pure_random_exact_routes_skip_verify(self):
         affine = _pure_random(lambda x, y: 3.0 - x[0])
-        bracketed = _pure_random(lambda x, y: 4.0 - x[0] ** 2)
-        for problem in (affine, bracketed):
+        bisected = _pure_random(lambda x, y: 4.0 - x[0] ** 2)
+        for problem in (affine, bisected):
             assert reliability_reference(problem, verify=True) \
                 == reliability_reference(problem)
 
@@ -840,7 +886,8 @@ class TestReliabilityReference:
         )
         batched, calls = _counted(problem)
         value = reliability_reference(batched)
-        assert calls["scalar"] <= 3 and calls["rows"] == 40_000
+        # the affine probe's 2m + 4 = 8 rows, then the 200 x 200 nodes
+        assert calls == {"scalar": 0, "rows": 40_008}
         assert value == reliability_reference(replace(problem, lsf_batch=None))
         exact, err = quad(lambda t: math.exp(-t * t / 2) / math.sqrt(2 * math.pi)
                           * float(normal_cdf((2.5 - t * t / 2) / 1.2)), -12, 12)

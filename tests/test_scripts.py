@@ -74,9 +74,21 @@ def test_lsf_call_us():
 
 @pytest.mark.skipif(shutil.which("git") is None or not (ROOT / ".git").exists(),
                     reason="needs a git checkout")
-def test_compare_outputs_against_head():
-    lines = _run_script("compare_outputs.py", "--against", "HEAD", "--limit", "2")
-    assert lines == ["against HEAD: 2 manifest entries", "paper rows: identical"]
+def test_compare_outputs_against_head(tmp_path):
+    # both sides are HEAD's committed files, a clone's tree and its own
+    # `git archive HEAD` extraction, so the outcome does not depend on what
+    # the working tree holds; the script run is the working tree's
+    clone = tmp_path / "clone"
+    subprocess.run(["git", "clone", "-q", str(ROOT), str(clone)], check=True)
+    shutil.copy(ROOT / "scripts" / "compare_outputs.py", clone / "scripts")
+    proc = subprocess.run(
+        [sys.executable, str(clone / "scripts" / "compare_outputs.py"),
+         "--against", "HEAD", "--limit", "2"],
+        capture_output=True, text=True, cwd=clone, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["against HEAD: 2 manifest entries",
+                                        "paper rows: identical"]
 
 
 def test_compare_outputs_reads_changes_in_ulps():
