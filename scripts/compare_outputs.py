@@ -43,7 +43,9 @@ in the order above.  The script prints "identical" per group, or per
 field the largest relative change and the largest absolute change in ulps
 of the old value (math.ulp), each with the entry where it occurs, and exits
 1 when any entry differs.  A value that moves by one rounding reads as one
-ulp however small it is.
+ulp however small it is.  A field that is an integer on both sides, such
+as a call count, reads as its largest move, old -> new, and how many
+entries moved.
 """
 
 import argparse
@@ -245,6 +247,10 @@ def _number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _count(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def relative_change(old, new):
     """|new - old| / max(|old|, |new|) of two numbers, 0.0 when they are
     the same number (-0.0 is not 0.0), inf when they differ otherwise or
@@ -272,13 +278,22 @@ def ulp_change(old, new):
 def compare(before, after):
     """Lines saying, per group, "identical" or each differing field's
     largest relative change and largest change in ulps of the old value,
-    each with the entry where it occurs."""
+    each with the entry where it occurs; an integer field's largest move
+    as old -> new instead, with how many entries moved."""
     worst = {}  # (group, field) -> [(change, entry name), (ulps, entry name)]
+    moves = {}  # (group, field) -> [entries moved, (|new - old|, old, new, entry name)]
     groups = []
     for (group, name, old), (_, _, new) in zip(before, after):
         if group not in groups:
             groups.append(group)
         for field in old:
+            if _count(old[field]) and _count(new[field]):
+                record = moves.setdefault((group, field), [0, (0, None, None, None)])
+                step = abs(new[field] - old[field])
+                record[0] += step > 0
+                if step > record[1][0]:
+                    record[1] = step, old[field], new[field], name
+                continue
             olds, news = _flat(old[field]), _flat(new[field])
             if len(olds) != len(news):
                 changes = (math.inf, math.inf)
@@ -293,7 +308,9 @@ def compare(before, after):
     for group in groups:
         fields = [(field, record) for (g, field), record in worst.items()
                   if g == group and record[0][0] > 0.0]
-        if not fields:
+        counts = [(field, record) for (g, field), record in moves.items()
+                  if g == group and record[0] > 0]
+        if not fields and not counts:
             lines.append(f"{group}: identical")
         for field, ((change, name), (ulps, ulp_name)) in fields:
             if change == math.inf:
@@ -302,6 +319,9 @@ def compare(before, after):
                 lines.append(f"{group}: {field}: largest relative change "
                              f"{change:.3g} ({name}), largest change "
                              f"{ulps:.4g} ulps ({ulp_name})")
+        for field, (moved, (_, old, new, name)) in counts:
+            lines.append(f"{group}: {field}: largest move {old} -> {new} "
+                         f"({name}), entries moved: {moved}")
     return lines
 
 

@@ -20,9 +20,7 @@ from .benchmarks import (
     run_case,
 )
 from .chance import (
-    BeliefRoot,
     MonotonicityProfile,
-    belief_at_limit_state,
     belief_sup_grid,
     chance_distribution,
     chance_exceedance,

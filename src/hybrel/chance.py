@@ -6,9 +6,9 @@ scalar equation in the belief level (increasing variables evaluated at the
 inverse distribution of one-minus-level, decreasing variables at the level
 itself).  The chance measure integrates that root over the random inputs
 with a Gaussian-measure tensor quadrature, taking a variable's sign node by
-node where it changes across the random support; a dense-grid supremum scan
-is an independent oracle for the root.  Only the exceedance is computed: by
-self-duality the chance distribution Ch{f <= x} is one minus it.
+node where it changes across the random support; with no random inputs it
+is the belief degree (Liu 2013).  A grid supremum scan checks the root.
+Only the exceedance is computed: by self-duality Ch{f <= x} is one minus it.
 
 `reliability_reference` applies that integral to a `HybridProblem`; a
 purely random problem goes to `degenerate_random`, which tries the exact
@@ -24,6 +24,7 @@ from functools import partial
 
 import numpy as np
 
+from .config import as_count
 from .distributions import normal_cdf
 from .errors import (
     AccuracyError,
@@ -35,9 +36,7 @@ from .model import _rows, evaluate_rows, standardize
 
 __all__ = [
     "MonotonicityProfile",
-    "BeliefRoot",
     "detect_profile",
-    "belief_at_limit_state",
     "belief_sup_grid",
     "chance_distribution",
     "chance_exceedance",
@@ -74,27 +73,6 @@ class MonotonicityProfile:
 
     def __len__(self):
         return len(self.signs)
-
-
-@dataclass(frozen=True)
-class BeliefRoot:
-    """Belief degree of the safe event at fixed random inputs.
-
-    status is "interior-root" when the limit-state equation crossed zero
-    strictly inside (0, 1); the endpoint conventions are reported as
-    "forced-zero" (value 0) and "forced-one" (value 1).
-    """
-
-    value: float
-    status: str
-
-    def __post_init__(self):
-        if self.status not in ("interior-root", "forced-zero", "forced-one"):
-            raise InvalidParameterError(f"bad status {self.status!r}")
-        if (self.status == "forced-zero") != (self.value == 0.0):
-            raise InvalidParameterError("forced-zero requires value 0")
-        if (self.status == "forced-one") != (self.value == 1.0):
-            raise InvalidParameterError("forced-one requires value 1")
 
 
 def _signs_at(rows, randoms, unc_dists, probed=None):
@@ -171,12 +149,13 @@ def _support_profile(rows, prob_dists, unc_dists):
 
 
 def _belief_rows(rows, etas, unc_dists, falling, x):
-    """Belief degrees of {f > x} at the rows of etas (N, m), and their
-    BeliefRoot statuses: the roots of h(alpha) = f - x, where increasing
-    variables take the (1-alpha)-quantile and the decreasing ones, True in
-    the mask falling ((n,), or (N, n) with one row per node), the
-    alpha-quantile.  h is non-increasing, so bisection on [0, 1] converges;
-    each step is one `rows` call over the open rows.  An 11-point pre-scan
+    """Belief degrees of {f > x} at the rows of etas (N, m): the roots of
+    h(alpha) = f - x, where increasing variables take the
+    (1-alpha)-quantile and the decreasing ones, True in the mask falling
+    ((n,), or (N, n) with one row per node), the alpha-quantile.  h is
+    non-increasing, so bisection on [0, 1] converges; each step is one
+    `rows` call over the open rows.  A row is exactly 0 where h(0) <= 0 and
+    1 where h(1) >= 0, else strictly inside (0, 1).  An 11-point pre-scan
     per row guards monotonicity and reports the first bad row's trace."""
     falling = np.broadcast_to(falling, (len(etas), len(unc_dists)))
 
@@ -206,8 +185,6 @@ def _belief_rows(rows, etas, unc_dists, falling, x):
     zero = scan[:, 0] <= 0.0
     one = ~zero & (scan[:, -1] >= 0.0)
     value = np.where(one, 1.0, 0.0)
-    status = np.where(zero, "forced-zero",
-                      np.where(one, "forced-one", "interior-root"))
     at = np.flatnonzero(~zero & ~one)
     lo, hi = np.zeros(at.size), np.ones(at.size)
     while at.size:  # the width test ends this within 34 halvings
@@ -217,26 +194,7 @@ def _belief_rows(rows, etas, unc_dists, falling, x):
         value[at[done]] = mid[done]
         up, go = hm > 0.0, ~done
         at, lo, hi = at[go], np.where(up, mid, lo)[go], np.where(up, hi, mid)[go]
-    return value, status
-
-
-def belief_at_limit_state(f, fixed_randoms, unc_dists, profile):
-    """Belief degree of {f(fixed_randoms, tau) > 0} over the uncertain inputs.
-
-    Requires a fully classified profile (no "unknown" entries).  Returns a
-    :class:`BeliefRoot`; the endpoint conventions apply when the limit
-    state does not change sign over the support.
-    """
-    if profile.has_unknown:
-        raise InvalidParameterError(
-            "profile contains unknown entries; route through belief_sup_grid"
-        )
-    if len(profile) != len(unc_dists):
-        raise InvalidParameterError("profile length must match unc_dists")
-    fixed = np.array(fixed_randoms, dtype=float, ndmin=2)
-    value, status = _belief_rows(partial(_rows, f, None), fixed, unc_dists,
-                                 np.array(profile.signs, dtype=str) == "decreasing", 0.0)
-    return BeliefRoot(float(value[0]), str(status[0]))
+    return value
 
 
 def belief_sup_grid(f, fixed_randoms, unc_dists, grid_per_var=201):
@@ -260,12 +218,11 @@ def belief_sup_grid(f, fixed_randoms, unc_dists, grid_per_var=201):
         raise InvalidParameterError("at least one uncertain variable required")
     if n > 3:
         raise UnsupportedDimensionError(f"grid supremum supports n <= 3, got {n}")
+    grid_per_var = as_count(grid_per_var, "grid_per_var")
     if grid_per_var < 101:
         raise InvalidParameterError("grid_per_var must be at least 101")
 
-    rows = partial(_rows, f, None)
-    fixed = np.asarray(fixed_randoms, dtype=float)
-    profile = _profile(*_signs_at(rows, [fixed], unc_dists))
+    profile = detect_profile(f, fixed_randoms, unc_dists)
     if profile.has_unknown:  # a limit of this method, not a bad parameter
         raise AmbiguousRootError(
             "could not classify monotonicity; the supremum formula needs it"
@@ -274,8 +231,9 @@ def belief_sup_grid(f, fixed_randoms, unc_dists, grid_per_var=201):
     axes = [np.linspace(d.inv(0.0), d.inv(1.0), grid_per_var) for d in unc_dists]
     grid = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), -1)
     points = grid.reshape(-1, n)
+    fixed = np.asarray(fixed_randoms, dtype=float)
     xs = np.broadcast_to(fixed, (len(points), fixed.size))
-    values = rows(xs, points).reshape(grid.shape[:-1])
+    values = _rows(f, None, xs, points).reshape(grid.shape[:-1])
 
     # candidate zero points: the grid points where f is exactly zero, and
     # the interpolated crossing of every sign change along each axis
@@ -311,10 +269,11 @@ def gaussian_nodes(quad_nodes):
     integrands this module produces, while the composite rule keeps the
     node-doubling convergence contract reachable.
     """
+    quad_nodes = as_count(quad_nodes, "quad_nodes")
     if quad_nodes < 8:
         raise InvalidParameterError("quad_nodes must be at least 8")
     order = 8
-    panels = max(1, int(math.ceil(quad_nodes / order)))
+    panels = math.ceil(quad_nodes / order)
     t, w = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(0.0, 1.0, panels + 1)
     mids = (edges[:-1] + edges[1:]) / 2
@@ -354,7 +313,7 @@ def _chance_integral(rows, prob_dists, unc_dists, x, quad_nodes, profile):
                 raise AmbiguousRootError("could not classify monotonicity; "
                                          "the belief root needs it")
             belief = _belief_rows(rows, etas, unc_dists,
-                                  np.where(unknown, down, falling), x)[0]
+                                  np.where(unknown, down, falling), x)
         # cumsum adds one node after another, as a running total does
         total = np.cumsum(np.concatenate(([total], weight * belief)))[-1]
     return float(total)
@@ -368,8 +327,13 @@ def _exceedance(rows, prob_dists, unc_dists, x, quad_nodes, profile, verify):
         raise UnsupportedDimensionError(
             f"tensor quadrature reference path supports m <= 3, got {m}"
         )
+    if math.isnan(x):
+        raise InvalidParameterError("threshold x must not be NaN")
     if profile is None:
         profile = _support_profile(rows, prob_dists, unc_dists)
+    elif len(profile) != len(unc_dists):
+        raise InvalidParameterError(f"profile has {len(profile)} signs for "
+                                    f"{len(unc_dists)} uncertain inputs")
     args = (rows, prob_dists, unc_dists, x)
     value = _chance_integral(*args, quad_nodes, profile)
     if verify:
@@ -389,13 +353,14 @@ def chance_exceedance(f, prob_dists, unc_dists, x=0.0, quad_nodes=64,
 
     Integrates the per-random-input belief degree over the random inputs by
     tensor quadrature (m <= 3; this is the reference path, the production
-    pipeline goes through the polar reduction).  The inner belief is the
-    root of the limit-state equation, which needs each uncertain variable's
-    monotonicity sign at each node.  With no profile given, the sign found
-    at the median random point is re-checked at 5 pseudo-random points
-    within 2.5 standard deviations of it; a variable whose sign differs is
-    "unknown" and is probed again at each node, where showing both signs
-    raises AmbiguousRootError.
+    pipeline goes through the polar reduction); with no random inputs it is
+    the belief degree.  The inner belief is the root of the limit-state
+    equation, which needs each uncertain variable's monotonicity sign at
+    each node.  With no profile given, the sign found at the median random
+    point is re-checked at 5 pseudo-random points within 2.5 standard
+    deviations of it; a variable whose sign differs is "unknown" and is
+    probed again at each node, where showing both signs raises
+    AmbiguousRootError.  A declared profile has one sign per input.
 
     With verify=True the integral is recomputed at doubled quad_nodes and an
     AccuracyError is raised when the relative change exceeds 1e-6.

@@ -191,6 +191,7 @@ def _reliability_at_shifts(reduced, shifts, quad_nodes, verify):
     shifts = np.asarray(shifts, dtype=float).reshape(-1)
     if not np.all((shifts >= 0) & (shifts <= reduced.n)):
         raise InvalidParameterError(f"shift must lie in [0, n] = [0, {reduced.n}]")
+    quad_nodes = as_count(quad_nodes, "quad_nodes")
     if quad_nodes < 32:
         raise InvalidParameterError("quad_nodes must be at least 32")
 

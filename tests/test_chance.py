@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hybrel.chance import (
-    BeliefRoot,
     _belief_rows,
     _support_profile,
     MonotonicityProfile,
-    belief_at_limit_state,
     belief_sup_grid,
     chance_distribution,
     chance_exceedance,
@@ -28,6 +26,13 @@ NO_RANDOMS = np.empty(0)
 
 def lin01():
     return LinearUncertain(0.0, 1.0)
+
+
+def belief(f, dists, signs=None):
+    """Belief degree of {f > 0} over the uncertain inputs: the chance measure
+    with no random inputs, under the declared signs or the detected ones."""
+    profile = None if signs is None else MonotonicityProfile(signs)
+    return chance_exceedance(f, [], dists, profile=profile)
 
 
 class TestProfileDetection:
@@ -50,73 +55,68 @@ class TestProfileDetection:
     def test_profile_validation(self):
         with pytest.raises(InvalidParameterError):
             MonotonicityProfile(("sideways",))
-        with pytest.raises(InvalidParameterError):
-            BeliefRoot(0.3, "forced-zero")
-        with pytest.raises(InvalidParameterError):
-            BeliefRoot(1.0, "interior-root")
 
 
 class TestBeliefRoot:
+    """The belief degree at fixed random inputs, through the chance integral
+    with no random inputs."""
+
     def test_decreasing_case_against_grid_oracle(self):
         f = lambda _x, tau: 0.7 - tau[0]
-        profile = MonotonicityProfile(("decreasing",))
-        root = belief_at_limit_state(f, NO_RANDOMS, [lin01()], profile)
-        assert root.status == "interior-root"
+        value = belief(f, [lin01()], ("decreasing",))
+        assert 0.0 < value < 1.0  # a bisected root, not an endpoint
         # oracle: the measure of {tau < 0.7} scanned on a dense grid
         oracle = belief_sup_grid(f, NO_RANDOMS, [lin01()], grid_per_var=2001)
-        assert root.value == pytest.approx(oracle, abs=1e-3)
-        assert root.value == pytest.approx(0.7, abs=1e-9)
+        assert value == pytest.approx(oracle, abs=1e-3)
+        assert value == pytest.approx(0.7, abs=1e-9)
 
     def test_increasing_case_against_grid_oracle(self):
         f = lambda _x, tau: tau[0] - 0.3
-        profile = MonotonicityProfile(("increasing",))
-        root = belief_at_limit_state(f, NO_RANDOMS, [lin01()], profile)
+        value = belief(f, [lin01()], ("increasing",))
         oracle = belief_sup_grid(f, NO_RANDOMS, [lin01()], grid_per_var=2001)
-        assert root.value == pytest.approx(oracle, abs=1e-3)
-        assert root.value == pytest.approx(0.7, abs=1e-9)
+        assert value == pytest.approx(oracle, abs=1e-3)
+        assert value == pytest.approx(0.7, abs=1e-9)
 
     def test_forced_one(self):
-        f = lambda _x, tau: 5.0 + tau[0]
-        profile = MonotonicityProfile(("increasing",))
-        root = belief_at_limit_state(f, NO_RANDOMS, [lin01()], profile)
-        assert root.status == "forced-one"
-        assert root.value == 1.0
+        assert belief(lambda _x, tau: 5.0 + tau[0], [lin01()], ("increasing",)) == 1.0
 
     def test_forced_zero(self):
-        f = lambda _x, tau: tau[0] - 2.0
-        profile = MonotonicityProfile(("increasing",))
-        root = belief_at_limit_state(f, NO_RANDOMS, [lin01()], profile)
-        assert root.status == "forced-zero"
-        assert root.value == 0.0
-
-    def test_unknown_profile_rejected(self):
-        f = lambda _x, tau: tau[0]
-        with pytest.raises(InvalidParameterError):
-            belief_at_limit_state(
-                f, NO_RANDOMS, [lin01()], MonotonicityProfile(("unknown",))
-            )
+        assert belief(lambda _x, tau: tau[0] - 2.0, [lin01()], ("increasing",)) == 0.0
 
     def test_wrong_profile_raises_ambiguous(self):
         # oscillating limit state breaks the monotone pre-scan
         f = lambda _x, tau: np.sin(6 * np.pi * tau[0]) + 0.1
-        profile = MonotonicityProfile(("increasing",))
         with pytest.raises(AmbiguousRootError) as excinfo:
-            belief_at_limit_state(f, NO_RANDOMS, [lin01()], profile)
+            belief(f, [lin01()], ("increasing",))
         assert len(excinfo.value.scan) == 11
 
     @given(st.floats(0.05, 0.95))
     def test_relabel_symmetry(self, c):
         # flipping the variable's sign in f and its label leaves the root alone
-        f_dec = lambda _x, tau: c - tau[0]
-        f_inc = lambda _x, tau: c - (-tau[0])
-        dec = belief_at_limit_state(
-            f_dec, NO_RANDOMS, [lin01()], MonotonicityProfile(("decreasing",))
-        )
-        inc = belief_at_limit_state(
-            f_inc, NO_RANDOMS, [LinearUncertain(-1.0, 0.0)],
-            MonotonicityProfile(("increasing",)),
-        )
-        assert dec.value == pytest.approx(inc.value, abs=1e-9)
+        dec = belief(lambda _x, tau: c - tau[0], [lin01()], ("decreasing",))
+        inc = belief(lambda _x, tau: c - (-tau[0]), [LinearUncertain(-1.0, 0.0)],
+                     ("increasing",))
+        assert dec == pytest.approx(inc, abs=1e-9)
+
+    @settings(max_examples=12, deadline=None)  # a 101^3 grid is 1M scalar calls
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+    def test_affine_belief_against_closed_form(self, seed, n):
+        # g = c + b.tau is affine in the belief level: h(alpha) = h(0) -
+        # alpha * sum |b_i| (u_i - l_i), so the belief is the clipped ratio;
+        # the grid supremum finds it within one grid step of the measure
+        rng = np.random.default_rng(seed)
+        c = rng.uniform(-3, 3)
+        b = rng.uniform(0.5, 2.0, n) * rng.choice((-1.0, 1.0), n)
+        lo = rng.uniform(-2, 2, n)
+        hi = lo + rng.uniform(0.5, 3.0, n)
+        dists = [LinearUncertain(l, h) for l, h in zip(lo, hi)]
+        f = lambda _x, tau: c + tau @ b
+        expected = np.clip((c + np.maximum(b * lo, b * hi).sum())
+                           / (np.abs(b) * (hi - lo)).sum(), 0.0, 1.0)
+        assert belief(f, dists) == pytest.approx(expected, abs=1e-9)
+        grid = 101
+        assert belief_sup_grid(f, NO_RANDOMS, dists, grid_per_var=grid) == (
+            pytest.approx(expected, abs=1 / (grid - 1)))
 
 
 class TestBeliefRows:
@@ -126,7 +126,7 @@ class TestBeliefRows:
     def test_affine_rows_against_closed_form(self, seed, n, m):
         # g = c + a.x + b.tau is affine in the belief level: h(alpha) =
         # h(0) - alpha * sum |b_i| (u_i - l_i), so the belief is the clipped
-        # ratio, with the endpoint statuses where the clip binds
+        # ratio, exactly 0 or 1 where the clip binds
         rng = np.random.default_rng(seed)
         c = rng.uniform(-3, 3)
         a = rng.uniform(-2, 2, m)
@@ -135,7 +135,7 @@ class TestBeliefRows:
         hi = lo + rng.uniform(0.5, 3.0, n)
         etas = rng.uniform(-3, 3, (40, m))
         rows = lambda xs, taus: c + xs @ a + taus @ b
-        value, status = _belief_rows(
+        value = _belief_rows(
             rows, etas, [LinearUncertain(l, h) for l, h in zip(lo, hi)], b < 0, 0.0
         )
         h0 = c + etas @ a + np.maximum(b * lo, b * hi).sum()
@@ -143,9 +143,10 @@ class TestBeliefRows:
         ratio = h0 / span
         np.testing.assert_allclose(value, np.clip(ratio, 0, 1), rtol=0, atol=1e-9)
         clear = np.minimum(np.abs(ratio), np.abs(ratio - 1)) > 1e-9
-        expected = np.where(ratio < 0, "forced-zero",
-                            np.where(ratio > 1, "forced-one", "interior-root"))
-        assert (status[clear] == expected[clear]).all()
+        assert (value[clear & (ratio < 0)] == 0.0).all()
+        assert (value[clear & (ratio > 1)] == 1.0).all()
+        inside = value[clear & (ratio > 0) & (ratio < 1)]
+        assert ((0.0 < inside) & (inside < 1.0)).all()
 
     def test_first_non_monotone_row_is_reported(self):
         # row 2 changes sign twice in the belief level (+ - +) and row 4
@@ -165,19 +166,15 @@ class TestBeliefRows:
         np.testing.assert_allclose([v for _, v in excinfo.value.scan], expected,
                                    rtol=0, atol=1e-12)
         # without the oscillating rows the batch is monotone and roots at 0.5
-        value, status = _belief_rows(rows, etas[[0, 1, 3, 5]], [lin01()],
-                                     [True], 0.0)
+        value = _belief_rows(rows, etas[[0, 1, 3, 5]], [lin01()], [True], 0.0)
         np.testing.assert_allclose(value, 0.5, atol=1e-9)
-        assert (status == "interior-root").all()
 
     def test_endpoint_conventions_at_exact_zeros(self):
         # g = c - tau on [0, 1]: h(0) = c and h(1) = c - 1, so c = 0 is
-        # forced-zero (h(0) <= 0) and c = 1 forced-one (h(1) >= 0)
+        # exactly 0 (h(0) <= 0) and c = 1 exactly 1 (h(1) >= 0)
         c = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
         rows = lambda xs, taus: xs[:, 0] - taus[:, 0]
-        value, status = _belief_rows(rows, c[:, None], [lin01()], [True], 0.0)
-        assert status.tolist() == ["forced-zero", "forced-zero", "interior-root",
-                                   "forced-one", "forced-one"]
+        value = _belief_rows(rows, c[:, None], [lin01()], [True], 0.0)
         assert value.tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
 
 
@@ -212,11 +209,8 @@ class TestSupGrid:
             ),
         ]
         for f, dists, signs in cases:
-            root = belief_at_limit_state(
-                f, NO_RANDOMS, dists, MonotonicityProfile(signs)
-            )
             grid = belief_sup_grid(f, NO_RANDOMS, dists, grid_per_var=401)
-            assert root.value == pytest.approx(grid, abs=1 / 400 + 1e-10)
+            assert belief(f, dists, signs) == pytest.approx(grid, abs=1 / 400 + 1e-10)
 
     def test_dimension_guard(self):
         f = lambda _x, tau: tau.sum()
@@ -271,7 +265,8 @@ class TestChanceDistribution:
     def test_sum_runs_in_node_order(self, monkeypatch, block):
         # the integral adds weight * belief node by node in tensor order
         # (last axis fastest), across node blocks too; oracle: that running
-        # sum over the one-point belief root of each node
+        # sum over each node's belief, the chance measure of the limit state
+        # with that node's random inputs bound
         import itertools
 
         import hybrel.chance as chance
@@ -285,8 +280,8 @@ class TestChanceDistribution:
         total = 0.0
         for i, j in itertools.product(range(len(s)), repeat=2):
             eta = np.array([axes[0][i], axes[1][j]])
-            total += w[i] * w[j] * belief_at_limit_state(f, eta, [lin01()],
-                                                         profile).value
+            total += w[i] * w[j] * chance_exceedance(
+                lambda _x, tau, eta=eta: f(eta, tau), [], [lin01()], profile=profile)
         assert chance_exceedance(f, dists, [lin01()], quad_nodes=16,
                                  profile=profile) == total
 
@@ -381,6 +376,26 @@ class TestChanceDistribution:
         f = lambda x, tau: x.sum() + tau[0]
         with pytest.raises(UnsupportedDimensionError):
             chance_distribution(f, [Normal()] * 4, self.unc, 0.0)
+
+    @pytest.mark.parametrize("signs", [("decreasing",),
+                                       ("decreasing", "increasing", "increasing")])
+    def test_declared_profile_needs_one_sign_per_uncertain_input(self, signs):
+        # one sign per uncertain input, no fewer and no more
+        f = lambda x, tau: 1.2 - tau[0] + tau[1] + 0.1 * x[0]
+        with pytest.raises(InvalidParameterError, match="uncertain inputs"):
+            chance_exceedance(f, self.dists, [lin01(), lin01()],
+                              profile=MonotonicityProfile(signs))
+
+    def test_nan_threshold_refused_infinite_ones_kept(self):
+        f = lambda x, tau: 1.2 - tau[0] + 0.1 * x[0]
+        for measure in (chance_exceedance, chance_distribution):
+            with pytest.raises(InvalidParameterError, match="NaN"):
+                measure(f, self.dists, [lin01()], np.nan)
+        # no response exceeds +inf, and every one exceeds -inf (the node
+        # weights sum to 1 up to rounding)
+        assert chance_exceedance(f, self.dists, [lin01()], np.inf) == 0.0
+        assert chance_exceedance(f, self.dists, [lin01()], -np.inf) == (
+            pytest.approx(1.0, abs=1e-14))
 
     def test_no_uncertains_indicator_path(self):
         f = lambda x, _tau: 1.5 - x[0]

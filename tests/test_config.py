@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from hybrel.benchmarks import load_problem
+from hybrel.chance import belief_sup_grid, chance_exceedance
 from hybrel.config import RunSettings, load_config, thread_cap
+from hybrel.distributions import LinearUncertain, Normal
 from hybrel.errors import InvalidParameterError
+from hybrel.integrator import reliability_at_shift, reliability_interval
+from hybrel.polar import ReducedLSF
 from hybrel.solver import SolverSettings
 
 
@@ -58,6 +62,34 @@ def test_settings_take_numpy_integer_counts_as_ints():
     assert (settings.alpha_levels, settings.quad_nodes, settings.seed) == (5, 40, 3)
     assert all(type(v) is int for v in
                (settings.alpha_levels, settings.quad_nodes, settings.seed))
+
+
+REDUCED = ReducedLSF(offset=1.5, grad_norm=1.0, m=2, n=2,
+                     direction=np.array([1.0, 0.0, 0.0, 0.0]))
+LIMIT_STATE = lambda x, tau: 0.3 + 0.1 * x[0] - tau[0]
+
+
+@pytest.mark.parametrize("call,valid,refused", [
+    (lambda count: reliability_interval(REDUCED, quad_nodes=count).curve, 64,
+     (64.5, 40.0)),
+    (lambda count: reliability_at_shift(REDUCED, 1.0, quad_nodes=count), 64,
+     (64.5, 40.0)),
+    (lambda count: chance_exceedance(LIMIT_STATE, [Normal()],
+                                     [LinearUncertain(0.0, 1.0)],
+                                     quad_nodes=count), 64, (64.5, 40.0)),
+    (lambda count: belief_sup_grid(LIMIT_STATE, np.array([0.2]),
+                                   [LinearUncertain(0.0, 1.0)],
+                                   grid_per_var=count), 201, (201.5, 201.0)),
+], ids=["reliability_interval", "reliability_at_shift", "chance_exceedance",
+        "belief_sup_grid"])
+def test_count_arguments_refuse_non_integers(call, valid, refused):
+    # a float count is refused, not rounded up or passed to numpy; a numpy
+    # integer gives the bits of the Python int
+    for value in refused:
+        with pytest.raises(InvalidParameterError,
+                           match=f"must be an integer, got {value!r}$"):
+            call(value)
+    assert call(np.int64(valid)) == call(valid)
 
 
 class TestLoadConfig:

@@ -111,3 +111,27 @@ def test_compare_outputs_reads_changes_in_ulps():
         "rows: R: largest relative change 0.5 (b), largest change 3 ulps (a)",
         "rows: flag: differs (a)",
     ]
+
+
+def test_compare_outputs_reads_count_moves_as_old_to_new():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", ROOT / "scripts" / "compare_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # integers on both sides read as counts; a bool does not, and an int
+    # against the same value as a float is the same number
+    lines = module.compare(
+        [("oracle", "a", {"calls": 3, "rows": 0, "ok": True, "exit": 2}),
+         ("oracle", "b", {"calls": 5, "rows": 7, "ok": True, "exit": 2}),
+         ("oracle", "c", {"calls": 1, "rows": 7, "ok": True, "exit": 2})],
+        [("oracle", "a", {"calls": 0, "rows": 0, "ok": False, "exit": 2}),
+         ("oracle", "b", {"calls": 6, "rows": 7, "ok": True, "exit": 2.0}),
+         ("oracle", "c", {"calls": 1, "rows": 7, "ok": True, "exit": 2})])
+    assert lines == [
+        "oracle: ok: differs (a)",
+        "oracle: calls: largest move 3 -> 0 (a), entries moved: 2",
+    ]
+    assert module.compare([("cli", "a", {"exit": 2})],
+                          [("cli", "a", {"exit": 2})]) == ["cli: identical"]
