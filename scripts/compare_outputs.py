@@ -35,7 +35,12 @@ with that side's `src` first on the path:
                 at dof or total_dim 1, 2, 3, 5 and 12 (the cosine-angle
                 ones from 2), on fixed grids with negative, zero, tiny and
                 near-+-1 arguments, one entry per dimension and one field
-                per law
+                per law; then the two input laws' methods, one entry per
+                parameter set: Normal(mean, stddev) pdf, cdf and inv_cdf
+                at standard scores out to +-40 and at levels down to the
+                smallest subnormal and up to 1 - 2^-53, and
+                LinearUncertain(lower, upper) cdf below, at, inside and
+                above its bounds and inv at levels from 0 to 1
 
 Both sides take the manifest's inputs from this tree's
 perfbench/workloads.py.  --limit N keeps the manifest's first N entries,
@@ -92,6 +97,13 @@ LAW_POINTS = (-2.0, -0.5, 0.0, 1e-170, 1e-8, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0,
 LAW_SHIFTS = (0.0, 0.5, 1.0, 2.25, 7.0)
 COSINES = (-1.5, -1.0, -1.0 + 1e-15, -1.0 + 1e-9, -0.999, -0.5, 0.0, 0.3, 0.9,
            1.0 - 1e-12, 1.0 - 1e-15, 1.0, 2.0)
+NORMAL_LAWS = ((0.0, 1.0), (0.3, 1.7), (-50.0, 1e-3), (1e6, 250.0))
+Z_SCORES = (-40.0, -38.5, -9.0, -1.0, 0.0, 1e-300, 0.5, 1.96, 8.0, 9.0, 38.5, 40.0)
+NORMAL_LEVELS = (5e-324, 1e-300, 1e-16, 1e-8, 0.025, 0.5, 0.975, 1.0 - 1e-8,
+                 1.0 - 2.0 ** -53)
+LINEAR_LAWS = ((-1.0, 1.0), (2.0, 4.0), (94.0, 106.0), (-1e-9, 3e-9))
+LINEAR_SHARES = (-1.0, 0.0, 1e-12, 0.3, 0.5, 1.0 - 1e-12, 1.0, 2.0)
+LINEAR_LEVELS = (0.0, 5e-324, 1e-16, 0.25, 0.5, 0.7, 1.0 - 2.0 ** -53, 1.0)
 
 
 def _box_inputs():
@@ -130,11 +142,11 @@ def _box_inputs():
 
 def _manifest():
     """(group, name, thunk) per entry, each thunk giving a JSON-able dict."""
-    from hybrel import (HybridProblem, RandomVariable, RunSettings,
-                        UncertainVariable, chi_cdf, chi_pdf, chi_square_cdf,
-                        chi_square_pdf, cos_angle_cdf, cos_angle_pdf, get_case,
-                        reliability_reference, run_case, shifted_chi_cdf,
-                        shifted_chi_pdf)
+    from hybrel import (HybridProblem, LinearUncertain, Normal, RandomVariable,
+                        RunSettings, UncertainVariable, chi_cdf, chi_pdf,
+                        chi_square_cdf, chi_square_pdf, cos_angle_cdf,
+                        cos_angle_pdf, get_case, reliability_reference, run_case,
+                        shifted_chi_cdf, shifted_chi_pdf)
     from hybrel.solver import _solve_box_qp
 
     import workloads as wl
@@ -192,6 +204,18 @@ def _manifest():
             out["cos_angle_pdf"] = cos_angle_pdf(cosines, dim)
         return {law: np.asarray(values).tolist() for law, values in out.items()}
 
+    def normal(mean, stddev):
+        dist = Normal(mean, stddev)
+        x = mean + stddev * np.array(Z_SCORES)
+        return {"Normal.pdf": dist.pdf(x).tolist(), "Normal.cdf": dist.cdf(x).tolist(),
+                "Normal.inv_cdf": dist.inv_cdf(np.array(NORMAL_LEVELS)).tolist()}
+
+    def linear(lower, upper):
+        dist = LinearUncertain(lower, upper)
+        x = lower + (upper - lower) * np.array(LINEAR_SHARES)
+        return {"LinearUncertain.cdf": dist.cdf(x).tolist(),
+                "LinearUncertain.inv": dist.inv(np.array(LINEAR_LEVELS)).tolist()}
+
     def cli(args):
         proc = subprocess.run([sys.executable, "-m", "hybrel.cli", *args],
                               capture_output=True, text=True)
@@ -217,6 +241,10 @@ def _manifest():
     entries += [("box", kind, lambda solves=solves: box(solves))
                 for kind, solves in _box_inputs().items()]
     entries += [("laws", f"dim {dim}", lambda dim=dim: laws(dim)) for dim in LAW_DIMS]
+    entries += [("laws", f"Normal{law}", lambda law=law: normal(*law))
+                for law in NORMAL_LAWS]
+    entries += [("laws", f"LinearUncertain{law}", lambda law=law: linear(*law))
+                for law in LINEAR_LAWS]
     return entries
 
 

@@ -39,11 +39,7 @@ from .distributions import (
     chi_square_ppf,
     cos_angle_cdf,
     cos_angle_pdf,
-    linear_unc_cdf,
-    linear_unc_inv,
     normal_cdf,
-    normal_inv_cdf,
-    normal_pdf,
     shifted_chi_cdf,
     shifted_chi_pdf,
 )

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import RunSettings, read_key_values, thread_cap
+from .config import RunSettings, as_count, read_key_values, thread_cap
 from .errors import DivergedDesignPointError, InvalidGeometryError, InvalidParameterError
 from .integrator import ShiftSchedule, reliability_interval
 from .model import HybridProblem, RandomVariable, UncertainVariable, standardize
@@ -305,10 +305,10 @@ class _Entry:
     uncertains and refuses an arity or a parameter value it cannot take;
     `params` maps its parameters (the `param.*` keys of a problem file) to
     their defaults.  variables(**sizes) returns the default (randoms,
-    uncertains), `sizes` mapping the get_case parameters that size them to
-    their defaults.  name and description are format strings over all
-    parameters; reference maps the sizes' values, in order, to the
-    reported result rows.
+    uncertains), `sizes` mapping the get_case parameters that size them,
+    which are counts, to their defaults.  name and description are format
+    strings over all parameters; reference maps the sizes' values, in
+    order, to the reported result rows.
     """
 
     lsf: object
@@ -428,7 +428,8 @@ def get_case(key, **params):
     """
     entry = _entry(key, "unknown case")
     values = _resolve(key, params, {**entry.sizes, **entry.params})
-    sizes = {name: values[name] for name in entry.sizes}
+    sizes = {name: as_count(values[name], name) for name in entry.sizes}
+    values.update(sizes)
     randoms, uncertains = entry.variables(**sizes)
     return _build_case(
         entry, {name: values[name] for name in entry.params}, randoms, uncertains,

@@ -1,17 +1,20 @@
 """Probability and uncertainty distribution families.
 
-Probability side: normal, chi, chi-square, shifted chi (the law of
+The two input laws are objects that hold their formulas and the only check
+of their parameters, made at construction: `Normal` (pdf, cdf, inv_cdf) for
+the random inputs and `LinearUncertain` (cdf and its exact inverse) for the
+uncertain ones; `normal_cdf(x, mean, stddev)` is `Normal(mean, stddev).cdf(x)`.
+The sweep's laws take a dimension: chi, chi-square, shifted chi (the law of
 sqrt(Q + shift) for Q chi-square) and the cosine-angle family (the law of
 the cosine of the angle between a random direction and a fixed unit vector).
-Uncertainty side: the linear (interval) family with its cumulative function
-and exact inverse.
 
 One kernel per law: the chi family's laws are changes of variables of the
 chi density and chi_square_cdf, the two kernels the shift sweep integrates.
-Every dimension is an integer, so the chi-square and cosine-angle CDFs are
-finite sums of positive terms (Abramowitz & Stegun 26.4.4-5 and the sin^k
-reduction formula), evaluated in closed form with the standard library's
-erfc and lgamma; only the normal law calls scipy.special, on first use.
+Every dimension is a count (config.as_count, then its lower bound), so the
+chi-square and cosine-angle CDFs are finite sums of positive terms
+(Abramowitz & Stegun 26.4.4-5 and the sin^k reduction formula), evaluated
+in closed form with the standard library's erfc and lgamma; only the
+normal law calls scipy.special, on first use.
 
 All evaluation functions accept scalars or numpy arrays and return a matching
 shape; scalar inputs come back as Python floats.  Every object is immutable
@@ -24,14 +27,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import as_count
 from .errors import InvalidParameterError
 
 __all__ = [
     "Normal",
     "LinearUncertain",
     "normal_cdf",
-    "normal_pdf",
-    "normal_inv_cdf",
     "chi_pdf",
     "chi_cdf",
     "chi_square_pdf",
@@ -41,8 +43,6 @@ __all__ = [
     "shifted_chi_cdf",
     "cos_angle_pdf",
     "cos_angle_cdf",
-    "linear_unc_cdf",
-    "linear_unc_inv",
 ]
 
 
@@ -59,48 +59,86 @@ def _maybe_scalar(value, like):
     return value
 
 
-def _check_dof(dof):
-    if not float(dof).is_integer() or dof < 1:
-        raise InvalidParameterError(f"dof must be a positive integer, got {dof!r}")
-    return int(dof)
+def _dimension(value, name, least):
+    """value as an int by config.as_count, refused below `least`."""
+    value = as_count(value, name)
+    if value < least:
+        raise InvalidParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
-# normal family
+# the two input laws
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Normal:
+    """Gaussian law N(mean, stddev) of a random input."""
+
+    mean: float = 0.0
+    stddev: float = 1.0
+
+    def __post_init__(self):
+        if not (np.isfinite(self.mean) and np.isfinite(self.stddev) and self.stddev > 0):
+            raise InvalidParameterError(
+                f"Normal needs a finite mean and a finite stddev > 0, got {self!r}")
+
+    def pdf(self, x):
+        z = (_as_array(x, "x") - self.mean) / self.stddev
+        return _maybe_scalar(
+            np.exp(-0.5 * z * z) / (self.stddev * math.sqrt(2 * math.pi)), x)
+
+    def cdf(self, x):
+        """Strictly increasing in x; a non-finite x raises."""
+        from scipy.special import ndtr
+
+        return _maybe_scalar(ndtr((_as_array(x, "x") - self.mean) / self.stddev), x)
+
+    def inv_cdf(self, p):
+        """Quantile function; p must lie strictly inside (0, 1)."""
+        from scipy.special import ndtri
+
+        arr = _as_array(p, "p")
+        if np.any(arr <= 0) or np.any(arr >= 1):
+            raise InvalidParameterError("p must lie strictly inside (0, 1)")
+        return _maybe_scalar(self.mean + self.stddev * ndtri(arr), p)
+
 
 def normal_cdf(x, mean=0.0, stddev=1.0):
-    """Cumulative distribution of N(mean, stddev) at x.
+    """Cumulative distribution of N(mean, stddev) at x."""
+    return Normal(mean, stddev).cdf(x)
 
-    Strictly increasing in x; raises on non-finite input or stddev <= 0.
+
+@dataclass(frozen=True)
+class LinearUncertain:
+    """Linear uncertainty distribution L(lower, upper) of an uncertain input:
+    clamp((x - lower)/(upper - lower), 0, 1).
+
+    The family is regular: the inverse exists on [0, 1] with the endpoint
+    convention inv(0) = lower, inv(1) = upper, which the forced-root
+    conventions downstream rely on.
     """
-    if not (np.isfinite(stddev) and stddev > 0):
-        raise InvalidParameterError(f"stddev must be positive, got {stddev!r}")
-    if not np.isfinite(mean):
-        raise InvalidParameterError(f"mean must be finite, got {mean!r}")
-    from scipy.special import ndtr
 
-    arr = _as_array(x, "x")
-    return _maybe_scalar(ndtr((arr - mean) / stddev), x)
+    lower: float
+    upper: float
 
+    def __post_init__(self):
+        if not (np.isfinite(self.lower) and np.isfinite(self.upper)
+                and self.upper > self.lower):
+            raise InvalidParameterError(
+                f"LinearUncertain needs finite bounds, lower < upper, got {self!r}")
 
-def normal_pdf(x, mean=0.0, stddev=1.0):
-    """Density of N(mean, stddev) at x."""
-    if not (np.isfinite(stddev) and stddev > 0):
-        raise InvalidParameterError(f"stddev must be positive, got {stddev!r}")
-    arr = _as_array(x, "x")
-    z = (arr - mean) / stddev
-    return _maybe_scalar(np.exp(-0.5 * z * z) / (stddev * math.sqrt(2 * math.pi)), x)
+    def cdf(self, x):
+        arr = _as_array(x, "x")
+        return _maybe_scalar(
+            np.clip((arr - self.lower) / (self.upper - self.lower), 0.0, 1.0), x)
 
-
-def normal_inv_cdf(p, mean=0.0, stddev=1.0):
-    """Quantile function of N(mean, stddev); p must lie in (0, 1)."""
-    from scipy.special import ndtri
-
-    arr = _as_array(p, "p")
-    if np.any(arr <= 0) or np.any(arr >= 1):
-        raise InvalidParameterError("p must lie strictly inside (0, 1)")
-    return _maybe_scalar(mean + stddev * ndtri(arr), p)
+    def inv(self, alpha):
+        """Exact inverse of `cdf` on [0, 1]."""
+        arr = _as_array(alpha, "alpha")
+        if np.any(arr < 0) or np.any(arr > 1):
+            raise InvalidParameterError("alpha must lie in [0, 1]")
+        return _maybe_scalar(self.lower + arr * (self.upper - self.lower), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +275,7 @@ def chi_square_pdf(x, dof):
     """Chi-square(dof) density, zero for x <= 0: chi_pdf(sqrt(x)) / (2 sqrt(x)),
     for dof >= 2 formed as the chi(dof - 1) density at sqrt(x) times
     Gamma((dof-1)/2) / (2 sqrt(2) Gamma(dof/2)), with no subnormal factor."""
-    dof = _check_dof(dof)
+    dof = _dimension(dof, "dof", 1)
     arr = _as_array(x, "x")
     out = np.zeros_like(arr)
     pos = arr > 0
@@ -251,14 +289,14 @@ def chi_square_pdf(x, dof):
 
 def chi_square_cdf(x, dof):
     """Chi-square cumulative distribution."""
-    dof = _check_dof(dof)
+    dof = _dimension(dof, "dof", 1)
     arr = _as_array(x, "x")
     return _maybe_scalar(_gamma_tails(dof, np.maximum(arr, 0.0) / 2)[0], x)
 
 
 def chi_square_ppf(p, dof):
     """Chi-square quantile; p in [0, 1)."""
-    dof = _check_dof(dof)
+    dof = _dimension(dof, "dof", 1)
     arr = _as_array(p, "p")
     if np.any(arr < 0) or np.any(arr >= 1):
         raise InvalidParameterError("p must lie in [0, 1)")
@@ -288,7 +326,7 @@ def chi_pdf(x, dof):
     chi(dof) = law of sqrt(Q) with Q chi-square(dof):
     p(x) = 2^(1-dof/2) x^(dof-1) exp(-x^2/2) / Gamma(dof/2), x > 0.
     """
-    dof = _check_dof(dof)
+    dof = _dimension(dof, "dof", 1)
     arr = _as_array(x, "x")
     pos = arr > 0
     out = np.zeros_like(arr)
@@ -316,7 +354,7 @@ def shifted_chi_pdf(v, dof, shift):
     _check_shift(shift)
     if shift == 0:  # the radius is v itself
         return chi_pdf(v, dof)
-    dof = _check_dof(dof)
+    dof = _dimension(dof, "dof", 1)
     arr = _as_array(v, "v")
     radius = np.sqrt(np.maximum(arr * arr - shift, 0.0))
     out = np.zeros_like(arr)
@@ -338,14 +376,6 @@ def shifted_chi_cdf(v, dof, shift):
 # cosine-angle family
 # ---------------------------------------------------------------------------
 
-def _check_total_dim(total_dim):
-    if not float(total_dim).is_integer() or total_dim < 2:
-        raise InvalidParameterError(
-            f"total_dim must be an integer >= 2, got {total_dim!r}"
-        )
-    return int(total_dim)
-
-
 def cos_angle_pdf(v, total_dim):
     """Density of the cosine of the angle between a uniformly random direction
     in `total_dim` dimensions and any fixed unit vector.
@@ -356,7 +386,7 @@ def cos_angle_pdf(v, total_dim):
     (-1, 1).  Outside the open interval the density is zero by convention
     (for N = 2 the shape diverges at the endpoints but remains integrable).
     """
-    total_dim = _check_total_dim(total_dim)
+    total_dim = _dimension(total_dim, "total_dim", 2)
     arr = _as_array(v, "v")
     out = np.zeros_like(arr)
     inside = np.abs(arr) < 1.0
@@ -442,85 +472,8 @@ def cos_angle_cdf(v, total_dim):
     I_((1+v)/2)(a, a), a = (N-1)/2, in closed form; the test suite checks it
     against direct quadrature of :func:`cos_angle_pdf` and against mpmath.
     """
-    total_dim = _check_total_dim(total_dim)
+    total_dim = _dimension(total_dim, "total_dim", 2)
     arr = _as_array(v, "v")
     flat = arr.reshape(-1)
     share = _cos_angle_signed(np.abs(flat), total_dim, flat < 0.0)
     return _maybe_scalar(share.reshape(arr.shape), v)
-
-
-# ---------------------------------------------------------------------------
-# linear uncertainty family
-# ---------------------------------------------------------------------------
-
-def _check_bounds(a, b):
-    if not (np.isfinite(a) and np.isfinite(b) and b > a):
-        raise InvalidParameterError(f"bounds must satisfy b > a, got ({a!r}, {b!r})")
-
-
-def linear_unc_cdf(x, a, b):
-    """Linear uncertainty distribution on [a, b]: clamp((x-a)/(b-a), 0, 1)."""
-    _check_bounds(a, b)
-    arr = _as_array(x, "x")
-    return _maybe_scalar(np.clip((arr - a) / (b - a), 0.0, 1.0), x)
-
-
-def linear_unc_inv(alpha, a, b):
-    """Exact inverse of :func:`linear_unc_cdf` on [0, 1].
-
-    The endpoints map to the support bounds: inv(0) = a and inv(1) = b,
-    which is what the forced-root conventions downstream rely on.
-    """
-    _check_bounds(a, b)
-    arr = _as_array(alpha, "alpha")
-    if np.any(arr < 0) or np.any(arr > 1):
-        raise InvalidParameterError("alpha must lie in [0, 1]")
-    return _maybe_scalar(a + arr * (b - a), alpha)
-
-
-# ---------------------------------------------------------------------------
-# distribution objects
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Normal:
-    """Gaussian random variable."""
-
-    mean: float = 0.0
-    stddev: float = 1.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.mean) and np.isfinite(self.stddev) and self.stddev > 0):
-            raise InvalidParameterError(
-                f"Normal requires finite mean and stddev > 0, got {self!r}"
-            )
-
-    def pdf(self, x):
-        return normal_pdf(x, self.mean, self.stddev)
-
-    def cdf(self, x):
-        return normal_cdf(x, self.mean, self.stddev)
-
-    def inv_cdf(self, p):
-        return normal_inv_cdf(p, self.mean, self.stddev)
-
-
-@dataclass(frozen=True)
-class LinearUncertain:
-    """Linear (interval) uncertainty distribution on [lower, upper].
-
-    The family is regular: the inverse exists on [0, 1] with the endpoint
-    convention inv(0) = lower, inv(1) = upper.
-    """
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        _check_bounds(self.lower, self.upper)
-
-    def cdf(self, x):
-        return linear_unc_cdf(x, self.lower, self.upper)
-
-    def inv(self, alpha):
-        return linear_unc_inv(alpha, self.lower, self.upper)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import as_count
-from .distributions import normal_inv_cdf
+from .distributions import Normal
 from .errors import InvalidParameterError
 from .model import evaluate_rows
 
@@ -77,7 +77,7 @@ def estimate_failure(problem, samples=1_000_000, confidence=0.95, seed=0):
 
     p_hat = failures / samples
     if failures:
-        z = normal_inv_cdf((1.0 + confidence) / 2.0)
+        z = Normal().inv_cdf((1.0 + confidence) / 2.0)
         half = z * math.sqrt(p_hat * (1.0 - p_hat) / samples)
         ci_lo, ci_hi = max(0.0, p_hat - half), min(1.0, p_hat + half)
     else:  # the normal interval collapses; fall back to the rule of three

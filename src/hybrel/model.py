@@ -86,39 +86,41 @@ def _rows(lsf, lsf_batch, x, y):
     return values
 
 
+def _law(name, kind, law, *params):
+    """law(*params), the law of a {kind} variable; a refusal names it."""
+    try:
+        return law(*params)
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"bad {kind} variable {name!r}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class RandomVariable:
-    """Named Gaussian input; only the normal family is accepted."""
+    """Named Gaussian input; its law `dist` is built, and so checked, once."""
 
     name: str
     mean: float
     stddev: float
+    dist: Normal = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (np.isfinite(self.mean) and np.isfinite(self.stddev) and self.stddev > 0):
-            raise InvalidParameterError(f"bad random variable {self!r}")
-
-    @property
-    def dist(self):
-        return Normal(self.mean, self.stddev)
+        object.__setattr__(self, "dist",
+                           _law(self.name, "random", Normal, self.mean, self.stddev))
 
 
 @dataclass(frozen=True)
 class UncertainVariable:
-    """Named uncertain input known only through its bounds."""
+    """Named uncertain input known only through its bounds; its law `dist`
+    is built, and so checked, once."""
 
     name: str
     lower: float
     upper: float
+    dist: LinearUncertain = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (np.isfinite(self.lower) and np.isfinite(self.upper)
-                and self.upper > self.lower):
-            raise InvalidParameterError(f"bad uncertain variable {self!r}")
-
-    @property
-    def dist(self):
-        return LinearUncertain(self.lower, self.upper)
+        object.__setattr__(self, "dist", _law(self.name, "uncertain",
+                                              LinearUncertain, self.lower, self.upper))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .distributions import _dimension
 from .errors import DegenerateGradientError, InvalidParameterError, UndefinedAngleError
 
 __all__ = ["PolarFeatures", "ReducedLSF", "polar_features", "reduce_to_polar"]
@@ -71,8 +72,9 @@ class ReducedLSF:
 
     offset is the normalized plane offset (the signed distance of the
     tangent plane from the origin), grad_norm the Euclidean norm of the
-    gradient at the expansion point, and direction the unit gradient, kept
-    as a read-only copy so the caller's array stays its own.
+    gradient at the expansion point, and direction the unit gradient over
+    the m random and n uncertain inputs, kept as a read-only copy so the
+    caller's array stays its own.
     """
 
     offset: float
@@ -82,7 +84,12 @@ class ReducedLSF:
     direction: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _dimension(self.m, "m", 0))
+        object.__setattr__(self, "n", _dimension(self.n, "n", 0))
         direction = np.array(self.direction, dtype=float)
+        if direction.shape != (self.m + self.n,):
+            raise InvalidParameterError(
+                f"direction must have shape (m + n,), got {direction.shape}")
         if self.grad_norm <= 0:
             raise InvalidParameterError("grad_norm must be positive")
         if abs(np.linalg.norm(direction) - 1.0) > 1e-12:

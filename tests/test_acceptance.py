@@ -29,6 +29,7 @@ from hybrel.cli import run_cli
 from hybrel.config import RunSettings
 from hybrel.distributions import (
     LinearUncertain,
+    Normal,
     chi_cdf,
     chi_pdf,
     chi_square_cdf,
@@ -36,7 +37,6 @@ from hybrel.distributions import (
     cos_angle_cdf,
     cos_angle_pdf,
     normal_cdf,
-    normal_pdf,
     shifted_chi_cdf,
     shifted_chi_pdf,
 )
@@ -136,7 +136,7 @@ def test_criterion_4_density_suite():
 
     # normalization within 1e-8
     norm_checks = [
-        ("normal", lambda x: normal_pdf(x, 0.3, 1.7), (-20, 20)),
+        ("normal", Normal(0.3, 1.7).pdf, (-20, 20)),
         ("chi-square(5)", lambda x: chi_square_pdf(x, 5), (0, 300)),
         ("chi(7)", lambda x: chi_pdf(x, 7), (0, 50)),
         ("shifted-chi(3,1)", lambda x: shifted_chi_pdf(x, 3, 1.0), (1.0, 50)),

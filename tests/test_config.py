@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hybrel.benchmarks import load_problem
+from hybrel import distributions
+from hybrel.benchmarks import get_case, load_problem
 from hybrel.chance import belief_sup_grid, chance_exceedance
 from hybrel.config import RunSettings, load_config, thread_cap
 from hybrel.distributions import LinearUncertain, Normal
@@ -69,6 +70,20 @@ REDUCED = ReducedLSF(offset=1.5, grad_norm=1.0, m=2, n=2,
 LIMIT_STATE = lambda x, tau: 0.3 + 0.1 * x[0] - tau[0]
 
 
+def _linear_case(**sizes):
+    """What get_case("linear") builds from the sizes: name, counts, reference."""
+    case = get_case("linear", **sizes)
+    return case.problem.name, case.problem.m, case.problem.n, case.reference
+
+
+def _reduced_reliability(**counts):
+    """The reliability at shift 1 of an m = n = 2 reduction with these counts;
+    they are checked before the direction's length."""
+    reduced = ReducedLSF(offset=1.5, grad_norm=1.0, direction=REDUCED.direction,
+                         **{"m": 2, "n": 2, **counts})
+    return reliability_at_shift(reduced, 1.0)
+
+
 @pytest.mark.parametrize("call,valid,refused", [
     (lambda count: reliability_interval(REDUCED, quad_nodes=count).curve, 64,
      (64.5, 40.0)),
@@ -80,8 +95,25 @@ LIMIT_STATE = lambda x, tau: 0.3 + 0.1 * x[0] - tau[0]
     (lambda count: belief_sup_grid(LIMIT_STATE, np.array([0.2]),
                                    [LinearUncertain(0.0, 1.0)],
                                    grid_per_var=count), 201, (201.5, 201.0)),
+] + [
+    # the laws' dimensions: dof >= 1, total_dim >= 2
+    (lambda count, law=law, args=args: getattr(distributions, law)(0.4, count, *args),
+     3, (True, 2.5, 3.0))
+    for law, args in (("chi_square_pdf", ()), ("chi_square_cdf", ()),
+                      ("chi_square_ppf", ()), ("chi_pdf", ()), ("chi_cdf", ()),
+                      ("shifted_chi_pdf", (0.1,)), ("shifted_chi_cdf", (0.1,)),
+                      ("cos_angle_pdf", ()), ("cos_angle_cdf", ()))
+] + [
+    (lambda count, size=size: _linear_case(**{size: count}), 5, (True, 2.5, 3.0))
+    for size in ("m", "n")
+] + [
+    (lambda count, size=size: _reduced_reliability(**{size: count}), 2,
+     (True, 2.5, 3.0))
+    for size in ("m", "n")
 ], ids=["reliability_interval", "reliability_at_shift", "chance_exceedance",
-        "belief_sup_grid"])
+        "belief_sup_grid", "chi_square_pdf", "chi_square_cdf", "chi_square_ppf",
+        "chi_pdf", "chi_cdf", "shifted_chi_pdf", "shifted_chi_cdf", "cos_angle_pdf",
+        "cos_angle_cdf", "get_case_m", "get_case_n", "ReducedLSF_m", "ReducedLSF_n"])
 def test_count_arguments_refuse_non_integers(call, valid, refused):
     # a float count is refused, not rounded up or passed to numpy; a numpy
     # integer gives the bits of the Python int

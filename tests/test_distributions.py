@@ -17,23 +17,21 @@ from hybrel.distributions import (
     chi_square_ppf,
     cos_angle_cdf,
     cos_angle_pdf,
-    linear_unc_cdf,
-    linear_unc_inv,
     normal_cdf,
-    normal_inv_cdf,
     shifted_chi_cdf,
     shifted_chi_pdf,
 )
 from hybrel.errors import InvalidParameterError
+from hybrel.model import RandomVariable, UncertainVariable
 
 
 class TestNormal:
     def test_symmetry_at_zero(self):
-        assert normal_cdf(0.0) == 0.5
+        assert Normal().cdf(0.0) == 0.5
 
     def test_median_equals_mean(self):
         for mean, std in [(3.0, 0.5), (-7.0, 4.0), (0.0, 10.0)]:
-            assert normal_cdf(mean, mean, std) == pytest.approx(0.5, abs=1e-15)
+            assert Normal(mean, std).cdf(mean) == pytest.approx(0.5, abs=1e-15)
 
     def test_value_against_quadrature_oracle(self):
         # independent oracle: integrate the standard normal density directly
@@ -41,31 +39,57 @@ class TestNormal:
             lambda t: math.exp(-t * t / 2) / math.sqrt(2 * math.pi), -12.0, 1.96
         )
         assert err < 1e-10
-        assert normal_cdf(1.96) == pytest.approx(oracle, abs=1e-10)
-        assert normal_cdf(1.96) == pytest.approx(0.97500, abs=1e-4)
+        assert Normal().cdf(1.96) == pytest.approx(oracle, abs=1e-10)
+        assert Normal().cdf(1.96) == pytest.approx(0.97500, abs=1e-4)
 
     def test_strictly_increasing(self):
         xs = np.linspace(-5, 5, 101)
-        vals = normal_cdf(xs)
+        vals = Normal().cdf(xs)
         assert np.all(np.diff(vals) > 0)
 
     def test_inverse_roundtrip(self):
+        dist = Normal(2.0, 3.0)
         for p in (1e-6, 0.2, 0.5, 0.8, 1 - 1e-6):
-            assert normal_cdf(normal_inv_cdf(p, 2.0, 3.0), 2.0, 3.0) == pytest.approx(
-                p, abs=1e-9
-            )
+            assert dist.cdf(dist.inv_cdf(p)) == pytest.approx(p, abs=1e-9)
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
-            normal_cdf(0.0, 0.0, 0.0)
+            Normal().cdf(float("nan"))
         with pytest.raises(InvalidParameterError):
-            normal_cdf(0.0, 0.0, -1.0)
+            Normal().cdf(float("inf"))
         with pytest.raises(InvalidParameterError):
-            normal_cdf(float("nan"))
-        with pytest.raises(InvalidParameterError):
-            normal_cdf(float("inf"))
-        with pytest.raises(InvalidParameterError):
-            Normal(0.0, -2.0)
+            Normal().pdf(float("nan"))
+        for p in (0.0, 1.0, -0.5, 1.5, float("nan")):
+            with pytest.raises(InvalidParameterError):
+                Normal().inv_cdf(p)
+
+
+_LAWS = {
+    "Normal": lambda mean, stddev: Normal(mean, stddev),
+    "RandomVariable": lambda mean, stddev: RandomVariable("x7", mean, stddev),
+    "normal_cdf": lambda mean, stddev: normal_cdf(0.0, mean, stddev),
+    "LinearUncertain": lambda lower, upper: LinearUncertain(lower, upper),
+    "UncertainVariable": lambda lower, upper: UncertainVariable("x7", lower, upper),
+}
+_NORMAL_PARAMS = [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, 0.0),
+                  (0.0, -1.0), (0.0, math.nan), (0.0, math.inf)]
+_BOUNDS = [(math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf),
+           (2.0, 2.0), (2.0, 1.0)]
+
+
+@pytest.mark.parametrize("law,params", [
+    (law, params)
+    for names, values in ((("Normal", "RandomVariable", "normal_cdf"), _NORMAL_PARAMS),
+                          (("LinearUncertain", "UncertainVariable"), _BOUNDS))
+    for law in names for params in values
+])
+def test_law_parameters_refused(law, params):
+    # one check per law, in its constructor: a declared variable, the law
+    # object and normal_cdf refuse the same parameters, and a variable's
+    # refusal names the variable
+    with pytest.raises(InvalidParameterError) as refusal:
+        _LAWS[law](*params)
+    assert ("'x7'" in str(refusal.value)) == law.endswith("Variable")
 
 
 class TestChiSquare:
@@ -277,14 +301,14 @@ class TestCosineAngle:
 
 class TestLinearUncertain:
     def test_midpoint(self):
-        assert linear_unc_cdf(3.0, 2.0, 4.0) == 0.5
+        assert LinearUncertain(2.0, 4.0).cdf(3.0) == 0.5
 
     def test_inverse_interpolation(self):
-        assert linear_unc_inv(0.25, 2.0, 4.0) == 2.5
+        assert LinearUncertain(2.0, 4.0).inv(0.25) == 2.5
 
     def test_clamping(self):
-        assert linear_unc_cdf(5.0, 2.0, 4.0) == 1.0
-        assert linear_unc_cdf(1.0, 2.0, 4.0) == 0.0
+        assert LinearUncertain(2.0, 4.0).cdf(5.0) == 1.0
+        assert LinearUncertain(2.0, 4.0).cdf(1.0) == 0.0
 
     def test_endpoint_convention(self):
         dist = LinearUncertain(-3.0, 7.0)
@@ -297,23 +321,21 @@ class TestLinearUncertain:
         st.floats(1e-3, 100),
     )
     def test_inverse_roundtrip(self, alpha, a, width):
-        b = a + width
+        dist = LinearUncertain(a, a + width)
         # representation error of a + alpha*width grows with |a|/width
         slack = 1e-12 + 8 * np.finfo(float).eps * max(1.0, abs(a)) / width
-        assert abs(linear_unc_cdf(linear_unc_inv(alpha, a, b), a, b) - alpha) <= slack
+        assert abs(dist.cdf(dist.inv(alpha)) - alpha) <= slack
 
     def test_inverse_roundtrip_unit_scale(self):
         dist = LinearUncertain(-1.0, 1.0)
         for alpha in np.linspace(0.0, 1.0, 23):
             assert dist.cdf(dist.inv(alpha)) == pytest.approx(alpha, abs=1e-12)
 
-    def test_bad_bounds(self):
+    def test_bad_arguments(self):
         with pytest.raises(InvalidParameterError):
-            linear_unc_cdf(0.0, 2.0, 2.0)
+            LinearUncertain(0.0, 1.0).inv(1.5)
         with pytest.raises(InvalidParameterError):
-            LinearUncertain(4.0, 2.0)
-        with pytest.raises(InvalidParameterError):
-            linear_unc_inv(1.5, 0.0, 1.0)
+            LinearUncertain(0.0, 1.0).cdf(float("nan"))
 
 
 @pytest.fixture(scope="module")

@@ -37,3 +37,10 @@ def test_reference_oracle_is_a_leaf():
                  if "chance" in _package_imports(name)}
     assert importers == {"__init__"}
     assert _package_imports("model") <= {"distributions", "errors"}
+
+
+def test_laws_sit_at_the_bottom_of_the_import_graph():
+    # the input laws and the dimension checks need only the count rule and
+    # the error classes, so every module can build a law
+    assert _package_imports("distributions") <= {"config", "errors"}
+    assert _package_imports("config") <= {"errors"}

@@ -169,6 +169,17 @@ class TestReduce:
         with pytest.raises(InvalidParameterError):
             ReducedLSF(offset=1.0, grad_norm=1.0, m=1, n=1,
                        direction=np.array([1.0, 1.0]))
+        # a negative count, and a unit direction of the wrong length, are
+        # refused where the reduction is built, not in the sweep
+        with pytest.raises(InvalidParameterError, match="^n must be an integer >= 0"):
+            ReducedLSF(offset=1.0, grad_norm=1.0, m=2, n=-1,
+                       direction=np.array([1.0]))
+        with pytest.raises(InvalidParameterError, match=r"^direction must have shape"):
+            ReducedLSF(offset=1.0, grad_norm=1.0, m=2, n=1,
+                       direction=np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+        reduced = ReducedLSF(offset=1.0, grad_norm=1.0, m=np.int64(2), n=np.uint8(1),
+                             direction=np.array([1.0, 0.0, 0.0]))
+        assert (type(reduced.m), type(reduced.n)) == (int, int)
 
     def test_direction_is_a_read_only_copy(self):
         direction = np.array([0.6, 0.8])
