@@ -21,13 +21,17 @@ box centres) and one over seeded points:
 
 A second table replays the box solves (the continuous quadratic knapsack
 of each refinement pass) that the design-point searches of the tube and of
-crank_slider t=40 make:
+crank_slider t=40 make, and times those searches:
 
   solve_us    one box solve, on the recorded gradients and targets
   reach_calls float-reach evaluations per solve, one float or a window of
               consecutive floats each
   reach_rows  floats at which the reach is evaluated per solve, every float
               of a window included
+  blocks      StandardizedProblem.lsf_omega_rows calls the search makes:
+              its blocks of limit-state rows, each refinement pass of the
+              box seeds, each HLRF gradient and each corner evaluation one
+  search_ms   one find_design_point call, the best of --repeat
 
 Each figure is the best of --repeat timeit runs of --number calls, or of
 whole stencils, batches or solve replays totalling about --number rows or
@@ -50,7 +54,7 @@ from unittest import mock
 import numpy as np
 
 from hybrel import CASE_KEYS, find_design_point, get_case, solver, standardize
-from hybrel.model import _central_differences
+from hybrel.model import StandardizedProblem, _central_differences
 
 BATCH_ROWS = 10_000
 # (case key, parameters) of the searches whose box solves are replayed
@@ -76,13 +80,20 @@ def batch_row_us(key, number, repeat):
                    max(1, number // BATCH_ROWS), repeat) / BATCH_ROWS
 
 
-def box_solves(key, params):
-    """(problem name, [(grad, target)] of every box solve its search makes)."""
+def search(key, params, repeat):
+    """(problem name, [(grad, target)] of every box solve its search makes,
+    its lsf_omega_rows calls, its best-of-`repeat` time in ms)."""
     problem = get_case(key, **params).problem
+    std = standardize(problem)
     with mock.patch.object(solver, "_solve_box_qp",
-                           wraps=solver._solve_box_qp) as solve:
-        find_design_point(standardize(problem))
-    return problem.name, [call.args for call in solve.call_args_list]
+                           wraps=solver._solve_box_qp) as solve, \
+            mock.patch.object(StandardizedProblem, "lsf_omega_rows", autospec=True,
+                              side_effect=StandardizedProblem.lsf_omega_rows) as rows:
+        find_design_point(std)
+    search_ms = min(timeit.repeat(lambda: find_design_point(std), number=1,
+                                  repeat=repeat)) * 1e3
+    return (problem.name, [call.args for call in solve.call_args_list],
+            rows.call_count, search_ms)
 
 
 def reach_counts(solves):
@@ -133,15 +144,16 @@ def main():
               f"{batch:9.3f}")
 
     print(f"\n{'search':<18} {'solves':>9} {'solve_us':>9} {'reach_calls':>11} "
-          f"{'reach_rows':>10}")
+          f"{'reach_rows':>10} {'blocks':>7} {'search_ms':>9}")
     for key, params in SEARCHES:
-        name, solves = box_solves(key, params)
+        name, solves, blocks, search_ms = search(key, params, args.repeat)
         replays = max(1, args.number // len(solves))
         solve_us = best_us(lambda: [solver._solve_box_qp(*a) for a in solves],
                            replays, args.repeat) / len(solves)
         calls, rows = reach_counts(solves)
         print(f"{name:<18} {len(solves):9d} {solve_us:9.2f} "
-              f"{calls / len(solves):11.2f} {rows / len(solves):10.2f}")
+              f"{calls / len(solves):11.2f} {rows / len(solves):10.2f} "
+              f"{blocks:7d} {search_ms:9.2f}")
 
 
 if __name__ == "__main__":

@@ -134,11 +134,13 @@ class LinearUncertain:
             np.clip((arr - self.lower) / (self.upper - self.lower), 0.0, 1.0), x)
 
     def inv(self, alpha):
-        """Exact inverse of `cdf` on [0, 1]."""
+        """Exact inverse of `cdf` on [0, 1]; inv(1) is upper itself, where
+        lower + (upper - lower) can round past it."""
         arr = _as_array(alpha, "alpha")
         if np.any(arr < 0) or np.any(arr > 1):
             raise InvalidParameterError("alpha must lie in [0, 1]")
-        return _maybe_scalar(self.lower + arr * (self.upper - self.lower), alpha)
+        value = self.lower + arr * (self.upper - self.lower)
+        return _maybe_scalar(np.where(arr == 1.0, self.upper, value), alpha)
 
 
 # ---------------------------------------------------------------------------

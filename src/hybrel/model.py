@@ -5,8 +5,9 @@ A hybrid problem couples Gaussian random inputs with bounded uncertain
 inputs through a limit-state function; positive response means safe.  Every
 response a user limit state returns is checked here, whether one point
 (`_response`) or the rows of an array (`_rows`, `evaluate_rows`): NaN or an
-infinity raises NonFiniteResponseError, a non-scalar response or a batch of
-the wrong shape InvalidParameterError, each naming the physical point.  The
+infinity raises NonFiniteResponseError, a non-scalar response, a batch of
+the wrong shape or a response that is not a real number (a string or None,
+say) InvalidParameterError, each naming the physical point.  The
 standardization is one affine map over omega = (u, delta), standard normals
 for the random inputs and the symmetric unit box for the uncertain ones:
 `StandardizedProblem.physical` takes a point or rows of omega to the
@@ -16,6 +17,7 @@ original limit state.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -35,6 +37,10 @@ __all__ = [
 ]
 
 
+# numpy dtype kinds of real numbers: bool, signed and unsigned int, float
+_REAL_KINDS = "biuf"
+
+
 def _point(x, y):
     return f"x={np.asarray(x).tolist()}, y={np.asarray(y).tolist()}"
 
@@ -45,15 +51,23 @@ def _non_finite(source, value, x, y):
 
 def _response(value, x, y):
     """One limit-state response at the physical point (x, y) as a float: a
-    non-scalar raises InvalidParameterError naming its shape, NaN or an
-    infinity NonFiniteResponseError; both name the point."""
+    non-scalar or a value that is not a real number (a string or None, say)
+    raises InvalidParameterError naming its shape or type, NaN or an
+    infinity NonFiniteResponseError; each names the point."""
     # numpy's float64 is a float; anything else takes the full check
     if isinstance(value, float) and math.isfinite(value):
         return value
-    if np.shape(value) != ():
+    array = np.asarray(value)
+    if array.shape != ():
         raise InvalidParameterError(
-            f"limit state returned shape {np.shape(value)}, not a scalar, "
+            f"limit state returned shape {array.shape}, not a scalar, "
             f"at {_point(x, y)}"
+        )
+    # a Python int past int64 or a Fraction is real but has an object dtype
+    if array.dtype.kind not in _REAL_KINDS and not isinstance(value, numbers.Real):
+        raise InvalidParameterError(
+            f"limit state returned {type(value).__name__} of dtype "
+            f"{array.dtype}, not a real number, at {_point(x, y)}"
         )
     value = float(value)
     if not math.isfinite(value):
@@ -63,17 +77,24 @@ def _response(value, x, y):
 
 def _rows(lsf, lsf_batch, x, y):
     """Checked responses at the rows of x (N, m) and y (N, n): one
-    `lsf_batch` call, whose result must have shape (N,), when lsf_batch is
-    not None, a per-row `lsf` loop through `_response` otherwise.  A result
-    of the wrong shape raises InvalidParameterError, the first NaN or
-    infinite response NonFiniteResponseError; both name a physical point."""
+    `lsf_batch` call, whose result must be N real numbers, when lsf_batch
+    is not None, a per-row `lsf` loop through `_response` otherwise.  A
+    result of the wrong shape or not of real numbers raises
+    InvalidParameterError, the first NaN or infinite response
+    NonFiniteResponseError; both name a physical point."""
     if lsf_batch is None:
         # a finite float, numpy's float64 included, needs no _response call
         return np.fromiter(
             (value if isinstance(value := lsf(xi, yi), float) and math.isfinite(value)
              else _response(value, xi, yi) for xi, yi in zip(x, y)),
             float, len(x))
-    values = np.asarray(lsf_batch(x, y), dtype=float)
+    values = np.asarray(lsf_batch(x, y))
+    if values.dtype.kind not in _REAL_KINDS:
+        raise InvalidParameterError(
+            f"limit-state batch returned dtype {values.dtype}, not real "
+            f"numbers, for {len(x)} rows, the first at {_point(x[0], y[0])}"
+        )
+    values = values.astype(float, copy=False)
     if values.shape != (len(x),):
         raise InvalidParameterError(
             f"limit-state batch returned shape {values.shape} for "
@@ -172,33 +193,36 @@ class HybridProblem:
 def evaluate_rows(problem, x, y):
     """Responses at the rows of x (N, m) and y (N, n): one `lsf_batch`
     call when the problem has one, a per-row `lsf` loop otherwise.  NaN or
-    an infinity raises NonFiniteResponseError, a non-scalar response or a
-    batch not of shape (N,) InvalidParameterError; both name the point."""
+    an infinity raises NonFiniteResponseError, a non-scalar response, a
+    batch not of shape (N,) or a response that is not a real number
+    InvalidParameterError; both name the point."""
     return _rows(problem.lsf, problem.lsf_batch, x, y)
 
 
-def _central_differences(evaluate, point, rel_step, with_point=False):
-    """Central-difference gradient at point from evaluate(rows), the values
-    at the 2k rows of the stencil: row 2i is point + h_i e_i, row 2i + 1 is
-    point - h_i e_i, with h = rel_step * max(1, |point|).  with_point puts
-    the point itself first, as row 0 of one block of 2k + 1 rows, and
-    returns (value at the point, gradient)."""
-    k = point.size
+def _central_differences(evaluate, points, rel_step, with_point=False):
+    """Central-difference gradients at points, one point (k,) or a block of
+    points (P, k), from evaluate(rows), the values at one block of rows
+    that holds each point's stencil in turn: its row 2i is point + h_i e_i,
+    its row 2i + 1 is point - h_i e_i, with h = rel_step * max(1, |point|).
+    with_point puts each point itself first, as row 0 of its 2k + 1 rows,
+    and returns (values at the points, gradients)."""
+    k = points.shape[-1]
     lead = int(with_point)
     # fmax, like max(1.0, nan), steps a NaN coordinate by rel_step
-    h = np.fmax(1.0, np.abs(point))
+    h = np.fmax(1.0, np.abs(points))
     h *= rel_step
-    rows = np.empty((2 * k + lead, k))
-    rows[...] = point
-    # entry i of stencil rows 2i and 2i + 1 sits at i*(2k + 1) and
-    # k + i*(2k + 1) of the flat array, after the lead rows' lead*k entries
-    flat = rows.reshape(-1)
-    np.add(point, h, out=flat[lead * k::2 * k + 1])
-    np.subtract(point, h, out=flat[lead * k + k::2 * k + 1])
-    values = evaluate(rows)
-    gradient = np.subtract(values[lead::2], values[lead + 1::2])
-    gradient /= h + h  # 2h exactly
-    return (float(values[0]), gradient) if with_point else gradient
+    block = points.shape[:-1]  # () for one point
+    rows = np.empty(block + (2 * k + lead, k))
+    rows[...] = points[..., None, :]
+    # entry i of a point's stencil rows 2i and 2i + 1 sits at i*(2k + 1) and
+    # k + i*(2k + 1) of its flat rows, after the lead rows' lead*k entries
+    flat = rows.reshape(block + (-1,))
+    np.add(points, h, out=flat[..., lead * k::2 * k + 1])
+    np.subtract(points, h, out=flat[..., lead * k + k::2 * k + 1])
+    values = evaluate(rows.reshape(-1, k)).reshape(rows.shape[:-1])
+    gradients = np.subtract(values[..., lead::2], values[..., lead + 1::2])
+    gradients /= h + h  # 2h exactly
+    return (values[..., 0], gradients) if with_point else gradients
 
 
 def fd_gradient(func, point, rel_step=1e-6):
@@ -221,8 +245,8 @@ class StandardizedProblem:
     evaluators call the original limit state on the mapped point, so the
     two share a single arithmetic path and agree pointwise by construction.
     A NaN or infinite response raises NonFiniteResponseError, a non-scalar
-    one InvalidParameterError naming its shape; both name the physical
-    point.
+    one or one that is not a real number InvalidParameterError naming its
+    shape or type; both name the physical point.
     """
 
     problem: HybridProblem
@@ -247,6 +271,19 @@ class StandardizedProblem:
         m = self.m
         return phys[..., :m], phys[..., m:]
 
+    def _physical_at_u(self, u, deltas):
+        """The physical (x, y) of the omega rows (u, delta), one for each row
+        delta of deltas (N, n), with `physical`'s arithmetic and so its bits:
+        u is mapped once, not once per row, and x and y are views of one
+        array laid out as `physical` lays out those rows."""
+        m = self.m
+        phys = np.empty((len(deltas), m + self.n))
+        x, y = phys[:, :m], phys[:, m:]
+        x[...] = self.scale[:m] * u + self.shift[:m]
+        np.multiply(self.scale[m:], deltas, out=y)
+        y += self.shift[m:]
+        return x, y
+
     def lsf_omega(self, omega):
         """Checked response at the standardized point omega, an array or a
         sequence."""
@@ -262,20 +299,22 @@ class StandardizedProblem:
 
     def lsf_and_gradient(self, omega, fd_rel_step):
         """(f, gradient) of the standardized limit state at omega = (u,
-        delta): the one derivative call of the design-point search and the
-        polar reduction.
+        delta): the derivative call at one point of the design-point search
+        and the polar reduction.
 
         Without an analytic gradient, central differences with relative
         step fd_rel_step as one block through `lsf_omega_rows`: the point,
-        then the stencil rows of `fd_gradient` in its order.  With one, an
-        `lsf_omega` call and then the chain rule through the affine map; a
-        NaN or infinite analytic gradient raises NonFiniteResponseError
-        naming the gradient and the physical point.
+        then the stencil rows of `fd_gradient` in its order.  (The box
+        refinement puts several points and their stencils in one such
+        block.)  With one, an `lsf_omega` call and then the chain rule
+        through the affine map; a NaN or infinite analytic gradient raises
+        NonFiniteResponseError naming the gradient and the physical point.
         """
         omega = np.asarray(omega, dtype=float)
         if self.problem.gradient is None:
-            return _central_differences(self.lsf_omega_rows, omega, fd_rel_step,
-                                        with_point=True)
+            value, gradient = _central_differences(
+                self.lsf_omega_rows, omega, fd_rel_step, with_point=True)
+            return float(value), gradient
         value = self.lsf_omega(omega)
         x, y = self.physical(omega)
         phys = np.asarray(self.problem.gradient(x, y), dtype=float)

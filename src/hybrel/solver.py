@@ -6,10 +6,11 @@ Gaussian coordinates), then applies one HLRF update to the Gaussian
 coordinates at the fixed box point.  Convergence is declared on the step
 norm of the combined iterate.
 
-The box subproblem is refined by sequential linearization.  A pass takes
-f and its central-difference gradient from one block of limit-state rows,
-the point first and its stencil after, and solves one continuous quadratic
-knapsack: the minimum-norm delta in [-1, 1]^n on a hyperplane, to the
+The box subproblem is refined by sequential linearization from two seeds
+together.  A pass takes f and its central-difference gradient at every
+moving seed from one block of limit-state rows, each seed's point first
+and its stencil after, and solves one continuous quadratic knapsack per
+seed: the minimum-norm delta in [-1, 1]^n on a hyperplane, to the
 bits a plain 200-step bisection of its multiplier gives.  The solve reads
 the multiplier off one evaluation of the floating-point reach at a window
 of 33 consecutive floats around the closed-form breakpoint inverse
@@ -27,7 +28,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DegenerateGradientError, InvalidParameterError
-from .model import evaluate_rows
+from .model import _central_differences, evaluate_rows
 
 __all__ = [
     "SolverSettings",
@@ -247,27 +248,62 @@ def _solve_box_qp(grad, target):
     return np.minimum(np.maximum(0.5 * (lo + hi) * grad, -1.0), 1.0)
 
 
-def _ua_refine(std, u_fixed, delta0, fd_rel_step):
-    """Sequential linearization of the box-constrained minimum-norm problem.
+def _ua_refine(std, u_fixed, seeds, fd_rel_step):
+    """Sequential linearization of the box-constrained minimum-norm problem
+    from each seed at once; one refined delta per seed, in seed order.
 
-    Each pass linearizes f at the current delta and solves the resulting
-    box QP exactly; for affine limit states one pass is exact.  When the
-    zero level set does not meet the box the clamped QP walks to the box
-    point minimizing the linearized |f|, which is the documented fallback.
+    Each pass linearizes f at each moving seed's current delta and solves
+    the resulting box QP exactly; for affine limit states one pass is
+    exact.  When the zero level set does not meet the box the clamped QP
+    walks to the box point minimizing the linearized |f|, which is the
+    documented fallback.  A seed stops moving once its step drops below
+    1e-11 or after _UA_REFINE_ITERATIONS passes.  Without an analytic
+    gradient, the points and stencils of two or more moving seeds are one
+    block of `lsf_omega_rows` rows per pass; a lone seed, or any seed with
+    an analytic gradient, takes its own `lsf_and_gradient` call.  Every
+    limit-state call is the one a seed-by-seed refinement makes, so each
+    delta is that refinement's to the bit.
     """
-    delta = np.asarray(delta0, dtype=float)
     m = std.m
-    omega = np.concatenate([u_fixed, delta])  # each pass overwrites its delta
+    deltas = [np.asarray(seed, dtype=float) for seed in seeds]
+    # row i is (u_fixed, delta) of seed i; each pass overwrites the deltas
+    omegas = np.empty((len(deltas), m + std.n))
+    omegas[:, :m] = u_fixed
+    omegas[:, m:] = deltas
+    moving = range(len(deltas))
     for _ in range(_UA_REFINE_ITERATIONS):
-        value, grad = std.lsf_and_gradient(omega, fd_rel_step)
-        grad = grad[m:]
-        target = float(grad.dot(delta)) - value
-        new = _solve_box_qp(grad, target)
-        if _norm(new - delta) < 1e-11:
-            return new
-        delta = new
-        omega[m:] = new
-    return delta
+        if len(moving) > 1 and std.problem.gradient is None:
+            block = omegas if len(moving) == len(omegas) else omegas[moving]
+            values, grads = _central_differences(std.lsf_omega_rows, block,
+                                                 fd_rel_step, with_point=True)
+            lines = zip(moving, values.tolist(), grads)
+        else:
+            lines = ((i, *std.lsf_and_gradient(omegas[i], fd_rel_step))
+                     for i in moving)
+        still = []
+        for i, value, grad in lines:
+            grad = grad[m:]
+            target = float(grad.dot(deltas[i])) - value
+            new = _solve_box_qp(grad, target)
+            if _norm(new - deltas[i]) >= 1e-11:
+                still.append(i)
+            deltas[i] = new
+            omegas[i, m:] = new
+        if not still:
+            break
+        moving = still
+    return deltas
+
+
+@lru_cache(maxsize=None)
+def _grid(n):
+    """The seed grid of the n-dimensional unit box (n <= 3), read-only:
+    _UA_GRID points per axis, the last coordinate varying fastest."""
+    axes = [np.linspace(-1.0, 1.0, _UA_GRID)] * n
+    mesh = np.meshgrid(*axes, indexing="ij")
+    points = np.stack([g.ravel() for g in mesh], axis=1)
+    points.flags.writeable = False
+    return points
 
 
 @lru_cache(maxsize=None)
@@ -296,37 +332,34 @@ def ua_step(std, u_fixed, fd_rel_step=SolverSettings.fd_rel_step):
 
     Minimizes the combined norm subject to f(u_fixed, delta) = 0 over the
     unit box; with no zero in the box, returns the box point minimizing |f|.
-    For n <= 3 a dense grid of 21 points per axis, evaluated in one
-    `evaluate_rows` call, seeds the refinement; beyond that the refinement
-    runs from the box center and from the best corner, keeping whichever
-    lands better.  The corners are scalar calls through `lsf_omega_rows`.
-    Both map omega rows (u_fixed, delta) through `std.physical`.  With
-    n = 0 the box point is empty.  Gradients without an analytic one are
-    central differences with relative step fd_rel_step.
+    The refinement runs from two seeds together, the box center and the
+    best of a seed set, keeping whichever lands better.  For n <= 3 the
+    seed set is a dense grid of 21 points per axis, built once per n and
+    evaluated in one `evaluate_rows` call on `std._physical_at_u`'s rows;
+    beyond that it is the box corners, scalar calls through
+    `lsf_omega_rows`.  With n = 0 the box point is empty.  Gradients
+    without an analytic one are central differences with relative step
+    fd_rel_step.
     """
     u_fixed = np.asarray(u_fixed, dtype=float)
     n = std.n
     if n == 0:
         return np.empty(0)
 
-    candidates = [np.zeros(n)]
     if n <= 3:
-        axes = [np.linspace(-1.0, 1.0, _UA_GRID)] * n
-        mesh = np.meshgrid(*axes, indexing="ij")
-        points = np.stack([g.ravel() for g in mesh], axis=1)
-        values = evaluate_rows(std.problem, *std.physical(_at_u(u_fixed, points)))
+        points = _grid(n)
+        values = evaluate_rows(std.problem, *std._physical_at_u(u_fixed, points))
         # the shortest of the grid points nearest the zero set
         nearest = points[np.argsort(np.abs(values))[:_UA_GRID]]
-        candidates.append(min(nearest, key=_norm))
+        seed = min(nearest, key=_norm)
     else:
         corner_pts = _corners(n)
         corner_vals = std.lsf_omega_rows(_at_u(u_fixed, corner_pts))
-        candidates.append(corner_pts[int(np.argmin(np.abs(corner_vals)))])
+        seed = corner_pts[int(np.argmin(np.abs(corner_vals)))]
 
     best = None
     best_key = None
-    for seed in candidates:
-        delta = _ua_refine(std, u_fixed, seed, fd_rel_step)
+    for delta in _ua_refine(std, u_fixed, [np.zeros(n), seed], fd_rel_step):
         residual = abs(std.lsf_omega(np.concatenate([u_fixed, delta])))
         # feasible solutions rank before infeasible ones, then by norm
         key = (residual > 1e-8, residual if residual > 1e-8 else 0.0,

@@ -310,10 +310,14 @@ class TestLinearUncertain:
         assert LinearUncertain(2.0, 4.0).cdf(5.0) == 1.0
         assert LinearUncertain(2.0, 4.0).cdf(1.0) == 0.0
 
-    def test_endpoint_convention(self):
-        dist = LinearUncertain(-3.0, 7.0)
-        assert dist.inv(0.0) == -3.0
-        assert dist.inv(1.0) == 7.0
+    @pytest.mark.parametrize("lower, upper", [(-3.0, 7.0), (-1e-9, 3e-9),
+                                              (-0.1, 0.2), (-7.3, 1e-300)])
+    def test_endpoint_convention(self, lower, upper):
+        # lower + 1 * (upper - lower) rounds past upper on the last three
+        dist = LinearUncertain(lower, upper)
+        assert dist.inv(0.0) == lower
+        assert dist.inv(1.0) == upper
+        assert dist.inv(np.array([0.0, 1.0])).tolist() == [lower, upper]
 
     @given(
         st.floats(0, 1),

@@ -1,5 +1,6 @@
 import math
 import os
+from fractions import Fraction
 import subprocess
 import sys
 from dataclasses import replace
@@ -122,6 +123,12 @@ class TestStandardize:
             x1, y1 = std.physical(omega)
             assert (x.tobytes(), y.tobytes()) == (x1.tobytes(), y1.tobytes())
             assert value.tobytes() == np.float64(std.lsf_omega(omega)).tobytes()
+        # the seed grid's map: u mapped once, then each row's delta
+        u, deltas = omegas[0, :m], omegas[:, m:]
+        want = std.physical(np.hstack([np.broadcast_to(u, (rows, m)), deltas]))
+        x, y = std._physical_at_u(u, deltas)
+        assert (x.tobytes(), y.tobytes()) == (want[0].tobytes(), want[1].tobytes())
+        assert x.base is y.base
 
     def test_same_arithmetic_path(self):
         calls = []
@@ -434,6 +441,70 @@ class TestNonFiniteResponse:
                            match=r"shape \(2, 1\) for 2 rows, the first at "
                                  r"x=\[0\.5\], y=\[-1\.0\]"):
             evaluate_rows(problem, *standardize(problem).physical(omegas))
+
+    @pytest.mark.parametrize("bad", [None, "abc", "1.5", np.array("1.0")])
+    def test_response_not_a_real_number_names_its_type(self, bad):
+        # the point path and the scalar-row path both refuse it
+        problem = HybridProblem(
+            lsf=lambda x, y: bad if x[0] > 1.0 else 1.0,
+            randoms=(RandomVariable("x", 0.0, 2.0),),
+            uncertains=(UncertainVariable("y", 0.0, 4.0),),
+        )
+        std = standardize(problem)
+        message = (rf"^limit state returned {type(bad).__name__} of dtype "
+                   rf".+, not a real number, at x=\[1\.5\], y=\[2\.0\]$")
+        with pytest.raises(InvalidParameterError, match=message):
+            std.lsf_omega(np.array([0.75, 0.0]))
+        with pytest.raises(InvalidParameterError, match=message):
+            std.lsf_omega_rows(np.array([[0.25, 0.0], [0.75, 0.0]]))
+
+    def test_run_case_refuses_a_none_response(self):
+        problem = HybridProblem(
+            lsf=lambda x, y: None,
+            randoms=(STD_NORMAL,),
+            uncertains=(UncertainVariable("y", -1.0, 1.0),),
+        )
+        with pytest.raises(InvalidParameterError,
+                           match="returned NoneType of dtype object, not a real number"):
+            run_case(BenchmarkCase("none", problem, "returns None"))
+
+    @pytest.mark.parametrize("good", [10 ** 20, Fraction(3, 2)])
+    def test_python_reals_of_object_dtype(self, good):
+        problem = HybridProblem(lsf=lambda x, y: good, randoms=(STD_NORMAL,))
+        std = standardize(problem)
+        assert std.lsf_omega(np.zeros(1)) == float(good)
+        assert std.lsf_omega_rows(np.zeros((2, 1))).tolist() == [float(good)] * 2
+
+    @pytest.mark.parametrize("bad", [[None] * 2, ["abc"] * 2, np.array(["1.0"] * 2)])
+    def test_batch_not_of_real_numbers_names_its_dtype(self, bad):
+        problem = HybridProblem(
+            lsf=lambda x, y: 3.0 - x[0] - y[0],
+            randoms=(STD_NORMAL,),
+            uncertains=(UncertainVariable("y", -1.0, 1.0),),
+            lsf_batch=lambda x, y: bad,
+        )
+        omegas = np.array([[0.5, -1.0], [0.5, 1.0]])
+        with pytest.raises(InvalidParameterError,
+                           match=r"^limit-state batch returned dtype .+, not real "
+                                 r"numbers, for 2 rows, the first at "
+                                 r"x=\[0\.5\], y=\[-1\.0\]$"):
+            evaluate_rows(problem, *standardize(problem).physical(omegas))
+
+    @pytest.mark.parametrize("good", [3, True, np.float32(1.5), np.int64(-4),
+                                      np.array(2.0)])
+    def test_real_responses_of_every_real_dtype(self, good):
+        problem = HybridProblem(
+            lsf=lambda x, y: good,
+            randoms=(STD_NORMAL,),
+            uncertains=(UncertainVariable("y", -1.0, 1.0),),
+            lsf_batch=lambda x, y: np.full(len(x), good),
+        )
+        std = standardize(problem)
+        omegas = np.zeros((2, 2))
+        want = float(good)
+        assert std.lsf_omega(omegas[0]) == want
+        assert std.lsf_omega_rows(omegas).tolist() == [want, want]
+        assert evaluate_rows(problem, *std.physical(omegas)).tolist() == [want, want]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("oracle, batch", [

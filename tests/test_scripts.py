@@ -64,12 +64,15 @@ def test_lsf_call_us():
 
     assert lines[4] == ""
     assert lines[5].split() == ["search", "solves", "solve_us", "reach_calls",
-                                "reach_rows"]
+                                "reach_rows", "blocks", "search_ms"]
     solves = [line.split() for line in lines[6:]]
     assert [row[0] for row in solves] == ["cantilever_tube", "crank_slider(t=40)"]
-    for _, count, solve_us, calls, rows in solves:
+    for _, count, solve_us, calls, rows, blocks, search_ms in solves:
         assert int(count) > 0 and float(solve_us) > 0.0
         assert 1.0 <= float(calls) <= float(rows)
+        assert float(search_ms) > 0.0
+    # the tube's search: both box seeds' passes share a block
+    assert int(solves[0][5]) == 260
 
 
 @pytest.mark.skipif(shutil.which("git") is None or not (ROOT / ".git").exists(),

@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hybrel import solver
+from hybrel.benchmarks import case_cantilever_tube
 from hybrel.errors import (
     DegenerateGradientError,
     InvalidParameterError,
@@ -14,11 +16,14 @@ from hybrel.errors import (
 )
 from hybrel.model import HybridProblem, RandomVariable, UncertainVariable, standardize
 from hybrel.solver import (
+    _at_u,
     _breakpoints,
     _corners,
+    _grid,
     _reach,
     _reach_inverse,
     _solve_box_qp,
+    _ua_refine,
     find_design_point,
     pa_step,
     ua_step,
@@ -372,6 +377,16 @@ class TestUaStep:
         assert _corners(n) is corners
         assert not corners.flags.writeable
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_grid_built_once_per_n(self, n):
+        axes = [np.linspace(-1.0, 1.0, 21)] * n
+        want = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                        axis=1)
+        grid = _grid(n)
+        assert grid.tobytes() == want.tobytes()
+        assert _grid(n) is grid
+        assert not grid.flags.writeable
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "shape"])
     def test_bad_corner_names_its_point(self, bad):
         # the corner (-1, 1, 1, -1) answers bad; the error is the one
@@ -394,6 +409,97 @@ class TestUaStep:
         assert str(from_corner.value) == str(from_point.value)
         assert str(from_point.value).endswith(
             "at x=[0.25], y=[-1.0, 1.0, 1.0, -1.0]")
+
+
+def _counted_std(problem):
+    """The standardized problem whose lsf, gradient and lsf_omega_rows
+    count their calls, and the counts."""
+    calls = {"lsf": 0, "gradient": 0, "blocks": 0}
+
+    def lsf(x, y):
+        calls["lsf"] += 1
+        return problem.lsf(x, y)
+
+    def gradient(x, y):
+        calls["gradient"] += 1
+        return problem.gradient(x, y)
+
+    std = standardize(replace(problem, lsf=lsf, gradient=(
+        None if problem.gradient is None else gradient)))
+    rows = std.lsf_omega_rows
+
+    def lsf_omega_rows(omegas):
+        calls["blocks"] += 1
+        return rows(omegas)
+
+    object.__setattr__(std, "lsf_omega_rows", lsf_omega_rows)
+    return std, calls
+
+
+def _quadratic(gradient):
+    # from the box centre a seed stops after 2 passes, from (1, 1) after 10
+    return HybridProblem(
+        lsf=lambda x, y: 1.2 - 0.3 * x[0] - y[0] ** 2 - 0.5 * y[1],
+        randoms=(RandomVariable("x", 0.0, 1.0),),
+        uncertains=(UncertainVariable("a", -1.0, 1.0),
+                    UncertainVariable("b", -1.0, 1.0)),
+        gradient=(lambda x, y: [-0.3, -2.0 * y[0], -0.5]) if gradient else None,
+    )
+
+
+class TestUaRefine:
+    """Refining seeds together is refining them one by one: the same
+    limit-state calls, and each seed's delta to the bit."""
+
+    def _assert_block_is_seed_by_seed(self, problem, u, seeds):
+        std, calls = _counted_std(problem)
+        together = _ua_refine(std, u, seeds, 1e-6)
+        joint = dict(calls)
+        alone = {key: 0 for key in calls}
+        for seed, delta in zip(seeds, together):
+            calls.update(lsf=0, gradient=0, blocks=0)
+            (want,) = _ua_refine(std, u, [seed], 1e-6)
+            assert delta.tobytes() == want.tobytes()
+            alone = {key: alone[key] + calls[key] for key in calls}
+        assert (joint["lsf"], joint["gradient"]) == (alone["lsf"], alone["gradient"])
+        return joint, alone
+
+    def test_tube_both_seeds_run_every_pass(self):
+        problem = case_cantilever_tube().problem
+        std = standardize(problem)
+        u = np.zeros(std.m)
+        corners = _corners(std.n)
+        values = std.lsf_omega_rows(_at_u(u, corners))
+        seeds = [np.zeros(std.n), corners[int(np.argmin(np.abs(values)))]]
+        joint, alone = self._assert_block_is_seed_by_seed(problem, u, seeds)
+        # 50 passes of 25 rows per seed, both seeds in one block per pass
+        assert joint["lsf"] == 2 * 50 * (2 * (std.m + std.n) + 1)
+        assert (joint["blocks"], alone["blocks"]) == (50, 100)
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_one_seed_stops_first(self, order):
+        seeds = [np.zeros(2), np.ones(2)][::order]
+        joint, alone = self._assert_block_is_seed_by_seed(
+            _quadratic(gradient=False), np.array([0.5]), seeds)
+        # 2 passes in one block, then the other seed's 8 alone
+        assert joint["lsf"] == (2 + 10) * 7
+        assert (joint["blocks"], alone["blocks"]) == (10, 12)
+
+    def test_three_seeds_stop_in_turn(self):
+        # 2, 11 and 10 passes: the two that move on after the first stops
+        # share a block until pass 10
+        seeds = [np.zeros(2), np.array([0.5, -1.0]), np.ones(2)]
+        joint, alone = self._assert_block_is_seed_by_seed(
+            _quadratic(gradient=False), np.array([0.5]), seeds)
+        assert joint["lsf"] == (2 + 11 + 10) * 7
+        assert (joint["blocks"], alone["blocks"]) == (11, 23)
+
+    def test_analytic_gradient(self):
+        seeds = [np.zeros(2), np.ones(2)]
+        joint, _ = self._assert_block_is_seed_by_seed(
+            _quadratic(gradient=True), np.array([0.5]), seeds)
+        assert joint["lsf"] == joint["gradient"] > 0
+        assert joint["blocks"] == 0
 
 
 class TestPaStep:
