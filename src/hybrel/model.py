@@ -37,8 +37,17 @@ __all__ = [
 ]
 
 
-# numpy dtype kinds of real numbers: bool, signed and unsigned int, float
-_REAL_KINDS = "biuf"
+def _all_real(array):
+    """Whether every entry of array is a real number: a bool, integer or
+    float dtype, or an object dtype whose entries are each a numbers.Real
+    or a Decimal (a Python int past int64, a Fraction, say)."""
+    kind = array.dtype.kind
+    if kind in "biuf":
+        return True
+    if kind != "O":
+        return False
+    from decimal import Decimal  # only an object array needs it
+    return all(isinstance(value, (numbers.Real, Decimal)) for value in array.flat)
 
 
 def _point(x, y):
@@ -63,8 +72,7 @@ def _response(value, x, y):
             f"limit state returned shape {array.shape}, not a scalar, "
             f"at {_point(x, y)}"
         )
-    # a Python int past int64 or a Fraction is real but has an object dtype
-    if array.dtype.kind not in _REAL_KINDS and not isinstance(value, numbers.Real):
+    if not _all_real(array):
         raise InvalidParameterError(
             f"limit state returned {type(value).__name__} of dtype "
             f"{array.dtype}, not a real number, at {_point(x, y)}"
@@ -89,7 +97,7 @@ def _rows(lsf, lsf_batch, x, y):
              else _response(value, xi, yi) for xi, yi in zip(x, y)),
             float, len(x))
     values = np.asarray(lsf_batch(x, y))
-    if values.dtype.kind not in _REAL_KINDS:
+    if not _all_real(values):
         raise InvalidParameterError(
             f"limit-state batch returned dtype {values.dtype}, not real "
             f"numbers, for {len(x)} rows, the first at {_point(x[0], y[0])}"
@@ -228,10 +236,11 @@ def _central_differences(evaluate, points, rel_step, with_point=False):
 def fd_gradient(func, point, rel_step=1e-6):
     """Central finite-difference gradient with per-coordinate step
     h = rel_step * max(1, |coordinate|); func is called at point + h_i e_i,
-    then at point - h_i e_i, coordinate by coordinate."""
+    then at point - h_i e_i, coordinate by coordinate.  A scalar point is
+    a point of one coordinate."""
     return _central_differences(
         lambda rows: np.fromiter(map(func, rows), float, len(rows)),
-        np.asarray(point, dtype=float), rel_step)
+        np.atleast_1d(np.asarray(point, dtype=float)), rel_step)
 
 
 @dataclass(frozen=True)
@@ -270,19 +279,6 @@ class StandardizedProblem:
         phys += self.shift
         m = self.m
         return phys[..., :m], phys[..., m:]
-
-    def _physical_at_u(self, u, deltas):
-        """The physical (x, y) of the omega rows (u, delta), one for each row
-        delta of deltas (N, n), with `physical`'s arithmetic and so its bits:
-        u is mapped once, not once per row, and x and y are views of one
-        array laid out as `physical` lays out those rows."""
-        m = self.m
-        phys = np.empty((len(deltas), m + self.n))
-        x, y = phys[:, :m], phys[:, m:]
-        x[...] = self.scale[:m] * u + self.shift[:m]
-        np.multiply(self.scale[m:], deltas, out=y)
-        y += self.shift[m:]
-        return x, y
 
     def lsf_omega(self, omega):
         """Checked response at the standardized point omega, an array or a

@@ -250,7 +250,8 @@ def _solve_box_qp(grad, target):
 
 def _ua_refine(std, u_fixed, seeds, fd_rel_step):
     """Sequential linearization of the box-constrained minimum-norm problem
-    from each seed at once; one refined delta per seed, in seed order.
+    from one or two seeds at once; one refined delta per seed, in seed
+    order.
 
     Each pass linearizes f at each moving seed's current delta and solves
     the resulting box QP exactly; for affine limit states one pass is
@@ -258,30 +259,31 @@ def _ua_refine(std, u_fixed, seeds, fd_rel_step):
     walks to the box point minimizing the linearized |f|, which is the
     documented fallback.  A seed stops moving once its step drops below
     1e-11 or after _UA_REFINE_ITERATIONS passes.  Without an analytic
-    gradient, the points and stencils of two or more moving seeds are one
-    block of `lsf_omega_rows` rows per pass; a lone seed, or any seed with
-    an analytic gradient, takes its own `lsf_and_gradient` call.  Every
+    gradient, a pass is one block of `lsf_omega_rows` rows: both seeds'
+    points and stencils while both move, a lone seed's own after; with
+    one, each seed takes its own `lsf_and_gradient` call.  Every
     limit-state call is the one a seed-by-seed refinement makes, so each
     delta is that refinement's to the bit.
     """
-    m = std.m
+    m, k = std.m, std.m + std.n
     deltas = [np.asarray(seed, dtype=float) for seed in seeds]
     # row i is (u_fixed, delta) of seed i; each pass overwrites the deltas
-    omegas = np.empty((len(deltas), m + std.n))
+    omegas = np.empty((len(deltas), k))
     omegas[:, :m] = u_fixed
     omegas[:, m:] = deltas
-    moving = range(len(deltas))
+    moving = list(range(len(deltas)))
     for _ in range(_UA_REFINE_ITERATIONS):
-        if len(moving) > 1 and std.problem.gradient is None:
-            block = omegas if len(moving) == len(omegas) else omegas[moving]
+        if std.problem.gradient is not None:
+            lines = [std.lsf_and_gradient(omegas[i], fd_rel_step) for i in moving]
+        else:
+            # a lone seed's row is a 1-D view, whose pass costs what an
+            # lsf_and_gradient call does
+            block = omegas[moving[0]] if len(moving) == 1 else omegas
             values, grads = _central_differences(std.lsf_omega_rows, block,
                                                  fd_rel_step, with_point=True)
-            lines = zip(moving, values.tolist(), grads)
-        else:
-            lines = ((i, *std.lsf_and_gradient(omegas[i], fd_rel_step))
-                     for i in moving)
+            lines = zip(values.reshape(-1).tolist(), grads.reshape(-1, k))
         still = []
-        for i, value, grad in lines:
+        for i, (value, grad) in zip(moving, lines):
             grad = grad[m:]
             target = float(grad.dot(deltas[i])) - value
             new = _solve_box_qp(grad, target)
@@ -335,8 +337,8 @@ def ua_step(std, u_fixed, fd_rel_step=SolverSettings.fd_rel_step):
     The refinement runs from two seeds together, the box center and the
     best of a seed set, keeping whichever lands better.  For n <= 3 the
     seed set is a dense grid of 21 points per axis, built once per n and
-    evaluated in one `evaluate_rows` call on `std._physical_at_u`'s rows;
-    beyond that it is the box corners, scalar calls through
+    evaluated in one `evaluate_rows` call on its omega rows mapped by
+    `std.physical`; beyond that it is the box corners, scalar calls through
     `lsf_omega_rows`.  With n = 0 the box point is empty.  Gradients
     without an analytic one are central differences with relative step
     fd_rel_step.
@@ -348,7 +350,7 @@ def ua_step(std, u_fixed, fd_rel_step=SolverSettings.fd_rel_step):
 
     if n <= 3:
         points = _grid(n)
-        values = evaluate_rows(std.problem, *std._physical_at_u(u_fixed, points))
+        values = evaluate_rows(std.problem, *std.physical(_at_u(u_fixed, points)))
         # the shortest of the grid points nearest the zero set
         nearest = points[np.argsort(np.abs(values))[:_UA_GRID]]
         seed = min(nearest, key=_norm)

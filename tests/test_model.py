@@ -1,5 +1,6 @@
 import math
 import os
+from decimal import Decimal
 from fractions import Fraction
 import subprocess
 import sys
@@ -123,12 +124,6 @@ class TestStandardize:
             x1, y1 = std.physical(omega)
             assert (x.tobytes(), y.tobytes()) == (x1.tobytes(), y1.tobytes())
             assert value.tobytes() == np.float64(std.lsf_omega(omega)).tobytes()
-        # the seed grid's map: u mapped once, then each row's delta
-        u, deltas = omegas[0, :m], omegas[:, m:]
-        want = std.physical(np.hstack([np.broadcast_to(u, (rows, m)), deltas]))
-        x, y = std._physical_at_u(u, deltas)
-        assert (x.tobytes(), y.tobytes()) == (want[0].tobytes(), want[1].tobytes())
-        assert x.base is y.base
 
     def test_same_arithmetic_path(self):
         calls = []
@@ -167,6 +162,13 @@ class TestStandardize:
         value, fused = std.lsf_and_gradient(omega, FD_STEP)
         assert value == std.lsf_omega(omega)
         assert fused.tobytes() == grad.tobytes()
+
+    def test_fd_gradient_of_a_scalar_point(self):
+        # a scalar point is a point of one coordinate
+        grad = fd_gradient(lambda p: p[0] ** 3, 2.0, FD_STEP)
+        assert grad.shape == (1,)
+        assert grad.tobytes() == fd_gradient(lambda p: p[0] ** 3, [2.0], FD_STEP).tobytes()
+        assert grad[0] == pytest.approx(12.0, rel=1e-8)
 
     def test_empty_problem_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -442,7 +444,7 @@ class TestNonFiniteResponse:
                                  r"x=\[0\.5\], y=\[-1\.0\]"):
             evaluate_rows(problem, *standardize(problem).physical(omegas))
 
-    @pytest.mark.parametrize("bad", [None, "abc", "1.5", np.array("1.0")])
+    @pytest.mark.parametrize("bad", [None, "abc", "1.5", np.array("1.0"), 1j])
     def test_response_not_a_real_number_names_its_type(self, bad):
         # the point path and the scalar-row path both refuse it
         problem = HybridProblem(
@@ -468,14 +470,19 @@ class TestNonFiniteResponse:
                            match="returned NoneType of dtype object, not a real number"):
             run_case(BenchmarkCase("none", problem, "returns None"))
 
-    @pytest.mark.parametrize("good", [10 ** 20, Fraction(3, 2)])
+    @pytest.mark.parametrize("good", [10 ** 20, Fraction(3, 2), Decimal("2.5")])
     def test_python_reals_of_object_dtype(self, good):
-        problem = HybridProblem(lsf=lambda x, y: good, randoms=(STD_NORMAL,))
+        # the point, scalar-row and batch paths take the same values
+        problem = HybridProblem(lsf=lambda x, y: good, randoms=(STD_NORMAL,),
+                                lsf_batch=lambda x, y: [good] * len(x))
         std = standardize(problem)
         assert std.lsf_omega(np.zeros(1)) == float(good)
         assert std.lsf_omega_rows(np.zeros((2, 1))).tolist() == [float(good)] * 2
+        values = evaluate_rows(problem, *std.physical(np.zeros((2, 1))))
+        assert values.tolist() == [float(good)] * 2
 
-    @pytest.mark.parametrize("bad", [[None] * 2, ["abc"] * 2, np.array(["1.0"] * 2)])
+    @pytest.mark.parametrize("bad", [[None] * 2, ["abc"] * 2, np.array(["1.0"] * 2),
+                                     [Fraction(1, 2), None]])
     def test_batch_not_of_real_numbers_names_its_dtype(self, bad):
         problem = HybridProblem(
             lsf=lambda x, y: 3.0 - x[0] - y[0],

@@ -485,15 +485,6 @@ class TestUaRefine:
         assert joint["lsf"] == (2 + 10) * 7
         assert (joint["blocks"], alone["blocks"]) == (10, 12)
 
-    def test_three_seeds_stop_in_turn(self):
-        # 2, 11 and 10 passes: the two that move on after the first stops
-        # share a block until pass 10
-        seeds = [np.zeros(2), np.array([0.5, -1.0]), np.ones(2)]
-        joint, alone = self._assert_block_is_seed_by_seed(
-            _quadratic(gradient=False), np.array([0.5]), seeds)
-        assert joint["lsf"] == (2 + 11 + 10) * 7
-        assert (joint["blocks"], alone["blocks"]) == (11, 23)
-
     def test_analytic_gradient(self):
         seeds = [np.zeros(2), np.ones(2)]
         joint, _ = self._assert_block_is_seed_by_seed(
