@@ -18,11 +18,14 @@ with that side's `src` first on the path:
                 one per route of degenerate_random: the affine closed form
                 (m = 2), the sign grid with batched crossing bisection
                 (nonlinear, m = 1) and the 200-node quadrature
-                (nonlinear, m = 2), then on two mixed
+                (nonlinear, m = 2), then on three mixed
                 problems whose uncertain input's sign changes across the
-                random support: 0.5 + x0 y0 (m = n = 1) and 0.5 + x0 (y0 +
-                0.3 y0^3) + 0.1 x1 (m = 2, n = 1), with the calls and rows
-                each makes
+                random support: 0.5 + x0 y0 (m = n = 1), 0.5 + x0 (y0 +
+                0.3 y0^3) + 0.1 x1 (m = 2, n = 1) and 0.5 + x0 y0 - 1e-4 y1
+                + 2e-4 y2 on a narrow box for y1 and a wide one for y2 (m =
+                1, n = 3), and on 1.2 - y0 + 0.5 y1 - 0.3 y2 (m = 0, n =
+                3), with the calls and rows each makes; at n = 3 the sign
+                probes' rows move with their stencil
   box           hybrel.solver._solve_box_qp on a fixed seeded set of
                 gradients and targets, per kind of solve the count and one
                 sha256 of the delta bytes: targets inside the reach, top
@@ -87,6 +90,11 @@ ORACLE_PROBLEMS = (
     ("mixed m=2 n=1",
      lambda x, y: 0.5 + x.T[0] * (y.T[0] + 0.3 * y.T[0] ** 3) + 0.1 * x.T[1],
      ((0.0, 1.0), (0.0, 1.0)), ((-1.0, 1.0),)),
+    ("mixed m=1 n=3",
+     lambda x, y: 0.5 + x.T[0] * y.T[0] - 1e-4 * y.T[1] + 2e-4 * y.T[2],
+     ((0.0, 1.0),), ((-1.0, 1.0), (0.0, 1e-3), (0.0, 1e3))),
+    ("uncertain n=3", lambda x, y: 1.2 - y.T[0] + 0.5 * y.T[1] - 0.3 * y.T[2],
+     (), ((0.0, 1.0),) * 3),
 )
 
 BOX_SOLVES = 200  # seeded box solves per kind

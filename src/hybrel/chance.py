@@ -32,7 +32,7 @@ from .errors import (
     InvalidParameterError,
     UnsupportedDimensionError,
 )
-from .model import _rows, evaluate_rows, standardize
+from .model import _central_differences, _rows, evaluate_rows, standardize
 
 __all__ = [
     "MonotonicityProfile",
@@ -48,6 +48,7 @@ __all__ = [
 _SIGNS = ("increasing", "decreasing", "unknown")
 _BOX_PROBES = 5  # pseudo-random uncertain points re-checked per random point
 _SUPPORT_PROBES = 5  # random points, within 2.5 sigma, re-checked per profile
+_LEVEL_STEP = 1e-6  # central-difference step in an uncertain variable's level
 _ROOT_TOL = 1e-10  # |h(alpha)| accepted as the belief root
 _PRESCAN = 11  # belief levels scanned for a monotonicity violation
 _BLOCK = 1 << 14  # quadrature nodes per pass of the belief bisection
@@ -76,38 +77,37 @@ class MonotonicityProfile:
 
 
 def _signs_at(rows, randoms, unc_dists, probed=None):
-    """(rising, falling), (k, n) bools: the central-difference signs of each
-    uncertain variable at each row of randoms (k, m), probed at the support
-    midpoint and 5 deterministic pseudo-random points of the box, all in
-    one `rows` call.  A probe where the partial vanishes adds no sign.
-    probed, an (n,) bool mask, limits the differences to its variables
-    (the others show no sign) at the same probe points."""
+    """(rising, falling), (k, n) bools: the signs of each uncertain
+    variable's partial at each row of randoms (k, m), from one `rows` call
+    of `model._central_differences` over the levels t of the box, tau = lo
+    + t w, with step _LEVEL_STEP: at the box midpoint and 5 deterministic
+    pseudo-random levels, each probe's own row, then t +- h per probed
+    variable.  A partial counts when |df/dt| > 5e-7 max(1, |f(tau)|) min(1,
+    w), as |f(tau + h) - f(tau - h)| > 1e-12 max(1, |f(tau)|) at h = 1e-6
+    max(1, w) in tau would.  probed, an (n,) bool mask, limits the
+    differences to its variables (the others show no sign)."""
     n = len(unc_dists)
     if n == 0:
         return np.zeros((2, len(randoms), 0), dtype=bool)
     lo = np.array([d.inv(0.0) for d in unc_dists])
-    hi = np.array([d.inv(1.0) for d in unc_dists])
+    width = np.array([d.inv(1.0) for d in unc_dists]) - lo
+    probed = np.ones(n, dtype=bool) if probed is None else probed
     rng = np.random.default_rng(0)
-    probes = [0.5 * (lo + hi)]
-    for _ in range(_BOX_PROBES):
-        probes.append(lo + rng.uniform(0.05, 0.95, size=n) * (hi - lo))
+    levels = np.vstack([np.full(n, 0.5), rng.uniform(0.05, 0.95, (_BOX_PROBES, n))])
+    randoms = np.array(randoms, ndmin=2)
+    k, p, per = len(randoms), len(levels), 2 * np.count_nonzero(probed) + 1
 
-    # for each random point, probed variable i and probe tau: tau + h_i e_i,
-    # tau - h_i e_i and tau itself, in that order
-    h = np.diag(1e-6 * np.maximum(1.0, np.abs(hi - lo)))
-    if probed is not None:
-        h = h[probed]
-    offsets = np.stack([h, -h, np.zeros_like(h)], axis=1)
-    taus = np.array(probes)[None, :, None, :] + offsets[:, None]
-    k, size = len(randoms), taus.size // n
-    values = rows(np.repeat(np.array(randoms, ndmin=2), size, axis=0),
-                  np.tile(taus.reshape(size, n), (k, 1)))
-    plus, minus, mid = np.moveaxis(values.reshape(k, *taus.shape[:-1]), -1, 0)
-    diff = plus - minus
-    signed = np.abs(diff) > 1e-12 * np.maximum(1.0, np.abs(mid))
+    def at_levels(probe_rows):  # each random point's probes in turn, per rows each
+        full = np.repeat(np.tile(levels, (k, 1)), per, axis=0)
+        full[:, probed] = probe_rows
+        return rows(np.repeat(randoms, p * per, axis=0), lo + full * width)
+
+    mid, grads = _central_differences(at_levels, np.broadcast_to(
+        levels[:, probed], (k, p, per // 2)), _LEVEL_STEP, with_point=True)
+    floor = 5e-7 * np.maximum(1.0, np.abs(mid))[..., None] * np.minimum(1.0, width[probed])
+    grads[np.abs(grads) <= floor] = 0.0  # a partial this small shows no sign
     signs = np.zeros((2, k, n), dtype=bool)
-    signs[:, :, slice(None) if probed is None else probed] = (
-        (signed & (diff > 0)).any(axis=2), (signed & (diff < 0)).any(axis=2))
+    signs[:, :, probed] = (grads > 0).any(axis=1), (grads < 0).any(axis=1)
     return signs
 
 
@@ -142,7 +142,8 @@ def _support_profile(rows, prob_dists, unc_dists):
     no sign."""
     points = [np.array([d.inv_cdf(0.5) for d in prob_dists])]
     rng = np.random.default_rng(0)
-    for z in rng.uniform(-2.5, 2.5, size=(_SUPPORT_PROBES, len(prob_dists))):
+    m = len(prob_dists)  # with no random inputs the median is the only point
+    for z in rng.uniform(-2.5, 2.5, size=(_SUPPORT_PROBES if m else 0, m)):
         points.append(np.array([d.inv_cdf(normal_cdf(v))
                                 for d, v in zip(prob_dists, z)]))
     return _profile(*_signs_at(rows, points, unc_dists))

@@ -159,7 +159,7 @@ class HybridProblem:
     lsf(x, y) takes the physical random vector (length m) and physical
     uncertain vector (length n) and returns the scalar performance response;
     response > 0 is safe, <= 0 failed.  The optional analytic `gradient`
-    callable must return the concatenated (df/dx, df/dy) vector at (x, y);
+    callable must return (df/dx, df/dy) at (x, y) as m + n real numbers;
     when absent derivatives fall back to central finite differences.  The
     optional `lsf_batch` accepts (N, m) and (N, n) arrays and returns (N,)
     responses; the Monte Carlo oracle, the design-point search's seed grid
@@ -209,7 +209,7 @@ def evaluate_rows(problem, x, y):
 
 def _central_differences(evaluate, points, rel_step, with_point=False):
     """Central-difference gradients at points, one point (k,) or a block of
-    points (P, k), from evaluate(rows), the values at one block of rows
+    points (..., k), from evaluate(rows), the values at one block of rows
     that holds each point's stencil in turn: its row 2i is point + h_i e_i,
     its row 2i + 1 is point - h_i e_i, with h = rel_step * max(1, |point|).
     with_point puts each point itself first, as row 0 of its 2k + 1 rows,
@@ -294,26 +294,35 @@ class StandardizedProblem:
         return _rows(self.problem.lsf, None, *self.physical(omegas))
 
     def lsf_and_gradient(self, omega, fd_rel_step):
-        """(f, gradient) of the standardized limit state at omega = (u,
-        delta): the derivative call at one point of the design-point search
-        and the polar reduction.
+        """(f, gradient) of the standardized limit state at one point omega
+        = (u, delta), (k,), as (float, (k,) gradient), or at a block of
+        points (P, k), as ((P,) values, (P, k) gradients): the one
+        derivative call of the design-point search and the polar reduction.
 
-        Without an analytic gradient, central differences with relative
-        step fd_rel_step as one block through `lsf_omega_rows`: the point,
-        then the stencil rows of `fd_gradient` in its order.  (The box
-        refinement puts several points and their stencils in one such
-        block.)  With one, an `lsf_omega` call and then the chain rule
-        through the affine map; a NaN or infinite analytic gradient raises
-        NonFiniteResponseError naming the gradient and the physical point.
+        Without an analytic gradient, central differences with step h_i =
+        fd_rel_step * max(1, |omega_i|) in one `lsf_omega_rows` block: each
+        point, then its stencil rows in `fd_gradient`'s order.  With one,
+        each point in turn takes an `lsf_omega` call, then a `gradient` call
+        and the chain rule; a gradient not of shape (m + n,) and real raises
+        InvalidParameterError naming its shape and dtype, a NaN or infinite
+        one NonFiniteResponseError, each naming the physical point.
         """
         omega = np.asarray(omega, dtype=float)
         if self.problem.gradient is None:
             value, gradient = _central_differences(
                 self.lsf_omega_rows, omega, fd_rel_step, with_point=True)
-            return float(value), gradient
+            return (float(value) if omega.ndim == 1 else value), gradient
+        if omega.ndim == 2:
+            pairs = [self.lsf_and_gradient(row, fd_rel_step) for row in omega]
+            return np.array([v for v, _ in pairs]), np.array([g for _, g in pairs])
         value = self.lsf_omega(omega)
         x, y = self.physical(omega)
-        phys = np.asarray(self.problem.gradient(x, y), dtype=float)
+        phys = np.asarray(self.problem.gradient(x, y))
+        if phys.shape != omega.shape or not _all_real(phys):
+            raise InvalidParameterError(
+                f"gradient returned shape {phys.shape} of dtype {phys.dtype}, "
+                f"not {omega.shape} real numbers, at {_point(x, y)}")
+        phys = phys.astype(float, copy=False)
         if not np.isfinite(phys).all():
             raise _non_finite("gradient", phys.tolist(), x, y)
         return value, phys * self.scale

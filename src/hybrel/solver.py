@@ -7,16 +7,15 @@ coordinates at the fixed box point.  Convergence is declared on the step
 norm of the combined iterate.
 
 The box subproblem is refined by sequential linearization from two seeds
-together.  A pass takes f and its central-difference gradient at every
-moving seed from one block of limit-state rows, each seed's point first
-and its stencil after, and solves one continuous quadratic knapsack per
-seed: the minimum-norm delta in [-1, 1]^n on a hyperplane, to the
-bits a plain 200-step bisection of its multiplier gives.  The solve reads
-the multiplier off one evaluation of the floating-point reach at a window
-of 33 consecutive floats around the closed-form breakpoint inverse
-(Kiwiel 2008), or takes the box corner at the bottom clamp; any other
-solve runs that bisection.  No solve of the paper rows or the belief rows
-bisects.
+together.  A pass takes f and its gradient at every moving seed from one
+`lsf_and_gradient` call, which alone decides how to differentiate, and
+solves one continuous quadratic knapsack per seed: the minimum-norm delta
+in [-1, 1]^n on a hyperplane, to the bits a plain 200-step bisection of
+its multiplier gives.  The solve reads the multiplier off one evaluation
+of the floating-point reach at a window of 33 consecutive floats around
+the closed-form breakpoint inverse (Kiwiel 2008), or takes the box corner
+at the bottom clamp; any other solve runs that bisection.  No solve of the
+paper rows or the belief rows bisects.
 """
 
 import logging
@@ -28,7 +27,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DegenerateGradientError, InvalidParameterError
-from .model import _central_differences, evaluate_rows
+from .model import evaluate_rows
 
 __all__ = [
     "SolverSettings",
@@ -258,12 +257,10 @@ def _ua_refine(std, u_fixed, seeds, fd_rel_step):
     exact.  When the zero level set does not meet the box the clamped QP
     walks to the box point minimizing the linearized |f|, which is the
     documented fallback.  A seed stops moving once its step drops below
-    1e-11 or after _UA_REFINE_ITERATIONS passes.  Without an analytic
-    gradient, a pass is one block of `lsf_omega_rows` rows: both seeds'
-    points and stencils while both move, a lone seed's own after; with
-    one, each seed takes its own `lsf_and_gradient` call.  Every
-    limit-state call is the one a seed-by-seed refinement makes, so each
-    delta is that refinement's to the bit.
+    1e-11 or after _UA_REFINE_ITERATIONS passes.  A pass is one
+    `lsf_and_gradient` call on the moving rows: both seeds' block while
+    both move, a lone seed's point after.  So every limit-state call and
+    each delta are a seed-by-seed refinement's, to the bit.
     """
     m, k = std.m, std.m + std.n
     deltas = [np.asarray(seed, dtype=float) for seed in seeds]
@@ -273,15 +270,12 @@ def _ua_refine(std, u_fixed, seeds, fd_rel_step):
     omegas[:, m:] = deltas
     moving = list(range(len(deltas)))
     for _ in range(_UA_REFINE_ITERATIONS):
-        if std.problem.gradient is not None:
-            lines = [std.lsf_and_gradient(omegas[i], fd_rel_step) for i in moving]
+        if len(moving) == 1:
+            # a lone seed's row is a 1-D view: a block of one costs more
+            lines = [std.lsf_and_gradient(omegas[moving[0]], fd_rel_step)]
         else:
-            # a lone seed's row is a 1-D view, whose pass costs what an
-            # lsf_and_gradient call does
-            block = omegas[moving[0]] if len(moving) == 1 else omegas
-            values, grads = _central_differences(std.lsf_omega_rows, block,
-                                                 fd_rel_step, with_point=True)
-            lines = zip(values.reshape(-1).tolist(), grads.reshape(-1, k))
+            values, grads = std.lsf_and_gradient(omegas, fd_rel_step)
+            lines = zip(values.tolist(), grads)
         still = []
         for i, (value, grad) in zip(moving, lines):
             grad = grad[m:]

@@ -52,6 +52,31 @@ class TestProfileDetection:
         profile = detect_profile(f, NO_RANDOMS, [lin01()])
         assert profile.signs == ("increasing",)
 
+    NARROW, WIDE = [LinearUncertain(0.0, 1e-3)] * 2, [LinearUncertain(0.0, 1e3)] * 2
+
+    @pytest.mark.parametrize("f, x0, dists, signs", [
+        # a partial counts above 5e-7 max(1, |f|) per unit of tau on a box of
+        # width at most 1, and above 5e-7 max(1, |f|) / width on a wider one
+        (lambda x, t: 0.3 + x[0] * t[0] - 1e-4 * t[1], 1.0, NARROW,
+         ("increasing", "decreasing")),
+        (lambda x, t: 0.3 + x[0] * t[0] - 1e-8 * t[1], 1.0, NARROW,
+         ("increasing", "increasing")),
+        (lambda x, t: 0.3 + x[0] * t[0] - 1e-6 * t[1], -1e-3, WIDE,
+         ("decreasing", "decreasing")),
+        (lambda x, t: 0.3 + x[0] * t[0] - 1e-11 * t[1], -1e-3, WIDE,
+         ("decreasing", "increasing")),
+        (lambda x, t: 0.3 + x[0] * t[0] - 1e-4 * t[1], -1.0,
+         [LinearUncertain(0.0, 1e-3), LinearUncertain(0.0, 1e3)],
+         ("decreasing", "decreasing")),
+        (lambda x, t: (t[0] - 5e-4) ** 2 - 1e-4 * t[1], 0.0, NARROW,
+         ("unknown", "decreasing")),
+        (lambda x, t: (t[0] - 500.0) ** 2 + 1e-4 * t[1], 0.0, WIDE,
+         ("unknown", "increasing")),
+    ], ids=["narrow", "narrow_flat", "wide", "wide_flat", "mixed",
+            "narrow_unknown", "wide_unknown"])
+    def test_signs_on_narrow_and_wide_boxes(self, f, x0, dists, signs):
+        assert detect_profile(f, [x0], dists).signs == signs
+
     def test_profile_validation(self):
         with pytest.raises(InvalidParameterError):
             MonotonicityProfile(("sideways",))
@@ -346,9 +371,11 @@ class TestChanceDistribution:
 
     def test_node_probe_differences_only_unknown_variables(self, monkeypatch):
         # only y0's sign changes across the random support (with x0), so the
-        # per-node probe differences y0 alone: 4096 nodes x 6 probes x 3
-        # rows, not x 3 variables.  The probe points are the same, so the
-        # value equals that of a probe that differences every variable
+        # per-node probe differences y0 alone: 4096 nodes x 6 probes x (2 + 1)
+        # rows, not x (2 x 3 + 1).  The probe points are the same, so the
+        # value equals that of a probe that differences every variable.  The
+        # support profile's probes share their point's row: 6 points x 6
+        # probes x (2 x 3 + 1) rows of the sum
         import hybrel.chance as chance
         from hybrel import (HybridProblem, RandomVariable, UncertainVariable,
                             reliability_reference)
@@ -365,12 +392,29 @@ class TestChanceDistribution:
             randoms=[RandomVariable(f"x{i}", 0.0, 1.0) for i in range(2)],
             uncertains=[UncertainVariable(f"y{i}", -1.0, 1.0) for i in range(3)])
         value = reliability_reference(problem, quad_nodes=64)
-        assert (max(rows), sum(rows)) == (73_728, 220_866)
+        assert (max(rows), sum(rows)) == (73_728, 220_794)
         signs_at = chance._signs_at
         monkeypatch.setattr(chance, "_signs_at",
                             lambda rows, randoms, unc, probed=None:
                             signs_at(rows, randoms, unc))
         assert reliability_reference(problem, quad_nodes=64) == value
+
+    def test_no_random_inputs_probe_one_point(self):
+        # with m = 0 the support profile probes the one empty random point:
+        # 6 box probes x (2 x 3 + 1) rows on top of the belief's own rows
+        calls = []
+
+        def f(_x, tau):
+            calls.append(1)
+            return 1.2 - tau[0] + 0.5 * tau[1] - 0.3 * tau[2]
+
+        declared = chance_exceedance(f, [], [lin01()] * 3, profile=MonotonicityProfile(
+            ("decreasing", "increasing", "decreasing")))
+        belief_calls = len(calls)
+        calls.clear()
+        assert chance_exceedance(f, [], [lin01()] * 3) == declared
+        assert len(calls) - belief_calls == 6 * 7
+        assert len(calls) == 84
 
     def test_dimension_guard(self):
         f = lambda x, tau: x.sum() + tau[0]

@@ -351,6 +351,37 @@ class TestStencilRows:
         assert str(from_point.value).endswith(f"at x={x.tolist()}, y={y.tolist()}")
 
 
+@pytest.mark.parametrize("analytic", [False, True])
+def test_block_is_its_points_in_turn(analytic):
+    # lsf_and_gradient on a (2, k) block makes the limit-state and gradient
+    # calls of two point calls, in their order, and returns their bits
+    calls = []
+
+    def lsf(x, y):
+        calls.append(("lsf", x.tobytes(), y.tobytes()))
+        return 1.2 - 0.3 * x[0] * x[1] - y[0] ** 2 - 0.5 * y[1]
+
+    def gradient(x, y):
+        calls.append(("gradient", x.tobytes(), y.tobytes()))
+        return [-0.3 * x[1], -0.3 * x[0], -2.0 * y[0], -0.5]
+
+    std = standardize(HybridProblem(
+        lsf=lsf, gradient=gradient if analytic else None,
+        randoms=(RandomVariable("x0", 1.0, 2.0), RandomVariable("x1", -1.0, 0.5)),
+        uncertains=(UncertainVariable("a", -1.0, 3.0), UncertainVariable("b", 0.0, 1.0))))
+    block = np.random.default_rng(5).uniform(-1.0, 1.0, size=(2, 4))
+    values, grads = std.lsf_and_gradient(block, FD_STEP)
+    joint = calls[:]
+    calls.clear()
+    points = [std.lsf_and_gradient(omega, FD_STEP) for omega in block]
+    assert joint == calls
+    assert len(calls) == (4 if analytic else 2 * 9)
+    assert (values.shape, grads.shape) == ((2,), (2, 4))
+    assert values.tolist() == [value for value, _ in points]
+    assert all(isinstance(value, float) for value, _ in points)
+    assert grads.tobytes() == np.stack([grad for _, grad in points]).tobytes()
+
+
 def _nan_beyond(limit, batch, bad=math.nan):
     """3 - x - y, but NaN (or bad) wherever x > limit."""
     def lsf(x, y):
@@ -418,6 +449,43 @@ class TestNonFiniteResponse:
         with pytest.raises(NonFiniteResponseError,
                            match=r"^gradient returned \[nan, -1\.0\] at x=\[0\.0\], y=\[0\.0\]$"):
             run_case(case)
+
+    @pytest.mark.parametrize("bad, error, message", [
+        ([-1.0], InvalidParameterError, r"shape \(1,\) of dtype float64"),
+        (-1.0, InvalidParameterError, r"shape \(\) of dtype float64"),
+        ([-1.0, -1.0], InvalidParameterError, r"shape \(2,\) of dtype float64"),
+        ("abc", InvalidParameterError, r"shape \(\) of dtype <U3"),
+        (None, InvalidParameterError, r"shape \(\) of dtype object"),
+        (["a", "b", "c"], InvalidParameterError, r"shape \(3,\) of dtype <U1"),
+        ([-1.0, math.nan, -1.0], NonFiniteResponseError, r"\[-1\.0, nan, -1\.0\]"),
+    ], ids=["one", "scalar", "two", "string", "none", "strings", "nan"])
+    def test_analytic_gradient_checked_like_a_response(self, bad, error, message):
+        # a gradient has one real entry per input, m + n = 3 here; the
+        # error names its shape and dtype, or its value, and the point
+        problem = HybridProblem(
+            lsf=lambda x, y: 3.0 - x[0] - x[1] - y[0],
+            randoms=(RandomVariable("x0", 0.0, 1.0), RandomVariable("x1", 0.0, 1.0)),
+            uncertains=(UncertainVariable("y0", -1.0, 1.0),),
+            gradient=lambda x, y: bad,
+        )
+        if error is InvalidParameterError:
+            message += r", not \(3,\) real numbers,"
+        with pytest.raises(error, match=rf"^gradient returned {message} at "
+                                        r"x=\[0\.0, 0\.0\], y=\[0\.0\]$"):
+            standardize(problem).lsf_and_gradient(np.zeros(3), FD_STEP)
+        with pytest.raises(error, match="^gradient returned"):
+            run_case(BenchmarkCase("bad_gradient", problem, "bad analytic gradient"))
+
+    def test_analytic_gradient_of_python_reals(self):
+        # an object array of Python reals is a gradient of real numbers
+        problem = HybridProblem(
+            lsf=lambda x, y: 3.0 - x[0] - y[0],
+            randoms=(STD_NORMAL,),
+            uncertains=(UncertainVariable("y0", -1.0, 1.0),),
+            gradient=lambda x, y: [Fraction(-1), 2 ** 70],
+        )
+        _, grad = standardize(problem).lsf_and_gradient(np.zeros(2), FD_STEP)
+        assert grad.tolist() == [-1.0, 2.0 ** 70]
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_non_scalar_response_names_its_shape(self, n):
@@ -837,9 +905,10 @@ class TestReliabilityReference:
         assert r + f == pytest.approx(1.0, abs=2e-6)
 
     def test_crank_beliefs_go_through_lsf_batch(self):
-        # crank_slider t=0 at 8 nodes: only the profile probes (6 random
-        # points x 4 variables x 6 box probes x 3 calls = 432) stay scalar;
-        # the batch rows are exactly the evaluations the scalar path makes
+        # crank_slider t=0 at 8 nodes: every evaluation goes through
+        # lsf_batch, the profile probes' 324 rows (6 random points x 6 box
+        # probes x (2 x 4 variables + 1)) included, and the batch rows are
+        # exactly the evaluations the scalar path makes
         import dataclasses
 
         from hybrel.benchmarks import case_crank_slider
@@ -860,7 +929,7 @@ class TestReliabilityReference:
         calls["scalar"] = 0
         batched = dataclasses.replace(problem, lsf=lsf, lsf_batch=lsf_batch)
         assert reliability_reference(batched, quad_nodes=8) == value
-        assert calls["scalar"] <= 432
+        assert calls["scalar"] == 0
         assert calls["scalar"] + calls["rows"] == scalar_calls
 
     @staticmethod

@@ -44,3 +44,13 @@ def test_laws_sit_at_the_bottom_of_the_import_graph():
     # the error classes, so every module can build a law
     assert _package_imports("distributions") <= {"config", "errors"}
     assert _package_imports("config") <= {"errors"}
+
+
+def test_solver_reaches_model_through_its_public_names():
+    # the box refinement differentiates through lsf_and_gradient, so the
+    # search imports no private helper of model.py
+    tree = ast.parse((Path(hybrel.__file__).parent / "solver.py").read_text())
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "model"
+             for alias in node.names]
+    assert names and not [name for name in names if name.startswith("_")]
